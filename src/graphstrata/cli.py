@@ -108,6 +108,8 @@ def _load_graph(arg: str) -> StableGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{name}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{name}: JSON nested too deeply") from None
     try:
         return graph_from_doc(doc)
     except ValueError as exc:

@@ -12,10 +12,15 @@ module models the situation with finite sets:
 
 ``verify_star`` checks the compatibility condition: for every pair s', s''
 over the same base point there is a group element gamma with
-sigma_i(s') = sigma_{gamma(i)}(s'') for all i.  Injectivity makes the
-witness unique, and the witnesses compose along triples.  When the
-condition holds, each distinguished point acquires a well-defined class:
-the orbit of its chart index (``class_function``).
+sigma_i(s') = sigma_{gamma(i)}(s'') for all i.  Charts are injective, so
+the only candidate is the position match of the two charts: one lookup
+and one membership test per pair decide the condition.  The same
+positions make the witness unique and make witnesses compose along
+triples, w_bc * w_ab = w_ac.  Those two facts are theorems, not checks;
+``verify_star(..., audit=True)`` confirms them by an exhaustive scan of
+the group per pair and a loop over triples, and the tests run it.  When
+the condition holds, each distinguished point acquires a well-defined
+class: the orbit of its chart index (``class_function``).
 
 Charted markings over richer covers can restate the same data
 (``dominates``); two markings are the same marking class when a chart on
@@ -34,9 +39,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .perm import PermGroup, Permutation, group_from_generators, orbit_of_label, parse_generators
+from .perm import PermGroup, Permutation, group_from_generators, label_orbits, parse_generators
 
 __all__ = [
     "FiniteCover",
@@ -157,54 +162,88 @@ class StarReport:
     ``witnesses`` maps each ordered same-fiber pair to its relabeling;
     ``missing`` lists pairs with no relabeling in the group; ``unmarked``
     lists declared fiber points no chart ever marks.  ``unique`` and
-    ``coherent`` record the exhaustive uniqueness scan and the composition
-    law over triples.
+    ``coherent`` are the results of the audit scans (the witness is the
+    only group element that works; witnesses compose over triples and are
+    the identity on the diagonal).  Both hold for any injective charts, so
+    they are ``None`` unless ``verify_star`` ran with ``audit=True``.
     """
 
     valid: bool
     witnesses: dict[tuple[str, str], Permutation]
     missing: tuple[tuple[str, str], ...]
     unmarked: dict[str, tuple[str, ...]]
-    unique: bool
-    coherent: bool
+    unique: bool | None
+    coherent: bool | None
 
 
-def verify_star(marking: ChartedMarking) -> StarReport:
+def verify_star(marking: ChartedMarking, *, audit: bool = False) -> StarReport:
+    """Check chart compatibility over every same-fiber pair.
+
+    Costs one ``_match`` and one membership test per pair.  With ``audit``
+    it also runs the exhaustive uniqueness scan (|G|·m per pair) and the
+    coherence loop over triples, and reports them as ``unique`` and
+    ``coherent``.
+    """
     group = marking.group
+    fibers = {s: marking.cover.fiber(s) for s in marking.cover.base}
     witnesses: dict[tuple[str, str], Permutation] = {}
     missing: list[tuple[str, str]] = []
-    unique = True
-    for s in marking.cover.base:
-        fiber = marking.cover.fiber(s)
+    for fiber in fibers.values():
         for a in fiber:
             for b in fiber:
                 j = _match(marking.sigma[a], marking.sigma[b])
                 if j is not None and j in group:
                     witnesses[(a, b)] = j
-                    count = sum(
-                        1
-                        for g in group
-                        if all(
-                            marking.sigma[a][i - 1]
-                            == marking.sigma[b][g(i) - 1]
-                            for i in range(1, marking.m + 1)
-                        )
-                    )
-                    if count != 1:
-                        unique = False
                 else:
                     missing.append((a, b))
     unmarked: dict[str, tuple[str, ...]] = {}
-    for s in marking.cover.base:
+    for s, fiber in fibers.items():
         hit: set[str] = set()
-        for c in marking.cover.fiber(s):
+        for c in fiber:
             hit.update(marking.sigma[c])
         extra = tuple(p for p in marking.fiber_points[s] if p not in hit)
         if extra:
             unmarked[s] = extra
+    unique = coherent = None
+    if audit:
+        unique = _audit_unique(marking, witnesses)
+        coherent = _audit_coherent(fibers.values(), witnesses)
+    return StarReport(
+        valid=not missing and not unmarked,
+        witnesses=witnesses,
+        missing=tuple(missing),
+        unmarked=unmarked,
+        unique=unique,
+        coherent=coherent,
+    )
+
+
+def _audit_unique(
+    marking: ChartedMarking, witnesses: Mapping[tuple[str, str], Permutation]
+) -> bool:
+    """Each witnessed pair is matched by exactly one group element."""
+    unique = True
+    for a, b in witnesses:
+        count = sum(
+            1
+            for g in marking.group
+            if all(
+                marking.sigma[a][i - 1] == marking.sigma[b][g(i) - 1]
+                for i in range(1, marking.m + 1)
+            )
+        )
+        if count != 1:
+            unique = False
+    return unique
+
+
+def _audit_coherent(
+    fibers: Iterable[Sequence[str]],
+    witnesses: Mapping[tuple[str, str], Permutation],
+) -> bool:
+    """Diagonal witnesses are identities and witnesses compose over triples."""
     coherent = True
-    for s in marking.cover.base:
-        fiber = marking.cover.fiber(s)
+    for fiber in fibers:
         for a in fiber:
             w = witnesses.get((a, a))
             if w is not None and not w.is_identity():
@@ -220,14 +259,7 @@ def verify_star(marking: ChartedMarking) -> StarReport:
                     # sigma(a) = sigma(b) o w_ab forces w_ac = w_bc o w_ab.
                     if wbc * wab != wac:
                         coherent = False
-    return StarReport(
-        valid=not missing and not unmarked,
-        witnesses=witnesses,
-        missing=tuple(missing),
-        unmarked=unmarked,
-        unique=unique,
-        coherent=coherent,
-    )
+    return coherent
 
 
 def class_function(marking: ChartedMarking) -> dict[str, frozenset[int]]:
@@ -236,13 +268,17 @@ def class_function(marking: ChartedMarking) -> dict[str, frozenset[int]]:
     Defined only when the compatibility condition holds; then the orbit
     does not depend on which chart exhibits the point.
     """
-    report = verify_star(marking)
-    if not report.valid:
+    if not verify_star(marking).valid:
         raise ValueError("charts are incompatible; classes are undefined")
+    return _chart_classes(marking)
+
+
+def _chart_classes(marking: ChartedMarking) -> dict[str, frozenset[int]]:
+    """``class_function`` for a marking already known to be compatible."""
+    orbits = label_orbits(marking.group)
     classes: dict[str, frozenset[int]] = {}
     for c in marking.cover.cover:
-        for i, p in enumerate(marking.sigma[c], start=1):
-            orbit = orbit_of_label(marking.group, i)
+        for p, orbit in zip(marking.sigma[c], orbits):
             if p in classes and classes[p] != orbit:
                 raise AssertionError(f"class of {p} depends on the chart")
             classes[p] = orbit
@@ -404,8 +440,11 @@ def verify_morphism(
         raise ValueError("markings have different m")
     if c1.group != c2.group:
         raise ValueError("markings carry different groups")
-    if not verify_star(c1).valid or not verify_star(c2).valid:
-        raise ValueError("both markings must pass the compatibility check")
+    try:
+        classes1 = class_function(c1)
+        classes2 = class_function(c2)
+    except ValueError:
+        raise ValueError("both markings must pass the compatibility check") from None
     if set(hm.base_map) != set(c1.cover.base):
         raise ValueError("base map must be defined on exactly the source base")
     for s, t in hm.base_map.items():
@@ -436,8 +475,6 @@ def verify_morphism(
                 witnesses[(a, b)] = j
             else:
                 missing.append((a, b))
-    classes1 = class_function(c1)
-    classes2 = class_function(c2)
     violations: list[tuple[str, str]] = []
     for s in c1.cover.base:
         for p in c1.fiber_points[s]:
@@ -711,7 +748,7 @@ def render_star_report(marking: ChartedMarking, report: StarReport) -> str:
                 f"fiber {s}: unmarked points " + " ".join(report.unmarked[s])
             )
     if report.valid:
-        classes = class_function(marking)
+        classes = _chart_classes(marking)
         for s in marking.cover.base:
             for p in marking.fiber_points[s]:
                 lines.append(f"class({p}) = {orbit_label(classes[p])}")

@@ -26,6 +26,7 @@ __all__ = [
     "symmetric_group",
     "symmetric_group_on",
     "orbit_of_label",
+    "label_orbits",
     "stabilizer",
     "canonical_rep",
     "parse_permutation",
@@ -200,14 +201,19 @@ def group_from_generators(
     for g in gens:
         if g.degree != m:
             raise ValueError(f"generator degree {g.degree} != {m}")
-    identity = Permutation.identity(m)
+    # Close on bare image tuples and build each Permutation (which
+    # validates it) once per element, not once per product.  A generator
+    # padded with a leading 0 maps label j to g(j) by plain indexing, so
+    # the product g * a has image tuple ``map(padded_g, a)``.
+    padded = [(0,) + g.images for g in gens]
+    identity = tuple(range(1, m + 1))
     elements = {identity}
     frontier = [identity]
     while frontier:
         fresh = []
         for a in frontier:
-            for g in gens:
-                c = g * a
+            for g in padded:
+                c = tuple(map(g.__getitem__, a))
                 if c not in elements:
                     elements.add(c)
                     fresh.append(c)
@@ -216,7 +222,7 @@ def group_from_generators(
                             f"group order exceeds bound {max_order}"
                         )
         frontier = fresh
-    return PermGroup(m, gens, tuple(sorted(elements)))
+    return PermGroup(m, gens, tuple(Permutation(c) for c in sorted(elements)))
 
 
 def symmetric_group(m: int) -> PermGroup:
@@ -250,6 +256,15 @@ def orbit_of_label(group: PermGroup, i: int) -> frozenset[int]:
     if not 1 <= i <= group.degree:
         raise ValueError(f"label {i} outside 1..{group.degree}")
     return frozenset(g(i) for g in group)
+
+
+def label_orbits(group: PermGroup) -> tuple[frozenset[int], ...]:
+    """The orbit of every label, in one scan: entry ``i - 1`` is label i's."""
+    images: list[set[int]] = [set() for _ in range(group.degree)]
+    for g in group:
+        for seen, j in zip(images, g.images):
+            seen.add(j)
+    return tuple(frozenset(seen) for seen in images)
 
 
 def stabilizer(group: PermGroup, labeling: Sequence[object]) -> PermGroup:

@@ -731,6 +731,11 @@ def _parse_half_edge(text: object, nv: int, where: str) -> tuple[int, int]:
     return v, h
 
 
+def _is_json_int(value: object) -> bool:
+    # JSON true/false load as bool, which is a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def graph_from_doc(doc: object) -> StableGraph:
     if not isinstance(doc, dict):
         raise ValueError("graph document must be a JSON object")
@@ -741,7 +746,7 @@ def graph_from_doc(doc: object) -> StableGraph:
         raise ValueError("vertices: expected a nonempty list")
     genera = []
     for i, rec in enumerate(vertices):
-        if not isinstance(rec, dict) or not isinstance(rec.get("genus"), int):
+        if not isinstance(rec, dict) or not _is_json_int(rec.get("genus")):
             raise ValueError(f"vertices[{i}]: expected an object with integer 'genus'")
         genera.append(rec["genus"])
     nv = len(genera)
@@ -770,7 +775,7 @@ def graph_from_doc(doc: object) -> StableGraph:
             raise ValueError(f"legs[{j}]: expected an object")
         label = rec.get("label")
         vtx = rec.get("vertex")
-        if not isinstance(label, int) or label < 1:
+        if not _is_json_int(label) or label < 1:
             raise ValueError(f"legs[{j}]: 'label' must be a positive integer")
         if label in by_label:
             raise ValueError(f"legs[{j}]: label {label} repeated")

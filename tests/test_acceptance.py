@@ -152,7 +152,7 @@ def test_criterion_4_twisted_gluing_fixture():
     marking = parse_marking_document(
         (FIXTURES / "intro-example.desc").read_text(), "intro-example.desc"
     )
-    report = verify_star(marking)
+    report = verify_star(marking, audit=True)
     small = parse_marking_document(
         (FIXTURES / "intro-small-group.desc").read_text(),
         "intro-small-group.desc",

@@ -146,6 +146,30 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
     assert "broken.json" in err and "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "field,parts",
+    [
+        ("genus", {"vertices": [{"genus": True}], "legs": [{"label": 1, "vertex": "v0"}]}),
+        ("label", {"vertices": [{"genus": 1}], "legs": [{"label": True, "vertex": "v0"}]}),
+    ],
+)
+def test_boolean_in_graph_document_is_input_error(capsys, field, parts):
+    doc = json.dumps({"format": "stable-graph/1", **parts})
+    code, out, err = run(capsys, "check-stability", doc)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and field in lines[0]
+
+
+def test_deeply_nested_json_is_input_error(capsys):
+    code, out, err = run(capsys, "canon", "[" * 100000 + "]" * 100000)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "nested" in lines[0]
+
+
 def test_canon_identifies_presentations(capsys, tmp_path):
     a = write_graph(tmp_path, SPLIT_12_34, "a.json")
     b = write_graph(

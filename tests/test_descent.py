@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+
+import graphstrata.descent as descent
 
 from graphstrata.descent import (
     ChartedMarking,
@@ -85,7 +88,7 @@ def test_marking_validation():
 
 
 def test_intro_marking_is_valid(intro_marking):
-    report = verify_star(intro_marking)
+    report = verify_star(intro_marking, audit=True)
     assert report.valid
     assert report.unique
     assert report.coherent
@@ -138,11 +141,80 @@ def test_witness_coherence_across_triples():
             "c": ("p2", "p1", "p4", "p3"),
         },
     )
-    report = verify_star(marking)
+    report = verify_star(marking, audit=True)
     assert report.valid and report.coherent and report.unique
     w = report.witnesses
     for s, t, u in itertools.product("abc", repeat=3):
         assert w[(t, u)] * w[(s, t)] == w[(s, u)]
+
+
+def _random_star_marking(rng, m):
+    """Random charts over 1-4 base points, 1-4 charts each, some defective.
+
+    Most charts are one ordering of the fiber twisted by a group element;
+    planted defects twist by an arbitrary permutation (usually outside the
+    group), leave a fiber point unmarked, or move a chart to another
+    support of the fiber.
+    """
+    gens = [
+        Permutation(tuple(rng.sample(range(1, m + 1), m)))
+        for _ in range(rng.randint(0, 3))
+    ]
+    group = group_from_generators(m, gens)
+    base = tuple(f"x{k}" for k in range(rng.randint(1, 4)))
+    down, fiber_points, sigma = {}, {}, {}
+    for k, s in enumerate(base):
+        points = [f"p{k}_{j}" for j in range(m + (rng.random() < 0.3))]
+        fiber_points[s] = tuple(points)
+        rng.shuffle(points)
+        for c in range(rng.randint(1, 4)):
+            name = f"{s}c{c}"
+            down[name] = s
+            if rng.random() < 0.15:
+                twist = Permutation(tuple(rng.sample(range(1, m + 1), m)))
+            else:
+                twist = group.elements[rng.randrange(group.order)]
+            moved = len(points) > m and rng.random() < 0.5
+            support = points[1:] if moved else points[:m]
+            sigma[name] = tuple(support[twist(i) - 1] for i in range(1, m + 1))
+    return ChartedMarking(
+        cover=FiniteCover(base, tuple(down), down),
+        m=m,
+        group=group,
+        fiber_points=fiber_points,
+        sigma=sigma,
+    )
+
+
+def test_default_check_agrees_with_audit_on_random_markings():
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(400):
+        marking = _random_star_marking(rng, rng.randint(2, 5))
+        fast = verify_star(marking)
+        full = verify_star(marking, audit=True)
+        assert fast.unique is None and fast.coherent is None
+        assert full.unique is True and full.coherent is True
+        assert fast.valid == full.valid
+        assert fast.witnesses == full.witnesses
+        assert fast.missing == full.missing
+        assert fast.unmarked == full.unmarked
+        verdicts.add(fast.valid)
+        # Brute force over the group, sharing no code with verify_star:
+        # a pair has a witness exactly when one group element matches.
+        for s in marking.cover.base:
+            for a, b in itertools.product(marking.cover.fiber(s), repeat=2):
+                matches = [
+                    g
+                    for g in marking.group
+                    if all(
+                        marking.sigma[a][i - 1] == marking.sigma[b][g(i) - 1]
+                        for i in range(1, marking.m + 1)
+                    )
+                ]
+                expected = [fast.witnesses[(a, b)]] if (a, b) in fast.witnesses else []
+                assert matches == expected
+    assert verdicts == {True, False}
 
 
 def test_class_function_values(intro_marking):
@@ -388,10 +460,24 @@ def test_composition_of_valid_morphisms_is_valid(fixtures_dir):
 
 def test_morphism_requires_valid_markings(intro_small_group_marking):
     hm = identity_morphism(intro_small_group_marking)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="both markings must pass"):
         verify_morphism(
             hm, intro_small_group_marking, intro_small_group_marking
         )
+
+
+def test_morphism_checks_each_marking_once(intro_marking, monkeypatch):
+    checked = []
+
+    def counting(marking, **kwargs):
+        checked.append(marking)
+        return verify_star_unwrapped(marking, **kwargs)
+
+    verify_star_unwrapped = descent.verify_star
+    monkeypatch.setattr(descent, "verify_star", counting)
+    hm = identity_morphism(intro_marking)
+    assert verify_morphism(hm, intro_marking, intro_marking).valid
+    assert len(checked) == 2
 
 
 def test_morphism_structural_checks(intro_marking):

@@ -1,5 +1,9 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
+from sympy.combinatorics import Permutation as SymPermutation, PermutationGroup
 
 from graphstrata.limits import SizeLimitError
 from graphstrata.perm import (
@@ -7,6 +11,7 @@ from graphstrata.perm import (
     Permutation,
     canonical_rep,
     group_from_generators,
+    label_orbits,
     orbit_of_label,
     parse_generators,
     parse_permutation,
@@ -133,6 +138,28 @@ def test_group_is_closed():
             assert a * b in group
 
 
+def test_group_closure_agrees_with_sympy():
+    rng = random.Random(20061107)
+    for _ in range(120):
+        m = rng.randint(1, 6)
+        gens = [
+            Permutation(tuple(rng.sample(range(1, m + 1), m)))
+            for _ in range(rng.randint(0, 3))
+        ]
+        group = group_from_generators(m, gens)
+        # sympy is 0-based and wants at least one generator
+        oracle = PermutationGroup(
+            [SymPermutation([j - 1 for j in g.images]) for g in gens]
+            or [SymPermutation(list(range(m)))]
+        )
+        assert group.order == oracle.order()
+        assert list(group.elements) == sorted(group.elements)
+        for images in itertools.permutations(range(1, m + 1)):
+            p = Permutation(images)
+            expected = oracle.contains(SymPermutation([j - 1 for j in images]))
+            assert (p in group) == expected, (m, gens, images)
+
+
 def test_group_bounds():
     with pytest.raises(SizeLimitError):
         group_from_generators(11, ())
@@ -161,6 +188,20 @@ def test_orbits():
     assert orbit_of_label(symmetric_group(4), 2) == frozenset({1, 2, 3, 4})
     with pytest.raises(ValueError):
         orbit_of_label(v4, 5)
+
+
+def test_label_orbits_match_orbit_of_label():
+    v4 = group_from_generators(4, parse_generators("(1 2),(3 4)", 4))
+    assert label_orbits(v4) == (
+        frozenset({1, 2}),
+        frozenset({1, 2}),
+        frozenset({3, 4}),
+        frozenset({3, 4}),
+    )
+    for group in (v4, symmetric_group_on([2, 3], 4), symmetric_group(5)):
+        assert label_orbits(group) == tuple(
+            orbit_of_label(group, i) for i in range(1, group.degree + 1)
+        )
 
 
 def test_stabilizer_of_labeling():
