@@ -34,6 +34,7 @@ from .gamma import enumerate_gamma_strata, gamma_canonical_form, gamma_census_to
 from .limits import DEFAULT_MAX_DIM, MAX_GROUP_ORDER, MAX_PERM_DEGREE
 from .perm import PermGroup, group_from_generators, parse_generators
 from .stablegraph import (
+    DisconnectedGraphError,
     StableGraph,
     canonical_form,
     census_to_doc,
@@ -116,6 +117,13 @@ def _load_graph(arg: str) -> StableGraph:
         raise ValueError(f"{name}: {exc}") from None
 
 
+def _load_connected_graph(arg: str) -> StableGraph:
+    graph = _load_graph(arg)
+    if not graph.is_connected():
+        raise DisconnectedGraphError("the dual graph of a curve must be connected")
+    return graph
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
     census = enumerate_stable_graphs(
         args.g, args.m, max_dim=_max_size(args), max_legs=_max_m(args)
@@ -149,7 +157,7 @@ def _cmd_check_stability(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_canon(args: argparse.Namespace) -> tuple[int, str]:
-    graph = _load_graph(args.graph)
+    graph = _load_connected_graph(args.graph)
     if args.group is None:
         result = canonical_form(graph)
     else:
@@ -159,7 +167,7 @@ def _cmd_canon(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_split(args: argparse.Namespace) -> tuple[int, str]:
-    graph = _load_graph(args.graph)
+    graph = _load_connected_graph(args.graph)
     piece = split_component(graph, args.vertex)
     kept = len(graph.legs_at(args.vertex))
     doc = {

@@ -51,9 +51,11 @@ def relabel_legs(graph: StableGraph, gamma: Permutation) -> StableGraph:
     """Send the leg labeled i to the label gamma(i), leaving vertices put."""
     if gamma.degree != graph.m:
         raise ValueError(f"permutation degree {gamma.degree} != m = {graph.m}")
+    # gamma was checked to be a bijection of 1..m when it was built.
+    images = gamma.images
     legs = [0] * graph.m
     for k, v in enumerate(graph.legs):
-        legs[gamma(k + 1) - 1] = v
+        legs[images[k] - 1] = v
     return StableGraph(graph.genera, graph.edges, tuple(legs))
 
 

@@ -16,7 +16,10 @@ dimension 3g - 3 + m - i.
 configurable bound on 3g - 3 + m.  Isomorphisms preserve genera, the edge
 multiset, and (when asked) leg labels; ``canonical_form`` picks a fixed
 representative of each class by minimizing an encoding over vertex
-orderings compatible with an iteratively refined vertex invariant.
+orderings compatible with a vertex invariant.  When the invariant
+(genus, degree, legs) already tells every vertex apart, it fixes the one
+ordering; otherwise it is refined by neighbor classes and the orderings
+within each cell are enumerated.
 """
 
 from __future__ import annotations
@@ -121,25 +124,28 @@ class StableGraph:
         return tuple(k + 1 for k, vert in enumerate(self.legs) if vert == v)
 
     def is_connected(self) -> bool:
-        nv = self.num_vertices
-        if nv == 1:
-            return True
-        adj: list[set[int]] = [set() for _ in range(nv)]
-        for u, w in self.edges:
-            adj[u].add(w)
-            adj[w].add(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == nv
+        return _connected(self.num_vertices, self.edges)
 
     def encoding(self) -> tuple:
         """A total-order key determining the graph up to equality."""
         return (self.num_vertices, self.m, self.genera, self.edges, self.legs)
+
+
+def _connected(nv: int, edges: Sequence[tuple[int, int]]) -> bool:
+    if nv == 1:
+        return True
+    adj: list[set[int]] = [set() for _ in range(nv)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == nv
 
 
 def genus(graph: StableGraph) -> int:
@@ -198,10 +204,6 @@ def _degrees(nv: int, edges: Sequence[tuple[int, int]]) -> list[int]:
     return deg
 
 
-def _adjacency(edges: Sequence[tuple[int, int]]) -> Counter:
-    return Counter(edges)
-
-
 def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
@@ -224,8 +226,8 @@ def _iter_vertex_maps(
     keys_b = [(genera_b[v], deg_b[v], extra_b[v]) for v in range(nv)]
     if sorted(keys_a) != sorted(keys_b):
         return
-    mult_a = _adjacency(edges_a)
-    mult_b = _adjacency(edges_b)
+    mult_a = Counter(edges_a)
+    mult_b = Counter(edges_b)
     order = sorted(range(nv), key=lambda v: (keys_a[v], v))
     candidates = {
         v: tuple(w for w in range(nv) if keys_b[w] == keys_a[v]) for v in order
@@ -286,9 +288,13 @@ def _edge_map(
 
 
 def _leg_extras(graph: StableGraph, respect: bool) -> list[tuple]:
+    """Per vertex, its leg labels (or only their number) in one pass."""
+    at: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+    for k, v in enumerate(graph.legs, 1):
+        at[v].append(k)
     if respect:
-        return [graph.legs_at(v) for v in range(graph.num_vertices)]
-    return [(len(graph.legs_at(v)),) for v in range(graph.num_vertices)]
+        return [tuple(labels) for labels in at]
+    return [(len(labels),) for labels in at]
 
 
 def iter_graph_isomorphisms(
@@ -315,18 +321,15 @@ def graph_isomorphism(
 
 
 def _refined_cells(
-    genera: Sequence[int],
-    edges: Sequence[tuple[int, int]],
-    extra: Sequence[tuple],
+    sig: Sequence[tuple], edges: Sequence[tuple[int, int]]
 ) -> list[list[int]]:
     """Partition vertices by an isomorphism-invariant key, finest first.
 
-    Starts from (genus, degree, decoration) and refines by the multiset of
-    neighbor classes until stable.  Cell order is part of the invariant.
+    Starts from the initial signature (genus, degree, decoration) and
+    refines by the multiset of neighbor classes until stable.  Cell order
+    is part of the invariant.
     """
-    nv = len(genera)
-    deg = _degrees(nv, edges)
-    sig: list[tuple] = [(genera[v], deg[v], extra[v]) for v in range(nv)]
+    nv = len(sig)
     ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
     cur = [ranks[sig[v]] for v in range(nv)]
     while True:
@@ -366,8 +369,20 @@ def _min_encoding(
     extra: Sequence[tuple],
     encode: Callable[[Sequence[int]], tuple],
 ) -> tuple:
+    """Least ``encode(order)`` over the orderings the invariant allows.
+
+    A discrete invariant fixes the ordering: when the signatures
+    (genus, degree, decoration) are pairwise distinct, refinement would
+    stop after one round with the same ranks and leave one ordering, so
+    the vertices are sorted by signature and encoded once.
+    """
+    nv = len(genera)
+    deg = _degrees(nv, edges)
+    sig = [(genera[v], deg[v], extra[v]) for v in range(nv)]
+    if len(set(sig)) == nv:
+        return encode(sorted(range(nv), key=sig.__getitem__))
     best = None
-    for order in _iter_cell_orderings(_refined_cells(genera, edges, extra)):
+    for order in _iter_cell_orderings(_refined_cells(sig, edges)):
         enc = encode(order)
         if best is None or enc < best:
             best = enc
@@ -415,23 +430,6 @@ def _genus_tuples(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     yield from rec(total, parts, 0)
 
 
-def _edges_connected(nv: int, edges: Sequence[tuple[int, int]]) -> bool:
-    if nv == 1:
-        return True
-    adj: list[set[int]] = [set() for _ in range(nv)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == nv
-
-
 def _count_vectors(m: int, needs: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Per-vertex leg counts with the given minimums, summing to m."""
     def rec(idx: int, remaining: int) -> Iterator[tuple[int, ...]]:
@@ -457,20 +455,19 @@ def _shape_classes(
 
     Vertices are decorated by genus and by how many legs they will carry;
     which labels go where is decided later.  Leg counts already satisfy the
-    stability minimums, so every labeling of a shape is stable.
+    stability minimums, so every labeling of a shape is stable.  Each
+    stable vertex adds at least 1 to 2g - 2 + m = sum(2g_v - 2 + n_v), so
+    no shape has more than 2g - 2 + m vertices.
     """
     shapes: set[tuple] = set()
-    for nv in range(1, e + 2):
-        b1 = e - nv + 1
-        if b1 < 0:
-            continue
-        gsum = g - b1
+    for nv in range(1, min(e + 1, 2 * g - 2 + m) + 1):
+        gsum = g - (e - nv + 1)
         if gsum < 0:
             continue
         pairs = [(u, v) for u in range(nv) for v in range(u, nv)]
         for genera in _genus_tuples(gsum, nv):
             for edges in itertools.combinations_with_replacement(pairs, e):
-                if not _edges_connected(nv, edges):
+                if not _connected(nv, edges):
                     continue
                 deg = _degrees(nv, edges)
                 needs = [

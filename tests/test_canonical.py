@@ -1,0 +1,200 @@
+"""Canonical forms checked against code that shares none of the library's.
+
+``networkx`` decides label-respecting multigraph isomorphism on its own,
+and ``reference_canonical_form`` is a standalone copy of the
+refine-then-enumerate algorithm: it refines the vertex invariant by
+neighbor classes and minimizes the encoding over every ordering the
+refined cells allow, with no shortcut for a discrete invariant.  The
+library must pick exactly the same least encoding.
+"""
+
+import itertools
+import random
+
+import networkx as nx
+import pytest
+
+from graphstrata.stablegraph import (
+    StableGraph,
+    canonical_form,
+    enumerate_stable_graphs,
+    graph_isomorphism,
+)
+
+
+def _norm(u, v):
+    return (u, v) if u <= v else (v, u)
+
+
+def _signatures(genera, edges, legs):
+    nv = len(genera)
+    deg = [0] * nv
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    at = [tuple(k + 1 for k, x in enumerate(legs) if x == v) for v in range(nv)]
+    return [(genera[v], deg[v], at[v]) for v in range(nv)]
+
+
+def reference_canonical_form(genera, edges, legs):
+    """(genera, edges, legs) of the least encoding over refined orderings."""
+    nv = len(genera)
+    sig = _signatures(genera, edges, legs)
+    ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
+    cur = [ranks[sig[v]] for v in range(nv)]
+    while True:
+        nbr = [[] for _ in range(nv)]
+        for u, v in edges:
+            nbr[u].append(cur[v])
+            nbr[v].append(cur[u])
+        new_sig = [(cur[v], tuple(sorted(nbr[v]))) for v in range(nv)]
+        ranks = {s: r for r, s in enumerate(sorted(set(new_sig)))}
+        new = [ranks[new_sig[v]] for v in range(nv)]
+        if new == cur:
+            break
+        cur = new
+    cells = {}
+    for v in range(nv):
+        cells.setdefault(cur[v], []).append(v)
+    best = None
+    for choice in itertools.product(
+        *(itertools.permutations(cells[r]) for r in sorted(cells))
+    ):
+        order = tuple(itertools.chain.from_iterable(choice))
+        pos = {old: new for new, old in enumerate(order)}
+        enc = (
+            tuple(genera[old] for old in order),
+            tuple(sorted(_norm(pos[u], pos[v]) for u, v in edges)),
+            tuple(pos[v] for v in legs),
+        )
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
+def _to_networkx(graph):
+    out = nx.MultiGraph()
+    for v, g in enumerate(graph.genera):
+        labels = frozenset(k + 1 for k, x in enumerate(graph.legs) if x == v)
+        out.add_node(v, genus=g, legs=labels)
+    out.add_edges_from(graph.edges)
+    return out
+
+
+def networkx_isomorphic(a, b):
+    return nx.is_isomorphic(
+        _to_networkx(a), _to_networkx(b), node_match=lambda x, y: x == y
+    )
+
+
+def _triple(graph):
+    return (graph.genera, graph.edges, graph.legs)
+
+
+def _shuffled(graph, rng):
+    """The same graph with vertices renamed and edges listed in random order."""
+    nv = graph.num_vertices
+    perm = list(range(nv))
+    rng.shuffle(perm)
+    genera = [0] * nv
+    for v in range(nv):
+        genera[perm[v]] = graph.genera[v]
+    edges = [(perm[u], perm[v]) for u, v in graph.edges]
+    rng.shuffle(edges)
+    return StableGraph(tuple(genera), tuple(edges), tuple(perm[v] for v in graph.legs))
+
+
+def _random_graph(rng):
+    """Connected, with loops and multi-edges; often with equal genus-0 vertices."""
+    shape = rng.random()
+    nv = rng.randint(1, 7)
+    if shape < 0.25:
+        # a cycle, possibly doubled: every vertex looks alike until legs land
+        edges = [(v, (v + 1) % nv) for v in range(nv)] if nv > 1 else [(0, 0)]
+        if rng.random() < 0.5:
+            edges = edges * 2
+        genera = [0] * nv
+        m = rng.randint(0, 2)
+    else:
+        edges = [(rng.randrange(v), v) for v in range(1, nv)]
+        for _ in range(rng.randint(0, nv + 1)):
+            u = rng.randrange(nv)
+            edges.append((u, u) if rng.random() < 0.3 else (u, rng.randrange(nv)))
+        if edges and rng.random() < 0.5:
+            edges.append(rng.choice(edges))
+        genera = [rng.choice((0, 0, 0, 1, 2)) for _ in range(nv)]
+        m = rng.randint(0, 6)
+    legs = [rng.randrange(nv) for _ in range(m)]
+    return StableGraph(tuple(genera), tuple(edges), tuple(legs))
+
+
+def _mutated(graph, rng):
+    """A nearby graph that may or may not be isomorphic to ``graph``."""
+    genera, edges, legs = (list(x) for x in _triple(graph))
+    nv = len(genera)
+    kind = rng.randrange(4)
+    if kind == 0 and legs:
+        legs[rng.randrange(len(legs))] = rng.randrange(nv)
+    elif kind == 1 and len(legs) > 1:
+        i, j = rng.sample(range(len(legs)), 2)
+        legs[i], legs[j] = legs[j], legs[i]
+    elif kind == 2:
+        genera[rng.randrange(nv)] = rng.choice((0, 1))
+    elif edges:
+        j = rng.randrange(len(edges))
+        edges[j] = (edges[j][0], rng.randrange(nv))
+    return StableGraph(tuple(genera), tuple(edges), tuple(legs))
+
+
+RANDOM_PAIRS = 600
+
+
+@pytest.fixture(scope="module")
+def random_pairs():
+    rng = random.Random(20061)
+    pairs = []
+    for _ in range(RANDOM_PAIRS):
+        a = _random_graph(rng)
+        b = a if rng.random() < 0.4 else _mutated(a, rng)
+        pairs.append((a, _shuffled(b, rng)))
+    return pairs
+
+
+def test_networkx_counts_loops_and_multi_edges():
+    two_loops = StableGraph((0, 0), ((0, 0), (0, 1), (1, 1)), ())
+    triple = StableGraph((0, 0), ((0, 1), (0, 1), (0, 1)), ())
+    assert not networkx_isomorphic(two_loops, triple)
+    assert networkx_isomorphic(triple, triple)
+
+
+def test_random_pairs_cover_both_verdicts_and_both_paths(random_pairs):
+    verdicts = [networkx_isomorphic(a, b) for a, b in random_pairs]
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+    discrete = [
+        len(set(sig)) == len(sig)
+        for sig in (_signatures(*_triple(a)) for a, _ in random_pairs)
+    ]
+    assert 100 < sum(discrete) < len(discrete) - 100
+
+
+def test_canonical_form_agrees_with_networkx(random_pairs):
+    for a, b in random_pairs:
+        same = canonical_form(a) == canonical_form(b)
+        assert same == networkx_isomorphic(a, b), (a, b)
+        assert (graph_isomorphism(a, b) is not None) == same, (a, b)
+
+
+def test_canonical_form_matches_reference_on_random_graphs(random_pairs):
+    for graph in itertools.chain.from_iterable(random_pairs):
+        expected = reference_canonical_form(*_triple(graph))
+        assert _triple(canonical_form(graph)) == expected, graph
+
+
+@pytest.mark.parametrize("g,m", [(0, 6), (1, 4)])
+def test_canonical_form_matches_reference_on_census(g, m):
+    rng = random.Random(100 * g + m)
+    for graph in enumerate_stable_graphs(g, m).all_graphs():
+        assert reference_canonical_form(*_triple(graph)) == _triple(graph)
+        other = _shuffled(graph, rng)
+        assert _triple(canonical_form(other)) == _triple(graph)
+        assert reference_canonical_form(*_triple(other)) == _triple(graph)

@@ -133,6 +133,21 @@ def test_check_stability_disconnected_is_input_error(capsys, tmp_path):
     assert "disconnected" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("check-stability",), "genus is undefined for disconnected graphs"),
+        (("canon",), "the dual graph of a curve must be connected"),
+        (("split", "--vertex", "0"), "the dual graph of a curve must be connected"),
+    ],
+)
+def test_disconnected_inline_graph_is_input_error(capsys, argv, message):
+    doc = '{"format":"stable-graph/1","vertices":[{"genus":1},{"genus":1}]}'
+    code, out, err = run(capsys, argv[0], doc, *argv[1:])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "check-stability", "no-such-file.json")
     assert code == 2 and err != ""

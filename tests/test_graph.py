@@ -211,10 +211,17 @@ def test_census_04_boundary_is_the_three_leg_splits(census04):
     assert keys == expect
 
 
-@pytest.mark.parametrize("g,m", [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (2, 0)])
+@pytest.mark.parametrize(
+    "g,m", [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (2, 0), (1, 3), (2, 1)]
+)
 def test_census_matches_brute_force(g, m):
     census = enumerate_stable_graphs(g, m)
     oracle = brute_force_census(g, m)
+    # Each stable vertex adds 2g_v - 2 + n_v >= 1 to 2g - 2 + m, so no
+    # class has more vertices; the trivalent genus-0 graphs reach the bound.
+    bound = 2 * g - 2 + m
+    assert max(len(key[0]) for keys in oracle.values() for key in keys) == bound
+    assert max(gr.num_vertices for gr in census.all_graphs()) == bound
     ours = {
         e: {iso_key(gr.genera, gr.edges, gr.legs) for gr in graphs}
         for e, graphs in census.classes_by_nodes.items()
