@@ -10,11 +10,16 @@ Graph arguments name JSON documents; descent arguments name sectioned
 text documents.  An argument starting with "{" or "[" is read as an
 inline document instead of a path.  The environment variable GS_MAX_SIZE
 overrides the default bound on 3g-3+m for the enumeration commands.
+
+``main(argv)`` is the in-process entry point: it returns the exit code
+instead of exiting, can be called any number of times, and builds its
+argument parser once per process, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -241,7 +246,11 @@ _GROUP_HELP = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # A constant of the program.  argparse reads sys.stdout, sys.stderr and
+    # the terminal width when it prints, not here, so one parser serves
+    # every call of main.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "-o",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .perm import PermGroup, Permutation, orbit_of_label
+from .perm import PermGroup, Permutation, label_orbits
 from .stablegraph import (
     GraphIsomorphism,
     StableGraph,
@@ -111,9 +111,8 @@ class GammaMarkedGraph:
 
     def class_labels(self) -> tuple[frozenset[int], ...]:
         """Per leg label, the set of labels it is interchangeable with."""
-        return tuple(
-            orbit_of_label(self.group, i) for i in range(1, self.graph.m + 1)
-        )
+        _check_degree(self.graph, self.group)
+        return label_orbits(self.group)
 
 
 def gamma_automorphisms(

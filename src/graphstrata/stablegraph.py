@@ -87,19 +87,19 @@ class StableGraph:
         if not genera:
             raise ValueError("a graph has at least one vertex")
         nv = len(genera)
+        # ``type(x) is int``, not isinstance: bool is a subclass of int.
         for g in genera:
-            if not isinstance(g, int) or g < 0:
+            if type(g) is not int or g < 0:
                 raise ValueError(f"vertex genus must be a nonnegative integer, got {g!r}")
-        edges = tuple(
-            (u, v) if u <= v else (v, u) for u, v in self.edges
-        )
-        for u, v in edges:
-            if not (0 <= u < nv and 0 <= v < nv):
-                raise ValueError(f"edge endpoint outside 0..{nv - 1}: {(u, v)}")
+        edges = []
+        for u, v in self.edges:
+            if not (type(u) is int and type(v) is int and 0 <= u < nv and 0 <= v < nv):
+                raise ValueError(f"edge endpoints must be integers in 0..{nv - 1}, got {(u, v)!r}")
+            edges.append((u, v) if u <= v else (v, u))
         legs = tuple(self.legs)
         for v in legs:
-            if not 0 <= v < nv:
-                raise ValueError(f"leg vertex outside 0..{nv - 1}: {v}")
+            if type(v) is not int or not 0 <= v < nv:
+                raise ValueError(f"leg vertex must be an integer in 0..{nv - 1}, got {v!r}")
         object.__setattr__(self, "genera", genera)
         object.__setattr__(self, "edges", tuple(sorted(edges)))
         object.__setattr__(self, "legs", legs)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphstrata
 from graphstrata.cli import main
 from graphstrata.stablegraph import StableGraph, dumps, graph_to_doc
 
@@ -335,3 +340,73 @@ def test_group_parse_error(capsys):
         capsys, "gamma-enumerate", "0", "4", "--group", "(1,2)"
     )
     assert code == 2 and "cycle" in err
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SPLIT_DOC = dumps(graph_to_doc(SPLIT_12_34))
+
+# One success per subcommand, a negative verdict, a ValueError path, the
+# usage errors and --help: each must print the same bytes on every call of
+# main in one process as in a fresh interpreter.  COLUMNS is fixed on both
+# sides because argparse wraps help and usage to the terminal width.
+REUSE_CASES = {
+    "enumerate": ["enumerate", "0", "4"],
+    "gamma-enumerate": ["gamma-enumerate", "0", "4", "--group", "(1 2),(3 4)"],
+    "check-stability": ["check-stability", SPLIT_DOC],
+    "canon": ["canon", SPLIT_DOC, "--group", "(1 3)(2 4)"],
+    "split": ["split", SPLIT_DOC, "--vertex", "0"],
+    "verify-descent": ["verify-descent", str(FIXTURES / "intro-example.desc")],
+    "equiv-descent": ["equiv-descent", str(FIXTURES / "intro-example.desc")] * 2,
+    "verify-morphism": ["verify-morphism", str(FIXTURES / "twist-endomorphism.desc")],
+    "quotient-table": ["quotient-table", "0", "5", "--group", "(1 2 3 4 5)"],
+    "numerology": ["numerology", "2", "3", "0"],
+    "negative-verdict": ["verify-descent", str(FIXTURES / "intro-small-group.desc")],
+    "value-error": ["numerology", "1", "2", "1"],
+    "no-arguments": [],
+    "unknown-subcommand": ["not-a-command"],
+    "missing-positional": ["enumerate", "0"],
+    "non-integer-g": ["enumerate", "x", "4"],
+    "help": ["--help"],
+}
+
+
+def _fresh_env():
+    env = dict(os.environ, COLUMNS="80")
+    env.pop("GS_MAX_SIZE", None)
+    src = str(Path(graphstrata.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _fresh_python(*args):
+    return subprocess.run(
+        [sys.executable, *args], env=_fresh_env(), capture_output=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize("argv", REUSE_CASES.values(), ids=REUSE_CASES.keys())
+def test_repeated_main_matches_fresh_process(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("GS_MAX_SIZE", raising=False)
+    first = run(capsys, *argv)
+    second = run(capsys, *argv)
+    assert second == first
+    proc = _fresh_python("-m", "graphstrata", *argv)
+    fresh = (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+    assert first == fresh
+
+
+def test_parser_is_built_on_first_main_call_only():
+    script = (
+        "import contextlib, io\n"
+        "from graphstrata import cli\n"
+        "before = cli._build_parser.cache_info().currsize\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for _ in range(3):\n"
+        "        cli.main(['numerology', '2', '3', '0'])\n"
+        "info = cli._build_parser.cache_info()\n"
+        "print(before, info.misses, info.hits)\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["0", "1", "2"]

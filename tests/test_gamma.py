@@ -233,6 +233,12 @@ def test_marked_graph_wrapper():
         marked.equivalent_to(GammaMarkedGraph.of(SPLIT_14_23, SWAP12))
 
 
+def test_class_labels_rejects_group_of_other_degree():
+    marked = GammaMarkedGraph(SPLIT_13_24, group("(1 2)", m=5), SPLIT_13_24)
+    with pytest.raises(ValueError):
+        marked.class_labels()
+
+
 def test_gamma_census_doc(census04):
     fused = enumerate_gamma_strata(0, 4, V4, census=census04)
     doc = gamma_census_to_doc(fused)

@@ -67,6 +67,25 @@ def test_constructor_rejects_bad_indices():
         StableGraph((-1,), (), ())
 
 
+@pytest.mark.parametrize(
+    "genera,edges,legs",
+    [
+        ((True,), (), (0, 0, 0)),
+        ((0.0,), (), (0, 0, 0)),
+        ((0, 0), ((0, 0.5),), (0, 0, 1, 1)),
+        ((0, 0), ((0, True),), (0, 0, 1, 1)),
+        ((0, 0), ((0, "1"),), (0, 0, 1, 1)),
+        ((0, 0), (("0", 1),), (0, 0, 1, 1)),
+        ((0, 0), ((0, 1),), (0, 0, 1, True)),
+        ((0, 0), ((0, 1),), (0, 0, 1, 1.0)),
+        ((0, 0), ((0, 1),), (0, 0, 1, "1")),
+    ],
+)
+def test_constructor_rejects_non_int_entries(genera, edges, legs):
+    with pytest.raises(ValueError):
+        StableGraph(genera, edges, legs)
+
+
 def test_degree_counts_loops_twice():
     assert LOOP.degree(0) == 2
     g = StableGraph((0, 1), ((0, 0), (0, 1)), ())
