@@ -24,12 +24,18 @@ class: the orbit of its chart index (``class_function``).
 
 Charted markings over richer covers can restate the same data
 (``dominates``); two markings are the same marking class when a chart on
-the fiber product restates both (``equivalent``).  A fiberwise map between
-two such objects is a morphism when, at every point of a common
-refinement, it carries charts to charts up to a group element
-(``verify_morphism``); the report also evaluates the coarser criterion
-that classes of distinguished points are preserved, and says whether the
-two verdicts agree.  They agree whenever the group is the full product of
+the fiber product restates both (``equivalent``).  That reduces to two
+conditions: the first marking passes ``verify_star``, and its pull-back
+to the fiber product dominates the second.  The pull-back of the second
+marking never decides differently, because cross matches compose: over
+one base point, match(sigma1(a), sigma1(a')) = j(a', b)^-1 * j(a, b) for
+the cross matches j.
+
+A fiberwise map between two such objects is a morphism when, at every
+point of a common refinement, it carries charts to charts up to a group
+element (``verify_morphism``); the report also evaluates the coarser
+criterion that classes of distinguished points are preserved, and says
+whether the two verdicts agree.  They agree whenever the group is the full product of
 symmetric groups on its label orbits; for smaller groups the chart
 criterion is strictly finer, and the report makes the disagreement
 visible rather than hiding it.
@@ -337,14 +343,18 @@ def dominates(
 
 @dataclass(frozen=True)
 class EquivalenceWitness:
-    """A chart on the fiber product restating both markings."""
+    """The pull-back of the first marking to the fiber product, restating both."""
 
     refinement: ChartedMarking
     to_first: dict[str, str]
     to_second: dict[str, str]
-    star: StarReport
     dom_first: DominationReport
     dom_second: DominationReport
+
+    @property
+    def star(self) -> StarReport:
+        """The refinement's compatibility report, computed when read."""
+        return verify_star(self.refinement)
 
 
 def _fiber_product_points(
@@ -361,50 +371,40 @@ def _fiber_product_points(
 def equivalent(
     c1: ChartedMarking, c2: ChartedMarking
 ) -> EquivalenceWitness | None:
-    """Search the fiber product for a chart dominating both markings.
+    """A chart on the fiber product dominating both markings, if one exists.
 
-    Both candidate charts (pull back the first marking, pull back the
-    second) are tried in that order; the first that passes all three
-    checks is returned.
+    The reduced test: ``c1`` passes ``verify_star`` and its pull-back
+    dominates ``c2``.  The pull-back's star is c1's, and it dominates c1 by
+    identities.  Pulling back ``c2`` never decides otherwise, since cross
+    matches compose: match(sigma1(a), sigma1(a')) = j(a', b)^-1 * j(a, b).
     """
     _require_same_setting(c1, c2)
     pairs = _fiber_product_points(c1, c2)
     names = [f"{a}*{b}" for a, b in pairs]
     assert len(set(names)) == len(names), "cover point names collide"
+    if not verify_star(c1).valid:
+        return None
     base = tuple(c1.cover.base)
     down = {name: c1.cover.down[a] for name, (a, b) in zip(names, pairs)}
-    cover = FiniteCover(base, tuple(names), down)
+    refinement = ChartedMarking(
+        cover=FiniteCover(base, tuple(names), down),
+        m=c1.m,
+        group=c1.group,
+        fiber_points=dict(c1.fiber_points),
+        sigma={name: c1.sigma[a] for name, (a, b) in zip(names, pairs)},
+    )
     to_first = {name: a for name, (a, b) in zip(names, pairs)}
     to_second = {name: b for name, (a, b) in zip(names, pairs)}
-    for pull in (
-        {name: c1.sigma[a] for name, (a, b) in zip(names, pairs)},
-        {name: c2.sigma[b] for name, (a, b) in zip(names, pairs)},
-    ):
-        refinement = ChartedMarking(
-            cover=cover,
-            m=c1.m,
-            group=c1.group,
-            fiber_points=dict(c1.fiber_points),
-            sigma=pull,
-        )
-        star = verify_star(refinement)
-        if not star.valid:
-            continue
-        dom1 = dominates(refinement, c1, to_first)
-        if not dom1.valid:
-            continue
-        dom2 = dominates(refinement, c2, to_second)
-        if not dom2.valid:
-            continue
-        return EquivalenceWitness(
-            refinement=refinement,
-            to_first=to_first,
-            to_second=to_second,
-            star=star,
-            dom_first=dom1,
-            dom_second=dom2,
-        )
-    return None
+    dom_second = dominates(refinement, c2, to_second)
+    if not dom_second.valid:
+        return None
+    return EquivalenceWitness(
+        refinement=refinement,
+        to_first=to_first,
+        to_second=to_second,
+        dom_first=dominates(refinement, c1, to_first),
+        dom_second=dom_second,
+    )
 
 
 @dataclass(frozen=True)

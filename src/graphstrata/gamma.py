@@ -195,7 +195,9 @@ def enumerate_gamma_strata(
                 for gamma in group
                 if canonical_form(relabel_legs(rep, gamma)) == rep
             )
-            stabilizer = PermGroup(group.degree, stab, stab)
+            stabilizer = PermGroup(
+                group.degree, stab, frozenset(g.images for g in stab)
+            )
             assert len(members) * stabilizer.order == group.order
             bucket.append(
                 GammaClass(

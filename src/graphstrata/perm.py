@@ -2,9 +2,13 @@
 
 Labels are 1-based throughout.  A permutation is stored as its image
 sequence: ``p.images[i - 1]`` is the image of label ``i``.  Composition is
-``(a * b)(i) = a(b(i))``, so ``b`` acts first.  Groups are materialized as
-explicit element tuples sorted lexicographically by image sequence; that
-fixed order is what makes every canonical form downstream reproducible.
+``(a * b)(i) = a(b(i))``, so ``b`` acts first.  A group holds the set of
+its members' image sequences, closed from its generators coset by coset
+(Dimino's algorithm), so order and membership need no ``Permutation``
+per element.  Scans that need an order read ``PermGroup.elements``, the
+members sorted lexicographically by image sequence and built on first
+read; that fixed order is what makes every canonical form downstream
+reproducible.  Label orbits come from the generators alone.
 
 Cycle notation reads and writes strings like ``"(1 2)(3 4)"`` with the
 identity written ``"()"``.
@@ -12,9 +16,10 @@ identity written ``"()"``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .limits import MAX_GROUP_ORDER, MAX_PERM_DEGREE, SizeLimitError
@@ -149,24 +154,30 @@ def parse_generators(text: str, degree: int) -> tuple[Permutation, ...]:
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A subgroup of the symmetric group, held as an explicit element list.
+    """A subgroup of the symmetric group, held as the set of its members.
 
-    ``elements`` is closed under composition and inverse and sorted
-    lexicographically by image sequence.
+    ``members`` holds the image sequence of every element, and
+    ``generators`` generate it.  Two groups are equal when they have the
+    same degree and the same members, whatever their generators.
+    ``elements`` lists the members as ``Permutation`` values sorted
+    lexicographically by image sequence; it is built on first read.
     """
 
     degree: int
-    generators: tuple[Permutation, ...]
-    elements: tuple[Permutation, ...]
+    generators: tuple[Permutation, ...] = field(compare=False)
+    members: frozenset[tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        if not self.elements:
+        if not self.members:
             raise ValueError("a group has at least the identity")
-        object.__setattr__(self, "_members", frozenset(self.elements))
+
+    @functools.cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(c) for c in sorted(self.members))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.members)
 
     @property
     def identity(self) -> Permutation:
@@ -176,7 +187,7 @@ class PermGroup:
         return iter(self.elements)
 
     def __contains__(self, p: object) -> bool:
-        return p in self._members  # type: ignore[attr-defined]
+        return isinstance(p, Permutation) and p.images in self.members
 
     def generator_string(self) -> str:
         """Generators in cycle notation, comma separated; ``"()"`` if none."""
@@ -192,7 +203,13 @@ def group_from_generators(
     max_degree: int = MAX_PERM_DEGREE,
     max_order: int = MAX_GROUP_ORDER,
 ) -> PermGroup:
-    """Close a generating set under composition (breadth-first)."""
+    """Close a generating set by cosets (Dimino's algorithm), on image tuples.
+
+    Each generator s outside the group H of the ones before it is adjoined
+    by whole left cosets x∘H, found by multiplying coset representatives
+    on the left by the generators so far.  The bound is checked after each
+    coset, so at most one coset past it is ever held.
+    """
     if m < 1:
         raise ValueError("m must be positive")
     if m > max_degree:
@@ -201,28 +218,25 @@ def group_from_generators(
     for g in gens:
         if g.degree != m:
             raise ValueError(f"generator degree {g.degree} != {m}")
-    # Close on bare image tuples and build each Permutation (which
-    # validates it) once per element, not once per product.  A generator
-    # padded with a leading 0 maps label j to g(j) by plain indexing, so
-    # the product g * a has image tuple ``map(padded_g, a)``.
+    # A tuple x padded with a leading 0 maps label j to x(j) by plain
+    # indexing, so the product x∘a has image tuple ``map(padded_x, a)``.
     padded = [(0,) + g.images for g in gens]
-    identity = tuple(range(1, m + 1))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in padded:
-                c = tuple(map(g.__getitem__, a))
-                if c not in elements:
-                    elements.add(c)
-                    fresh.append(c)
-                    if len(elements) > max_order:
-                        raise SizeLimitError(
-                            f"group order exceeds bound {max_order}"
-                        )
-        frontier = fresh
-    return PermGroup(m, gens, tuple(Permutation(c) for c in sorted(elements)))
+    members = {tuple(range(1, m + 1))}
+    for k, s in enumerate(gens):
+        if s.images in members:
+            continue
+        subgroup = list(members)
+        so_far = padded[: k + 1]
+        reps = [s.images]  # searched breadth-first: grows while it is read
+        for x in reps:
+            if x in members:
+                continue
+            left = (0,) + x
+            members.update(tuple(map(left.__getitem__, h)) for h in subgroup)
+            if len(members) > max_order:
+                raise SizeLimitError(f"group order exceeds bound {max_order}")
+            reps.extend(tuple(map(t.__getitem__, x)) for t in so_far)
+    return PermGroup(m, gens, frozenset(members))
 
 
 def symmetric_group(m: int) -> PermGroup:
@@ -238,33 +252,40 @@ def symmetric_group_on(labels: Iterable[int], degree: int) -> PermGroup:
         if not 1 <= a <= degree:
             raise ValueError(f"label {a} outside 1..{degree}")
     base = list(range(1, degree + 1))
-    elements = []
+    members = set()
     for images in itertools.permutations(moved):
         arr = base[:]
         for slot, img in zip(moved, images):
             arr[slot - 1] = img
-        elements.append(Permutation(tuple(arr)))
+        members.add(tuple(arr))
     gens = tuple(
         Permutation.from_cycles(degree, [(a, b)])
         for a, b in zip(moved, moved[1:])
     )
-    return PermGroup(degree, gens, tuple(sorted(elements)))
+    return PermGroup(degree, gens, frozenset(members))
 
 
 def orbit_of_label(group: PermGroup, i: int) -> frozenset[int]:
     """The orbit of a label under the group action."""
     if not 1 <= i <= group.degree:
         raise ValueError(f"label {i} outside 1..{group.degree}")
-    return frozenset(g(i) for g in group)
+    return label_orbits(group)[i - 1]
 
 
 def label_orbits(group: PermGroup) -> tuple[frozenset[int], ...]:
-    """The orbit of every label, in one scan: entry ``i - 1`` is label i's."""
-    images: list[set[int]] = [set() for _ in range(group.degree)]
-    for g in group:
-        for seen, j in zip(images, g.images):
-            seen.add(j)
-    return tuple(frozenset(seen) for seen in images)
+    """The orbit of every label: entry ``i - 1`` is label i's.
+
+    Orbits are the classes of labels joined by the generators' cycles, so
+    no group element is visited.
+    """
+    orbit = [frozenset({i}) for i in range(group.degree + 1)]
+    for g in group.generators:
+        for i, j in enumerate(g.images, start=1):
+            if j not in orbit[i]:
+                joined = orbit[i] | orbit[j]
+                for k in joined:
+                    orbit[k] = joined
+    return tuple(orbit[1:])
 
 
 def stabilizer(group: PermGroup, labeling: Sequence[object]) -> PermGroup:
@@ -280,7 +301,7 @@ def stabilizer(group: PermGroup, labeling: Sequence[object]) -> PermGroup:
         for g in group
         if all(labeling[g(i) - 1] == labeling[i - 1] for i in range(1, group.degree + 1))
     )
-    return PermGroup(group.degree, kept, kept)
+    return PermGroup(group.degree, kept, frozenset(g.images for g in kept))
 
 
 def canonical_rep(group: PermGroup, labeling: Sequence) -> tuple:

@@ -92,7 +92,11 @@ class StableGraph:
             if type(g) is not int or g < 0:
                 raise ValueError(f"vertex genus must be a nonnegative integer, got {g!r}")
         edges = []
-        for u, v in self.edges:
+        for edge in self.edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"an edge must be a pair of endpoints, got {edge!r}") from None
             if not (type(u) is int and type(v) is int and 0 <= u < nv and 0 <= v < nv):
                 raise ValueError(f"edge endpoints must be integers in 0..{nv - 1}, got {(u, v)!r}")
             edges.append((u, v) if u <= v else (v, u))

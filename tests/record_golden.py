@@ -1,0 +1,78 @@
+"""Record the exit code and stdout sha256 of pinned CLI runs.
+
+    PYTHONPATH=src python3 tests/record_golden.py
+
+Writes ``tests/golden_cli.json``, which ``tests/test_golden.py`` replays.
+Run it only from a checkout whose outputs are trusted: a rewrite of the
+library must keep every recorded digest, so re-recording after a change
+hides exactly what the test is there to catch.  An argument of the form
+``@name`` names a file under ``tests/fixtures``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+FIXTURES = HERE / "fixtures"
+GOLDEN_PATH = HERE / "golden_cli.json"
+
+KLEIN = "(1 2)(3 4),(1 3)(2 4)"
+C5 = "(1 2 3 4 5)"
+S3xS2 = "(1 2),(2 3),(4 5)"
+
+CASES: dict[str, list[str]] = {
+    "verify-descent intro-example": ["verify-descent", "@intro-example.desc"],
+    "verify-descent intro-small-group": ["verify-descent", "@intro-small-group.desc"],
+    "equiv-descent intro-example twice": [
+        "equiv-descent", "@intro-example.desc", "@intro-example.desc",
+    ],
+    "equiv-descent intro-small-group twice": [
+        "equiv-descent", "@intro-small-group.desc", "@intro-small-group.desc",
+    ],
+    "equiv-descent different groups": [
+        "equiv-descent", "@intro-example.desc", "@intro-small-group.desc",
+    ],
+    "verify-morphism twist-endomorphism": [
+        "verify-morphism", "@twist-endomorphism.desc",
+    ],
+}
+CASES.update(
+    {
+        f"{cmd} {g} {m} {group or 'trivial'}": [cmd, str(g), str(m)]
+        + ([] if group is None else ["--group", group])
+        for cmd in ("gamma-enumerate", "quotient-table")
+        for g, m, group in ((0, 4, KLEIN), (0, 5, C5), (0, 5, S3xS2), (1, 3, None))
+    }
+)
+
+
+def resolve(args: list[str]) -> list[str]:
+    return [str(FIXTURES / a[1:]) if a.startswith("@") else a for a in args]
+
+
+def run(main, args: list[str]) -> str:
+    """``"<exit> <stdout sha256>"`` of one in-process ``main`` call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(resolve(args))
+    return f"{code} {hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest()}"
+
+
+def main() -> int:
+    from graphstrata.cli import main as cli_main
+
+    golden = {name: run(cli_main, args) for name, args in CASES.items()}
+    with GOLDEN_PATH.open("w", encoding="utf-8") as fh:
+        json.dump(golden, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -285,6 +285,20 @@ def test_equiv_descent(capsys, fixtures_dir):
     assert out == "NOT EQUIVALENT\n"
 
 
+def test_equiv_descent_ignores_generator_order(capsys, fixtures_dir, tmp_path):
+    intro = fixtures_dir / "intro-example.desc"
+    reordered = tmp_path / "reordered.desc"
+    reordered.write_text(
+        intro.read_text().replace("group = (1 2),(3 4)", "group = (3 4),(1 2)")
+    )
+    assert "group = (3 4),(1 2)" in reordered.read_text()
+    _, expected, _ = run(capsys, "equiv-descent", str(intro), str(intro))
+    for pair in ((intro, reordered), (reordered, intro)):
+        code, out, err = run(capsys, "equiv-descent", *map(str, pair))
+        assert (code, out, err) == (0, expected, "")
+        assert out.endswith("EQUIVALENT\n")
+
+
 def test_verify_morphism_fixture(capsys, fixtures_dir):
     code, out, _ = run(
         capsys,

@@ -79,11 +79,17 @@ def test_constructor_rejects_bad_indices():
         ((0, 0), ((0, 1),), (0, 0, 1, True)),
         ((0, 0), ((0, 1),), (0, 0, 1, 1.0)),
         ((0, 0), ((0, 1),), (0, 0, 1, "1")),
+        ((0,), (5,), (0, 0, 0)),
+        ((0,), ((0, 0, 0),), (0, 0, 0)),
     ],
 )
 def test_constructor_rejects_non_int_entries(genera, edges, legs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         StableGraph(genera, edges, legs)
+    # A malformed edge entry is named in the message.
+    for edge in edges:
+        if not (isinstance(edge, tuple) and len(edge) == 2):
+            assert repr(edge) in str(err.value)
 
 
 def test_degree_counts_loops_twice():
