@@ -10,23 +10,29 @@ module models the situation with finite sets:
   fiber points D_s, and to each cover point s' an injective sequence
   sigma(s') of m of those points, the chart at s'.
 
-``verify_star`` checks the compatibility condition: for every pair s', s''
-over the same base point there is a group element gamma with
-sigma_i(s') = sigma_{gamma(i)}(s'') for all i.  Charts are injective, so
-the only candidate is the position match of the two charts: one lookup
-and one membership test per pair decide the condition.  The same
-positions make the witness unique and make witnesses compose along
-triples, w_bc * w_ab = w_ac.  Those two facts are theorems, not checks;
-``verify_star(..., audit=True)`` confirms them by an exhaustive scan of
-the group per pair and a loop over triples, and the tests run it.  When
-the condition holds, each distinguished point acquires a well-defined
-class: the orbit of its chart index (``class_function``).
+The compatibility condition asks, for every pair s', s'' over the same
+base point, for a group element gamma with sigma_i(s') = sigma_{gamma(i)}(s'')
+for all i.  Charts are injective, so the only candidate is the position
+match j of the two charts, an image tuple looked up in the group's member
+set; the same positions make it unique and make matches compose,
+j_ab = j_rb * j_ar.  So one match per chart decides the condition: every
+pair matches inside the group exactly when every chart matches the first
+chart r over its base point, since the group is closed; and then all
+charts mark the same m points, so none is unmarked exactly when the fiber
+has m points.  ``class_function``, ``equivalent`` and
+``globalize_trivial_group`` decide by this rule.  ``verify_star`` still
+matches every pair, for its report; with ``audit=True`` it also confirms
+uniqueness, composition and agreement with the one-match rule by
+exhaustive scans, and the tests run it.  When the condition holds, each
+distinguished point acquires a well-defined class: the orbit of its chart
+index (``class_function``).  Witnesses are kept as image tuples; a
+report's ``witnesses`` builds ``Permutation`` values only when read.
 
 Charted markings over richer covers can restate the same data
 (``dominates``); two markings are the same marking class when a chart on
 the fiber product restates both (``equivalent``).  That reduces to two
-conditions: the first marking passes ``verify_star``, and its pull-back
-to the fiber product dominates the second.  The pull-back of the second
+conditions: the first marking is compatible, and its pull-back to the
+fiber product dominates the second.  The pull-back of the second
 marking never decides differently, because cross matches compose: over
 one base point, match(sigma1(a), sigma1(a')) = j(a', b)^-1 * j(a, b) for
 the cross matches j.
@@ -47,7 +53,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .perm import PermGroup, Permutation, group_from_generators, label_orbits, parse_generators
+from .perm import PermGroup, Permutation, cycle_notation, group_from_generators
+from .perm import label_orbits, parse_generators
 
 __all__ = [
     "FiniteCover",
@@ -148,34 +155,65 @@ class ChartedMarking:
                     )
 
 
+Images = tuple[int, ...]
+
+
+def _positions(seq: Sequence[str]) -> dict[str, int]:
+    return {p: k for k, p in enumerate(seq, start=1)}
+
+
 def _match(
-    seq_a: Sequence[str], seq_b: Sequence[str]
-) -> Permutation | None:
-    """The unique j with seq_a[i-1] == seq_b[j(i)-1], if one exists."""
-    pos = {p: k + 1 for k, p in enumerate(seq_b)}
-    images = []
-    for p in seq_a:
-        if p not in pos:
-            return None
-        images.append(pos[p])
-    return Permutation(tuple(images))
+    seq_a: Sequence[str], pos_b: Mapping[str, int], members: frozenset[Images]
+) -> Images | None:
+    """The j with seq_a[i-1] == seq_b[j(i)-1] if it is in ``members``.
+
+    ``pos_b`` is ``_positions(seq_b)``, built once per chart.
+    """
+    try:
+        images = tuple(map(pos_b.__getitem__, seq_a))
+    except KeyError:
+        return None
+    return images if images in members else None
+
+
+def _compatible(marking: ChartedMarking) -> bool:
+    """The compatibility condition, by one match per chart (module docstring)."""
+    members = marking.group.members
+    first: dict[str, dict[str, int]] = {}
+    for c in marking.cover.cover:
+        s = marking.cover.down[c]
+        if s not in first:
+            first[s] = _positions(marking.sigma[c])
+        elif _match(marking.sigma[c], first[s], members) is None:
+            return False
+    return all(len(points) == marking.m for points in marking.fiber_points.values())
+
+
+class _Witnessed:
+    """A report whose ``witness_images`` hold relabelings as image tuples."""
+
+    @property
+    def witnesses(self) -> dict:
+        """The same relabelings as ``Permutation`` values, built when read."""
+        return {key: Permutation(j) for key, j in self.witness_images.items()}
 
 
 @dataclass(frozen=True)
-class StarReport:
+class StarReport(_Witnessed):
     """Outcome of the chart compatibility check.
 
-    ``witnesses`` maps each ordered same-fiber pair to its relabeling;
-    ``missing`` lists pairs with no relabeling in the group; ``unmarked``
-    lists declared fiber points no chart ever marks.  ``unique`` and
-    ``coherent`` are the results of the audit scans (the witness is the
-    only group element that works; witnesses compose over triples and are
-    the identity on the diagonal).  Both hold for any injective charts, so
-    they are ``None`` unless ``verify_star`` ran with ``audit=True``.
+    ``witness_images`` maps each ordered same-fiber pair to its
+    relabeling; ``missing`` lists pairs with no relabeling in the group;
+    ``unmarked`` lists declared fiber points no chart ever marks.
+    ``unique`` and ``coherent`` are the results of the audit scans (the
+    witness is the only group element that works; witnesses compose over
+    triples and are the identity on the diagonal).  Both hold for any
+    injective charts, so they are ``None`` unless ``verify_star`` ran with
+    ``audit=True``.
     """
 
     valid: bool
-    witnesses: dict[tuple[str, str], Permutation]
+    witness_images: dict[tuple[str, str], Images]
     missing: tuple[tuple[str, str], ...]
     unmarked: dict[str, tuple[str, ...]]
     unique: bool | None
@@ -183,22 +221,24 @@ class StarReport:
 
 
 def verify_star(marking: ChartedMarking, *, audit: bool = False) -> StarReport:
-    """Check chart compatibility over every same-fiber pair.
+    """Report chart compatibility for every same-fiber pair.
 
-    Costs one ``_match`` and one membership test per pair.  With ``audit``
-    it also runs the exhaustive uniqueness scan (|G|·m per pair) and the
-    coherence loop over triples, and reports them as ``unique`` and
-    ``coherent``.
+    Costs one ``_match`` per pair, k^2 over k charts, to report each
+    witness; the verdict alone needs k (the one-match rule, module
+    docstring).  With ``audit`` it also runs the exhaustive uniqueness scan
+    (|G|·m per pair) and the coherence loop over triples, reports them as
+    ``unique`` and ``coherent``, and checks ``valid`` against the rule.
     """
-    group = marking.group
+    members = marking.group.members
     fibers = {s: marking.cover.fiber(s) for s in marking.cover.base}
-    witnesses: dict[tuple[str, str], Permutation] = {}
+    witnesses: dict[tuple[str, str], Images] = {}
     missing: list[tuple[str, str]] = []
     for fiber in fibers.values():
+        positions = [_positions(marking.sigma[b]) for b in fiber]
         for a in fiber:
-            for b in fiber:
-                j = _match(marking.sigma[a], marking.sigma[b])
-                if j is not None and j in group:
+            for b, pos_b in zip(fiber, positions):
+                j = _match(marking.sigma[a], pos_b, members)
+                if j is not None:
                     witnesses[(a, b)] = j
                 else:
                     missing.append((a, b))
@@ -210,13 +250,16 @@ def verify_star(marking: ChartedMarking, *, audit: bool = False) -> StarReport:
         extra = tuple(p for p in marking.fiber_points[s] if p not in hit)
         if extra:
             unmarked[s] = extra
+    valid = not missing and not unmarked
     unique = coherent = None
     if audit:
+        if valid != _compatible(marking):
+            raise AssertionError("the pair scan and the one-match rule disagree")
         unique = _audit_unique(marking, witnesses)
         coherent = _audit_coherent(fibers.values(), witnesses)
     return StarReport(
-        valid=not missing and not unmarked,
-        witnesses=witnesses,
+        valid=valid,
+        witness_images=witnesses,
         missing=tuple(missing),
         unmarked=unmarked,
         unique=unique,
@@ -225,7 +268,7 @@ def verify_star(marking: ChartedMarking, *, audit: bool = False) -> StarReport:
 
 
 def _audit_unique(
-    marking: ChartedMarking, witnesses: Mapping[tuple[str, str], Permutation]
+    marking: ChartedMarking, witnesses: Mapping[tuple[str, str], Images]
 ) -> bool:
     """Each witnessed pair is matched by exactly one group element."""
     unique = True
@@ -245,14 +288,14 @@ def _audit_unique(
 
 def _audit_coherent(
     fibers: Iterable[Sequence[str]],
-    witnesses: Mapping[tuple[str, str], Permutation],
+    witnesses: Mapping[tuple[str, str], Images],
 ) -> bool:
     """Diagonal witnesses are identities and witnesses compose over triples."""
     coherent = True
     for fiber in fibers:
         for a in fiber:
             w = witnesses.get((a, a))
-            if w is not None and not w.is_identity():
+            if w is not None and w != tuple(range(1, len(w) + 1)):
                 coherent = False
         for a in fiber:
             for b in fiber:
@@ -263,7 +306,7 @@ def _audit_coherent(
                     if None in (wab, wbc, wac):
                         continue
                     # sigma(a) = sigma(b) o w_ab forces w_ac = w_bc o w_ab.
-                    if wbc * wab != wac:
+                    if tuple(wbc[k - 1] for k in wab) != wac:
                         coherent = False
     return coherent
 
@@ -272,9 +315,11 @@ def class_function(marking: ChartedMarking) -> dict[str, frozenset[int]]:
     """Orbit of the chart index, per distinguished point.
 
     Defined only when the compatibility condition holds; then the orbit
-    does not depend on which chart exhibits the point.
+    does not depend on which chart exhibits the point.  The condition is
+    decided by one match per chart, against the first chart over its base
+    point, which suffices because matches compose (module docstring).
     """
-    if not verify_star(marking).valid:
+    if not _compatible(marking):
         raise ValueError("charts are incompatible; classes are undefined")
     return _chart_classes(marking)
 
@@ -296,11 +341,11 @@ def orbit_label(orbit: frozenset[int]) -> str:
 
 
 @dataclass(frozen=True)
-class DominationReport:
+class DominationReport(_Witnessed):
     """Per fine cover point, the relabeling onto the coarse chart."""
 
     valid: bool
-    witnesses: dict[str, Permutation]
+    witness_images: dict[str, Images]
     missing: tuple[str, ...]
 
 
@@ -328,16 +373,18 @@ def dominates(
     for c in fine.cover.cover:
         if coarse.cover.down[down[c]] != fine.cover.down[c]:
             raise ValueError(f"down map does not commute over {c}")
-    witnesses: dict[str, Permutation] = {}
+    members = fine.group.members
+    positions = {c: _positions(seq) for c, seq in coarse.sigma.items()}
+    witnesses: dict[str, Images] = {}
     missing: list[str] = []
     for c in fine.cover.cover:
-        j = _match(fine.sigma[c], coarse.sigma[down[c]])
-        if j is not None and j in fine.group:
+        j = _match(fine.sigma[c], positions[down[c]], members)
+        if j is not None:
             witnesses[c] = j
         else:
             missing.append(c)
     return DominationReport(
-        valid=not missing, witnesses=witnesses, missing=tuple(missing)
+        valid=not missing, witness_images=witnesses, missing=tuple(missing)
     )
 
 
@@ -373,16 +420,17 @@ def equivalent(
 ) -> EquivalenceWitness | None:
     """A chart on the fiber product dominating both markings, if one exists.
 
-    The reduced test: ``c1`` passes ``verify_star`` and its pull-back
-    dominates ``c2``.  The pull-back's star is c1's, and it dominates c1 by
-    identities.  Pulling back ``c2`` never decides otherwise, since cross
-    matches compose: match(sigma1(a), sigma1(a')) = j(a', b)^-1 * j(a, b).
+    The reduced test: ``c1`` is compatible, decided by one match per chart
+    (module docstring), and its pull-back dominates ``c2``.  The
+    pull-back's star is c1's, and it dominates c1 by identities.  Pulling
+    back ``c2`` never decides otherwise, since cross matches compose:
+    match(sigma1(a), sigma1(a')) = j(a', b)^-1 * j(a, b).
     """
     _require_same_setting(c1, c2)
     pairs = _fiber_product_points(c1, c2)
     names = [f"{a}*{b}" for a, b in pairs]
     assert len(set(names)) == len(names), "cover point names collide"
-    if not verify_star(c1).valid:
+    if not _compatible(c1):
         return None
     base = tuple(c1.cover.base)
     down = {name: c1.cover.down[a] for name, (a, b) in zip(names, pairs)}
@@ -416,7 +464,7 @@ class FiberMorphism:
 
 
 @dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(_Witnessed):
     """Chart verdict, class verdict, and whether they agree.
 
     ``valid`` is the chart criterion: at every point of the common
@@ -426,7 +474,7 @@ class MorphismReport:
     """
 
     valid: bool
-    witnesses: dict[tuple[str, str], Permutation]
+    witness_images: dict[tuple[str, str], Images]
     missing: tuple[tuple[str, str], ...]
     classes_preserved: bool
     class_violations: tuple[tuple[str, str], ...]
@@ -462,16 +510,18 @@ def verify_morphism(
             fm.values()
         ) != set(dst):
             raise ValueError(f"fiber map over {s} must biject onto the target fiber")
-    witnesses: dict[tuple[str, str], Permutation] = {}
+    members = c1.group.members
+    positions = {b: _positions(seq) for b, seq in c2.sigma.items()}
+    witnesses: dict[tuple[str, str], Images] = {}
     missing: list[tuple[str, str]] = []
     for a in c1.cover.cover:
         s = c1.cover.down[a]
+        mapped = tuple(hm.fiber_maps[s][p] for p in c1.sigma[a])
         for b in c2.cover.cover:
             if c2.cover.down[b] != hm.base_map[s]:
                 continue
-            mapped = tuple(hm.fiber_maps[s][p] for p in c1.sigma[a])
-            j = _match(mapped, c2.sigma[b])
-            if j is not None and j in c1.group:
+            j = _match(mapped, positions[b], members)
+            if j is not None:
                 witnesses[(a, b)] = j
             else:
                 missing.append((a, b))
@@ -485,7 +535,7 @@ def verify_morphism(
     preserved = not violations
     return MorphismReport(
         valid=valid,
-        witnesses=witnesses,
+        witness_images=witnesses,
         missing=tuple(missing),
         classes_preserved=preserved,
         class_violations=tuple(violations),
@@ -497,7 +547,7 @@ def globalize_trivial_group(marking: ChartedMarking) -> ChartedMarking:
     """With a trivial group, valid charts glue to one chart over the base."""
     if marking.group.order != 1:
         raise ValueError("globalization needs the trivial group")
-    if not verify_star(marking).valid:
+    if not _compatible(marking):
         raise ValueError("charts are incompatible; nothing globalizes")
     sigma: dict[str, tuple[str, ...]] = {}
     for s in marking.cover.base:
@@ -541,6 +591,15 @@ def _check_id(token: str, filename: str, line: int) -> str:
     if not _ID_RE.match(token):
         raise FormatError(filename, line, f"bad identifier {token!r}")
     return token
+
+
+def _check_ids(value: str, filename: str, line: int) -> tuple[str, ...]:
+    # Tokens hold no whitespace: all are identifiers iff their concatenation is.
+    tokens = tuple(value.split())
+    if not _ID_RE.match("".join(tokens)):
+        for tok in tokens:
+            _check_id(tok, filename, line)
+    return tokens
 
 
 def _split_sections(
@@ -610,7 +669,7 @@ def _parse_marking_section(
         elif key_parts == ["base"]:
             if base is not None:
                 raise FormatError(filename, lineno, "duplicate 'base'")
-            base = tuple(_check_id(tok, filename, lineno) for tok in value.split())
+            base = _check_ids(value, filename, lineno)
         elif key_parts == ["cover"]:
             if cover_entries is not None:
                 raise FormatError(filename, lineno, "duplicate 'cover'")
@@ -619,16 +678,12 @@ def _parse_marking_section(
             name = _check_id(key_parts[1], filename, lineno)
             if name in fibers:
                 raise FormatError(filename, lineno, f"duplicate 'fiber {name}'")
-            fibers[name] = tuple(
-                _check_id(tok, filename, lineno) for tok in value.split()
-            )
+            fibers[name] = _check_ids(value, filename, lineno)
         elif len(key_parts) == 2 and key_parts[0] == "sigma":
             name = _check_id(key_parts[1], filename, lineno)
             if name in sigmas:
                 raise FormatError(filename, lineno, f"duplicate 'sigma {name}'")
-            sigmas[name] = tuple(
-                _check_id(tok, filename, lineno) for tok in value.split()
-            )
+            sigmas[name] = _check_ids(value, filename, lineno)
         else:
             raise FormatError(filename, lineno, f"unknown key {key.strip()!r}")
     if m is None:
@@ -737,11 +792,11 @@ def render_star_report(marking: ChartedMarking, report: StarReport) -> str:
         fiber = marking.cover.fiber(s)
         for a in fiber:
             for b in fiber:
-                w = report.witnesses.get((a, b))
+                w = report.witness_images.get((a, b))
                 if w is None:
                     lines.append(f"({a}, {b}): NO WITNESS")
                 else:
-                    lines.append(f"({a}, {b}): gamma = {w.cycle_string()}")
+                    lines.append(f"({a}, {b}): gamma = {cycle_notation(w)}")
     for s in marking.cover.base:
         if s in report.unmarked:
             lines.append(
@@ -763,8 +818,8 @@ def render_equivalence(
         return "NOT EQUIVALENT\n"
     lines = [f"refinement: {len(witness.refinement.cover.cover)} cover points"]
     for name in witness.refinement.cover.cover:
-        left = witness.dom_first.witnesses[name].cycle_string()
-        right = witness.dom_second.witnesses[name].cycle_string()
+        left = cycle_notation(witness.dom_first.witness_images[name])
+        right = cycle_notation(witness.dom_second.witness_images[name])
         lines.append(f"({name}): left gamma = {left}, right gamma = {right}")
     lines.append("EQUIVALENT")
     return "\n".join(lines) + "\n"
@@ -782,11 +837,11 @@ def render_morphism_report(
         for b in c2.cover.cover:
             if c2.cover.down[b] != hm.base_map[s]:
                 continue
-            w = report.witnesses.get((a, b))
+            w = report.witness_images.get((a, b))
             if w is None:
                 lines.append(f"({a}*{b}): NO WITNESS")
             else:
-                lines.append(f"({a}*{b}): gamma = {w.cycle_string()}")
+                lines.append(f"({a}*{b}): gamma = {cycle_notation(w)}")
     lines.append(f"charts: {'VALID' if report.valid else 'INVALID'}")
     lines.append(
         f"classes preserved: {'yes' if report.classes_preserved else 'no'}"

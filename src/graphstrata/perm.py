@@ -11,7 +11,8 @@ read; that fixed order is what makes every canonical form downstream
 reproducible.  Label orbits come from the generators alone.
 
 Cycle notation reads and writes strings like ``"(1 2)(3 4)"`` with the
-identity written ``"()"``.
+identity written ``"()"``; ``cycle_notation`` writes it from an image
+sequence, with no ``Permutation`` built, and ``Permutation`` prints by it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .limits import MAX_GROUP_ORDER, MAX_PERM_DEGREE, SizeLimitError
@@ -34,6 +36,7 @@ __all__ = [
     "label_orbits",
     "stabilizer",
     "canonical_rep",
+    "cycle_notation",
     "parse_permutation",
     "parse_generators",
 ]
@@ -97,30 +100,33 @@ class Permutation:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each rotated to start at its least label."""
-        out = []
-        seen: set[int] = set()
-        for start in range(1, self.degree + 1):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            j = self(start)
-            while j != start:
-                cycle.append(j)
-                seen.add(j)
-                j = self(j)
-            if len(cycle) > 1:
-                out.append(tuple(cycle))
-        return tuple(out)
+        return _cycles(self.images)
 
     def cycle_string(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + " ".join(str(a) for a in c) + ")" for c in cycles)
+        return cycle_notation(self.images)
 
     def __str__(self) -> str:
         return self.cycle_string()
+
+
+def _cycles(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    out = []
+    seen = [False] * (len(images) + 1)
+    for start, j in enumerate(images, start=1):
+        if seen[start] or j == start:
+            continue
+        cycle = [start]
+        while j != start:
+            cycle.append(j)
+            seen[j] = True
+            j = images[j - 1]
+        out.append(tuple(cycle))
+    return tuple(out)
+
+
+def cycle_notation(images: Sequence[int]) -> str:
+    """Cycle notation of the bijection with image sequence ``images``."""
+    return "".join(["(" + " ".join(map(str, c)) + ")" for c in _cycles(images)]) or "()"
 
 
 _CYCLE_RE = re.compile(r"\(\s*((?:\d+)(?:\s+\d+)*)?\s*\)")
@@ -219,23 +225,26 @@ def group_from_generators(
         if g.degree != m:
             raise ValueError(f"generator degree {g.degree} != {m}")
     # A tuple x padded with a leading 0 maps label j to x(j) by plain
-    # indexing, so the product x∘a has image tuple ``map(padded_x, a)``.
+    # indexing, so the product x∘a has image tuple ``itemgetter(*a)(padded_x)``
+    # (a tuple: the loop body runs only for m > 1, where a generator can
+    # lie outside the identity group).
     padded = [(0,) + g.images for g in gens]
     members = {tuple(range(1, m + 1))}
     for k, s in enumerate(gens):
         if s.images in members:
             continue
-        subgroup = list(members)
+        subgroup = [itemgetter(*h) for h in members]
         so_far = padded[: k + 1]
         reps = [s.images]  # searched breadth-first: grows while it is read
         for x in reps:
             if x in members:
                 continue
             left = (0,) + x
-            members.update(tuple(map(left.__getitem__, h)) for h in subgroup)
+            members.update([h(left) for h in subgroup])
             if len(members) > max_order:
                 raise SizeLimitError(f"group order exceeds bound {max_order}")
-            reps.extend(tuple(map(t.__getitem__, x)) for t in so_far)
+            right = itemgetter(*x)
+            reps.extend([right(t) for t in so_far])
     return PermGroup(m, gens, frozenset(members))
 
 

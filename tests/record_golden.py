@@ -2,11 +2,13 @@
 
     PYTHONPATH=src python3 tests/record_golden.py
 
-Writes ``tests/golden_cli.json``, which ``tests/test_golden.py`` replays.
-Run it only from a checkout whose outputs are trusted: a rewrite of the
-library must keep every recorded digest, so re-recording after a change
-hides exactly what the test is there to catch.  An argument of the form
-``@name`` names a file under ``tests/fixtures``.
+Adds to ``tests/golden_cli.json``, which ``tests/test_golden.py`` replays,
+the cases of ``CASES`` it does not hold yet; a digest already in the file
+is never rewritten, because a rewrite of the library must keep every
+recorded digest and re-recording after a change hides exactly what the
+test is there to catch.  Record new cases from a checkout whose outputs
+are trusted.  To re-record everything, delete the file first.  An
+argument of the form ``@name`` names a file under ``tests/fixtures``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ GOLDEN_PATH = HERE / "golden_cli.json"
 KLEIN = "(1 2)(3 4),(1 3)(2 4)"
 C5 = "(1 2 3 4 5)"
 S3xS2 = "(1 2),(2 3),(4 5)"
+S5 = "(1 2),(2 3),(3 4),(4 5)"
 
 CASES: dict[str, list[str]] = {
     "verify-descent intro-example": ["verify-descent", "@intro-example.desc"],
@@ -42,6 +45,41 @@ CASES: dict[str, list[str]] = {
         "verify-morphism", "@twist-endomorphism.desc",
     ],
 }
+CASES.update(
+    {
+        f"enumerate {g} {m}": ["enumerate", str(g), str(m)]
+        for g, ms in ((0, range(3, 8)), (1, range(1, 6)), (2, range(0, 4)), (3, (0, 1)))
+        for m in ms
+    }
+)
+CASES.update(
+    {
+        "enumerate 3 1 --max-size 7": ["enumerate", "3", "1", "--max-size", "7"],
+        "gamma-enumerate 0 5 S5": ["gamma-enumerate", "0", "5", "--group", S5],
+        "quotient-table 0 5 S5": ["quotient-table", "0", "5", "--group", S5],
+        "canon loop-and-bridge": ["canon", "@loop-and-bridge.json"],
+        "canon loop-and-bridge (1 2)(3 4)": ["canon", "@loop-and-bridge.json", "--group", "(1 2)(3 4)"],
+        "canon three-vertex-chain": ["canon", "@three-vertex-chain.json"],
+        "canon three-vertex-chain S5": ["canon", "@three-vertex-chain.json", "--group", S5],
+        "canon three-vertex-chain C5": ["canon", "@three-vertex-chain.json", "--group", C5],
+        "verify-descent out-of-group-twist": ["verify-descent", "@out-of-group-twist.desc"],
+        "verify-descent unmarked-point": ["verify-descent", "@unmarked-point.desc"],
+        "verify-descent single-crossed-chart": ["verify-descent", "@single-crossed-chart.desc"],
+        "equiv-descent intro-example single-crossed-chart": [
+            "equiv-descent", "@intro-example.desc", "@single-crossed-chart.desc",
+        ],
+        "equiv-descent out-of-group-twist intro-example": [
+            "equiv-descent", "@out-of-group-twist.desc", "@intro-example.desc",
+        ],
+        "verify-morphism invalid-source-morphism": [
+            "verify-morphism", "@invalid-source-morphism.desc",
+        ],
+        "verify-descent m5-cover-1234": ["verify-descent", "@m5-cover-1234.desc"],
+        "equiv-descent m5-cover-1234 twice": [
+            "equiv-descent", "@m5-cover-1234.desc", "@m5-cover-1234.desc",
+        ],
+    }
+)
 CASES.update(
     {
         f"{cmd} {g} {m} {group or 'trivial'}": [cmd, str(g), str(m)]
@@ -67,7 +105,12 @@ def run(main, args: list[str]) -> str:
 def main() -> int:
     from graphstrata.cli import main as cli_main
 
-    golden = {name: run(cli_main, args) for name, args in CASES.items()}
+    golden = {}
+    if GOLDEN_PATH.exists():
+        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    golden.update(
+        {name: run(cli_main, args) for name, args in CASES.items() if name not in golden}
+    )
     with GOLDEN_PATH.open("w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1)
         fh.write("\n")

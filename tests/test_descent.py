@@ -217,6 +217,92 @@ def test_default_check_agrees_with_audit_on_random_markings():
     assert verdicts == {True, False}
 
 
+def _fiber_marking(m, gens, fibers, charts):
+    """Charts over base points ``x0, x1, ...``; ``charts[k]`` lists fiber k's charts."""
+    down, sigma = {}, {}
+    for k, fiber_charts in enumerate(charts):
+        for c, seq in enumerate(fiber_charts):
+            down[f"x{k}c{c}"] = f"x{k}"
+            sigma[f"x{k}c{c}"] = tuple(seq.split())
+    base = tuple(f"x{k}" for k in range(len(charts)))
+    return ChartedMarking(
+        cover=FiniteCover(base, tuple(down), down),
+        m=m,
+        group=make_group(gens, m),
+        fiber_points={f"x{k}": tuple(f.split()) for k, f in enumerate(fibers)},
+        sigma=sigma,
+    )
+
+
+HAND_MARKINGS = {
+    # A twist outside the group on the last of three charts, the first two agreeing.
+    "twist on third chart": (False, _fiber_marking(
+        4, "(1 2),(3 4)", ["a b c d"], [["a b c d", "b a d c", "a c b d"]])),
+    # Only the second and third charts disagree; each matches the first in
+    # the group, so the pair between them does too.
+    "twists on later charts compose": (True, _fiber_marking(
+        4, "(1 2),(3 4)", ["a b c d"], [["a b c d", "b a c d", "a b d c"]])),
+    # The twist sits in the second fiber, whose first chart is fine.
+    "twist in second fiber": (False, _fiber_marking(
+        3, "(1 2 3)", ["a b c", "d e f"], [["a b c"], ["d e f", "e f d", "d f e"]])),
+    # A chart marking another 3-point subset of a 4-point fiber.
+    "different point set": (False, _fiber_marking(
+        3, "(1 2),(2 3)", ["a b c d"], [["a b c", "b c d"]])),
+    "different point set, not first": (False, _fiber_marking(
+        3, "(1 2),(2 3)", ["a b c d"], [["a b c", "c a b", "a b d"]])),
+    # Charts agree but a fourth fiber point is never marked.
+    "unmarked point": (False, _fiber_marking(
+        3, "(1 2 3)", ["a b c d"], [["a b c", "b c a"]])),
+    "unmarked point, single chart": (False, _fiber_marking(
+        2, "", ["a b c"], [["a b"]])),
+    # Single-chart fibers are compatible whatever the group.
+    "single-chart fibers": (True, _fiber_marking(
+        4, "", ["a b c d", "e f g h"], [["d c b a"], ["e f g h"]])),
+    "single-chart and twisted fiber": (True, _fiber_marking(
+        4, "(1 2 3 4)", ["a b c d", "e f g h"], [["a b c d"], ["e f g h", "h e f g"]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MARKINGS))
+def test_one_match_rule_on_hand_cases(name):
+    expected, marking = HAND_MARKINGS[name]
+    assert descent._compatible(marking) is expected
+    assert verify_star(marking, audit=True).valid is expected
+
+
+def test_one_match_rule_agrees_with_pair_scan_on_random_markings():
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(400):
+        marking = _random_star_marking(rng, rng.randint(2, 5))
+        full = verify_star(marking, audit=True)
+        assert descent._compatible(marking) == full.valid
+        verdicts.add(full.valid)
+    assert verdicts == {True, False}
+
+
+def _assert_witnesses_built_from_images(report):
+    assert report.witnesses == {
+        key: Permutation(images) for key, images in report.witness_images.items()
+    }
+    for images in report.witness_images.values():
+        assert type(images) is tuple
+
+
+def test_witnesses_are_permutations_of_witness_images(intro_marking, fixtures_dir):
+    rng = random.Random(5)
+    for _ in range(50):
+        marking = _random_star_marking(rng, rng.randint(2, 5))
+        _assert_witnesses_built_from_images(verify_star(marking))
+    _assert_witnesses_built_from_images(
+        dominates(intro_marking, intro_marking, {"s1": "s1", "s2": "s2"})
+    )
+    text = (fixtures_dir / "twist-endomorphism.desc").read_text()
+    report = verify_morphism(*parse_morphism_document(text))
+    assert report.witness_images
+    _assert_witnesses_built_from_images(report)
+
+
 def test_class_function_values(intro_marking):
     classes = class_function(intro_marking)
     assert classes["p1"] == classes["p2"] == frozenset({1, 2})
@@ -467,17 +553,30 @@ def test_morphism_requires_valid_markings(intro_small_group_marking):
 
 
 def test_morphism_checks_each_marking_once(intro_marking, monkeypatch):
+    # Validity is decided by the one-match rule, once per marking; the
+    # full pair report of verify_star is never built.
     checked = []
+    star_calls = []
 
-    def counting(marking, **kwargs):
+    def counting(marking):
         checked.append(marking)
+        return compatible_unwrapped(marking)
+
+    def counting_star(marking, **kwargs):
+        star_calls.append(marking)
         return verify_star_unwrapped(marking, **kwargs)
 
+    compatible_unwrapped = descent._compatible
     verify_star_unwrapped = descent.verify_star
-    monkeypatch.setattr(descent, "verify_star", counting)
+    monkeypatch.setattr(descent, "_compatible", counting)
+    monkeypatch.setattr(descent, "verify_star", counting_star)
+    target = parse_marking_document(format_marking(intro_marking))
+    assert target == intro_marking and target is not intro_marking
     hm = identity_morphism(intro_marking)
-    assert verify_morphism(hm, intro_marking, intro_marking).valid
+    assert verify_morphism(hm, intro_marking, target).valid
     assert len(checked) == 2
+    assert checked[0] is intro_marking and checked[1] is target
+    assert star_calls == []
 
 
 def test_morphism_structural_checks(intro_marking):

@@ -17,3 +17,18 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     assert run(main, CASES[name]) == GOLDEN[name]
+
+
+def test_recorder_adds_missing_cases_and_keeps_recorded_ones(tmp_path, monkeypatch):
+    import record_golden
+
+    kept, added = sorted(CASES)[:2]
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({kept: "recorded earlier"}), encoding="utf-8")
+    monkeypatch.setattr(record_golden, "GOLDEN_PATH", path)
+    monkeypatch.setattr(record_golden, "CASES", {name: CASES[name] for name in (kept, added)})
+    assert record_golden.main() == 0
+    assert json.loads(path.read_text(encoding="utf-8")) == {
+        kept: "recorded earlier",
+        added: GOLDEN[added],
+    }

@@ -10,6 +10,7 @@ from graphstrata.perm import (
     PermGroup,
     Permutation,
     canonical_rep,
+    cycle_notation,
     group_from_generators,
     label_orbits,
     orbit_of_label,
@@ -77,6 +78,38 @@ def test_parse_permutation(text, degree, images):
 def test_parse_permutation_rejects_garbage(text):
     with pytest.raises(ValueError):
         parse_permutation(text, 4)
+
+
+def _reference_cycle_notation(images):
+    """Cycles by following each unvisited label, written least label first."""
+    mapping = dict(enumerate(images, start=1))
+    unvisited = set(mapping)
+    cycles = []
+    while unvisited:
+        start = min(unvisited)
+        cycle = [start]
+        unvisited.discard(start)
+        while mapping[cycle[-1]] != start:
+            cycle.append(mapping[cycle[-1]])
+            unvisited.discard(cycle[-1])
+        if len(cycle) > 1:
+            cycles.append("(" + " ".join(str(a) for a in cycle) + ")")
+    return "".join(cycles) or "()"
+
+
+def test_cycle_notation_matches_reference_walk():
+    seen = 0
+    for m in range(1, 7):
+        for images in itertools.permutations(range(1, m + 1)):
+            expected = _reference_cycle_notation(images)
+            assert cycle_notation(images) == expected
+            p = Permutation(images)
+            assert p.cycle_string() == str(p) == expected
+            assert "".join(
+                "(" + " ".join(map(str, c)) + ")" for c in p.cycles()
+            ) == ("" if expected == "()" else expected)
+            seen += 1
+    assert seen == 1 + 2 + 6 + 24 + 120 + 720
 
 
 def test_cycle_string_round_trip():
