@@ -37,7 +37,7 @@ from .descent import (
 )
 from .gamma import enumerate_gamma_strata, gamma_canonical_form, gamma_census_to_doc
 from .limits import DEFAULT_MAX_DIM, MAX_GROUP_ORDER, MAX_PERM_DEGREE
-from .perm import PermGroup, group_from_generators, parse_generators
+from .perm import PermGroup, check_degree, group_from_generators, parse_generators
 from .stablegraph import (
     DisconnectedGraphError,
     StableGraph,
@@ -92,12 +92,11 @@ def _max_group_order(args: argparse.Namespace) -> int:
 
 
 def _resolve_group(text: str | None, m: int, args: argparse.Namespace) -> PermGroup:
+    max_degree = _max_m(args)
+    check_degree(m, max_degree)  # before parsing builds anything of size m
     generators = parse_generators(text, m) if text else ()
     return group_from_generators(
-        m,
-        generators,
-        max_degree=_max_m(args),
-        max_order=_max_group_order(args),
+        m, generators, max_degree=max_degree, max_order=_max_group_order(args)
     )
 
 

@@ -53,8 +53,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .perm import PermGroup, Permutation, cycle_notation, group_from_generators
-from .perm import label_orbits, parse_generators
+from .limits import SizeLimitError
+from .perm import PermGroup, Permutation, check_degree, cycle_notation
+from .perm import group_from_generators, label_orbits, parse_generators
 
 __all__ = [
     "FiniteCover",
@@ -131,8 +132,10 @@ class ChartedMarking:
         if set(self.fiber_points) != set(self.cover.base):
             raise ValueError("fiber_points must cover exactly the base points")
         seen: dict[str, str] = {}
+        fiber_sets: dict[str, set[str]] = {}
         for s, points in self.fiber_points.items():
-            if len(set(points)) != len(points):
+            fiber_sets[s] = set(points)
+            if len(fiber_sets[s]) != len(points):
                 raise ValueError(f"fiber over {s} repeats a point")
             for p in points:
                 if p in seen:
@@ -147,7 +150,7 @@ class ChartedMarking:
                 raise ValueError(f"sigma({c}) must list m = {self.m} points")
             if len(set(seq)) != self.m:
                 raise ValueError(f"sigma({c}) must be injective")
-            allowed = set(self.fiber_points[self.cover.down[c]])
+            allowed = fiber_sets[self.cover.down[c]]
             for p in seq:
                 if p not in allowed:
                     raise ValueError(
@@ -692,9 +695,12 @@ def _parse_marking_section(
         raise FormatError(filename, header_line, "missing 'base = <points>'")
     if cover_entries is None:
         raise FormatError(filename, header_line, "missing 'cover = <point> -> <base>, ...'")
+    try:
+        check_degree(m)  # before parsing builds anything of size m
+    except SizeLimitError as exc:
+        raise FormatError(filename, header_line, str(exc)) from None
     if group_text is None:
         generators: tuple[Permutation, ...] = ()
-        group_line = header_line
     else:
         group_line, raw = group_text
         try:

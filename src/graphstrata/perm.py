@@ -202,6 +202,11 @@ class PermGroup:
         return ",".join(g.cycle_string() for g in self.generators)
 
 
+def check_degree(m: int, bound: int = MAX_PERM_DEGREE) -> None:
+    if m > bound:
+        raise SizeLimitError(f"degree {m} exceeds bound {bound}")
+
+
 def group_from_generators(
     m: int,
     generators: Iterable[Permutation],
@@ -218,8 +223,7 @@ def group_from_generators(
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if m > max_degree:
-        raise SizeLimitError(f"degree {m} exceeds bound {max_degree}")
+    check_degree(m, max_degree)
     gens = tuple(generators)
     for g in gens:
         if g.degree != m:

@@ -12,14 +12,14 @@ graph, so ``genus`` is only defined for connected graphs.  The number of
 edges is the number of nodes of the curve; a stratum with i nodes has
 dimension 3g - 3 + m - i.
 
-``enumerate_stable_graphs`` lists all isomorphism classes up to a
-configurable bound on 3g - 3 + m.  Isomorphisms preserve genera, the edge
-multiset, and (when asked) leg labels; ``canonical_form`` picks a fixed
-representative of each class by minimizing an encoding over vertex
-orderings compatible with a vertex invariant.  When the invariant
-(genus, degree, legs) already tells every vertex apart, it fixes the one
-ordering; otherwise it is refined by neighbor classes and the orderings
-within each cell are enumerated.
+``enumerate_stable_graphs`` lists all isomorphism classes up to a bound
+on 3g - 3 + m, placing labels on unlabeled shapes built by degeneration.
+Isomorphisms preserve genera, the edge multiset, and (when asked) leg
+labels; ``canonical_form`` picks a fixed representative of each class by
+minimizing an encoding over vertex orderings compatible with a vertex
+invariant.  When the invariant (genus, degree, legs) already tells every
+vertex apart, it fixes the one ordering; otherwise it is refined by
+neighbor classes and the orderings within each cell are enumerated.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ __all__ = [
     "GRAPH_FORMAT",
     "CENSUS_FORMAT",
 ]
-
-Edge = "tuple[int, int]"
 
 GRAPH_FORMAT = "stable-graph/1"
 CENSUS_FORMAT = "stable-graph-census/1"
@@ -136,8 +134,6 @@ class StableGraph:
 
 
 def _connected(nv: int, edges: Sequence[tuple[int, int]]) -> bool:
-    if nv == 1:
-        return True
     adj: list[set[int]] = [set() for _ in range(nv)]
     for u, v in edges:
         adj[u].add(v)
@@ -417,85 +413,79 @@ def canonical_form(graph: StableGraph) -> StableGraph:
 # census enumeration
 
 
-def _genus_tuples(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing tuples of ``parts`` nonnegative ints summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    def rec(remaining: int, parts_left: int, low: int) -> Iterator[tuple[int, ...]]:
-        if parts_left == 1:
-            if remaining >= low:
-                yield (remaining,)
-            return
-        for first in range(low, remaining + 1):
-            for rest in rec(remaining - first, parts_left - 1, first):
-                yield (first,) + rest
-    yield from rec(total, parts, 0)
+def _shape_key(shape: tuple) -> tuple:
+    """The least (genera, leg counts, edges) of the shape's class."""
+    genera, counts, edges = shape
+
+    def encode(order: Sequence[int]) -> tuple:
+        pos = {old: new for new, old in enumerate(order)}
+        return (
+            tuple(genera[old] for old in order),
+            tuple(counts[old] for old in order),
+            tuple(sorted(_norm(pos[u], pos[v]) for u, v in edges)),
+        )
+
+    return _min_encoding(genera, edges, [(c,) for c in counts], encode)
 
 
-def _count_vectors(m: int, needs: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Per-vertex leg counts with the given minimums, summing to m."""
-    def rec(idx: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if idx == len(needs) - 1:
-            if remaining >= needs[idx]:
-                yield (remaining,)
-            return
-        later_min = sum(needs[idx + 1:])
-        for c in range(needs[idx], remaining - later_min + 1):
-            for rest in rec(idx + 1, remaining - c):
-                yield (c,) + rest
-    if not needs:
-        if m == 0:
-            yield ()
-        return
-    yield from rec(0, m)
+def _degenerations(shape: tuple, v: int) -> Iterator[tuple]:
+    """Stable shapes with one more edge, whose new edge contracts onto v.
 
-
-def _shape_classes(
-    g: int, m: int, e: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]]:
-    """Isomorphism classes of (genera, leg counts, edges) with e edges.
-
-    Vertices are decorated by genus and by how many legs they will carry;
-    which labels go where is decided later.  Leg counts already satisfy the
-    stability minimums, so every labeling of a shape is stable.  Each
-    stable vertex adds at least 1 to 2g - 2 + m = sum(2g_v - 2 + n_v), so
-    no shape has more than 2g - 2 + m vertices.
+    A self-node adds a loop at v and lowers its genus by one.  A split
+    adds a vertex w joined to v, shares v's genus and legs between v and
+    w, sends each edge from v to another vertex to v or to w, and keeps
+    each loop at v, moves it to w, or turns it into another v-w edge.
+    Its mirror (v and w swapped) is isomorphic, so only the shares with
+    (h1, n1) <= (h - h1, n - n1) are tried.
     """
-    shapes: set[tuple] = set()
-    for nv in range(1, min(e + 1, 2 * g - 2 + m) + 1):
-        gsum = g - (e - nv + 1)
-        if gsum < 0:
+    genera, counts, edges = shape
+    h, n = genera[v], counts[v]
+    if h > 0:  # 2h - 2 + valence is unchanged, so v stays stable
+        yield genera[:v] + (h - 1,) + genera[v + 1:], counts, edges + ((v, v),)
+    w = len(genera)
+    loops = edges.count((v, v))
+    rest = [(a, b) for a, b in edges if v not in (a, b)]
+    away = sorted(Counter(a + b - v for a, b in edges if (a == v) != (b == v)).items())
+    for h1, n1 in itertools.product(range(h + 1), range(n + 1)):
+        h2, n2 = h - h1, n - n1
+        if (h1, n1) > (h2, n2):
             continue
-        pairs = [(u, v) for u in range(nv) for v in range(u, nv)]
-        for genera in _genus_tuples(gsum, nv):
-            for edges in itertools.combinations_with_replacement(pairs, e):
-                if not _connected(nv, edges):
-                    continue
-                deg = _degrees(nv, edges)
-                needs = [
-                    max(0, 3 - deg[v]) if genera[v] == 0 else 0
-                    for v in range(nv)
-                ]
-                if sum(needs) > m:
-                    continue
-                for counts in _count_vectors(m, needs):
-                    def encode(order: Sequence[int]) -> tuple:
-                        pos = {old: new for new, old in enumerate(order)}
-                        genera2 = tuple(genera[old] for old in order)
-                        counts2 = tuple(counts[old] for old in order)
-                        edges2 = tuple(
-                            sorted(_norm(pos[u], pos[v]) for u, v in edges)
-                        )
-                        return (genera2, counts2, edges2)
+        new_genera = genera[:v] + (h1,) + genera[v + 1:] + (h2,)
+        new_counts = counts[:v] + (n1,) + counts[v + 1:] + (n2,)
+        for kept in itertools.product(*(range(k + 1) for _, k in away)):
+            # 2h - 2 + valence, which must be positive, of v and of w when
+            # a loops stay at v, b move to w and the rest become v-w edges
+            excess_v = 2 * h1 - 1 + n1 + loops + sum(kept)
+            excess_w = 2 * h2 - 1 + n2 + loops + sum(k for _, k in away) - sum(kept)
+            shares = [(a, b) for a in range(loops + 1) for b in range(loops - a + 1)
+                      if excess_v + a - b > 0 and excess_w + b - a > 0]
+            if not shares:
+                continue
+            moved = list(rest)
+            for (u, k), j in zip(away, kept):
+                moved += [_norm(u, v)] * j + [(u, w)] * (k - j)
+            for a, b in shares:
+                yield new_genera, new_counts, tuple(
+                    moved + [(v, v)] * a + [(w, w)] * b + [(v, w)] * (loops - a - b + 1)
+                )
 
-                    shapes.add(
-                        _min_encoding(
-                            genera, edges, [(c,) for c in counts], encode
-                        )
-                    )
-    return sorted(shapes)
+
+def _shapes_by_edges(g: int, m: int, top: int) -> list[list[tuple]]:
+    """Shapes of (g, m) with 0..top edges, each level degenerated from the last.
+
+    A stable shape contracts along any edge to one with an edge fewer, so
+    no shape is missed; each is connected and stable by construction.
+    """
+    levels = [[((g,), (m,), ())]]
+    for _ in range(top):
+        found = {
+            _shape_key(shape)
+            for old in levels[-1]
+            for v in range(len(old[0]))
+            for shape in _degenerations(old, v)
+        }
+        levels.append(sorted(found))
+    return levels
 
 
 def _iter_label_assignments(
@@ -546,9 +536,9 @@ def enumerate_stable_graphs(
 ) -> StratumCensus:
     """Census of stable graph classes of genus g with m legs.
 
-    Generates genus partitions, then edge multisets, then leg
-    distributions, deduplicating with ``canonical_form``.  Output order is
-    deterministic: by node count, then by canonical encoding.
+    Degenerates the shapes with one node fewer, places the labels on each
+    shape, one placement per orbit of its automorphisms, and takes its
+    ``canonical_form``.  Output order: by node count, then by encoding.
     """
     if g < 0 or m < 0:
         raise ValueError("g and m must be nonnegative")
@@ -562,9 +552,9 @@ def enumerate_stable_graphs(
     if m > legs_bound:
         raise SizeLimitError(f"m = {m} exceeds bound {legs_bound}")
     classes: dict[int, tuple[StableGraph, ...]] = {}
-    for e in range(dim + 1):
+    for e, shapes in enumerate(_shapes_by_edges(g, m, dim)):
         bucket: list[StableGraph] = []
-        for genera, counts, edges in _shape_classes(g, m, e):
+        for genera, counts, edges in shapes:
             extras = [(c,) for c in counts]
             auts = list(
                 _iter_vertex_maps(genera, edges, extras, genera, edges, extras)

@@ -55,6 +55,8 @@ CASES.update(
 CASES.update(
     {
         "enumerate 3 1 --max-size 7": ["enumerate", "3", "1", "--max-size", "7"],
+        "enumerate 3 2 --max-size 8": ["enumerate", "3", "2", "--max-size", "8"],
+        "enumerate 4 0 --max-size 9": ["enumerate", "4", "0", "--max-size", "9"],
         "gamma-enumerate 0 5 S5": ["gamma-enumerate", "0", "5", "--group", S5],
         "quotient-table 0 5 S5": ["quotient-table", "0", "5", "--group", S5],
         "canon loop-and-bridge": ["canon", "@loop-and-bridge.json"],

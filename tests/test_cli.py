@@ -356,6 +356,31 @@ def test_group_parse_error(capsys):
     assert code == 2 and "cycle" in err
 
 
+# Parsing a generator builds an image list of length m, so a degree this
+# large must be refused before the group text is read.
+HUGE_M = str(10**12)
+
+
+@pytest.mark.parametrize("command", ["gamma-enumerate", "quotient-table"])
+@pytest.mark.parametrize("bound_args,bound", [((), 10), (("--max-m", "5"), 5)])
+def test_hostile_degree_refused_before_parsing(capsys, command, bound_args, bound):
+    code, out, err = run(capsys, command, "0", HUGE_M, "--group", "(1 2)", *bound_args)
+    assert (code, out) == (2, "")
+    assert err == f"error: degree {HUGE_M} exceeds bound {bound}\n"
+
+
+def test_hostile_degree_in_descent_document_names_the_marking_header(
+    capsys, fixtures_dir, tmp_path
+):
+    text = (fixtures_dir / "intro-small-group.desc").read_text()
+    assert text.splitlines()[2] == "[marking]" and "\nm = 4\n" in text
+    path = tmp_path / "huge.desc"
+    path.write_text(text.replace("\nm = 4\n", f"\nm = {HUGE_M}\n"))
+    code, out, err = run(capsys, "verify-descent", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:3: degree {HUGE_M} exceeds bound 10\n"
+
+
 FIXTURES = Path(__file__).parent / "fixtures"
 SPLIT_DOC = dumps(graph_to_doc(SPLIT_12_34))
 
