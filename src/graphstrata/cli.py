@@ -257,24 +257,29 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the output document to this file instead of stdout",
     )
-    common.add_argument(
+    # Each bound option goes only to the subcommands that read it.
+    max_size = argparse.ArgumentParser(add_help=False)
+    max_size.add_argument(
         "--max-size",
         type=int,
         metavar="N",
         help="bound on 3g-3+m for enumeration (default: GS_MAX_SIZE or 6)",
     )
-    common.add_argument(
+    max_m = argparse.ArgumentParser(add_help=False)
+    max_m.add_argument(
         "--max-m",
         type=int,
         metavar="N",
         help="bound on the number of leg labels (default 10)",
     )
-    common.add_argument(
+    max_order = argparse.ArgumentParser(add_help=False)
+    max_order.add_argument(
         "--max-group-order",
         type=int,
         metavar="N",
         help="bound on the order of label groups (default 10!)",
     )
+    census = [common, max_size, max_m]
 
     parser = argparse.ArgumentParser(
         prog="graphstrata",
@@ -288,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "enumerate",
-        parents=[common],
+        parents=census,
         help="list all stable graph classes for (g, m)",
     )
     p.add_argument("g", type=int)
@@ -296,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "gamma-enumerate",
-        parents=[common],
+        parents=census + [max_order],
         help="list graph classes for (g, m) fused under a label group",
     )
     p.add_argument("g", type=int)
@@ -312,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "canon",
-        parents=[common],
+        parents=[common, max_m, max_order],
         help="canonical form of a graph, optionally up to a label group",
     )
     p.add_argument("graph", help="graph document (path or inline JSON)")
@@ -350,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "quotient-table",
-        parents=[common],
+        parents=census + [max_order],
         help="labeled versus group-fused class counts per node count",
     )
     p.add_argument("g", type=int)

@@ -49,9 +49,10 @@ visible rather than hiding it.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .limits import SizeLimitError
 from .perm import PermGroup, Permutation, check_degree, cycle_notation
@@ -179,6 +180,19 @@ def _match(
     return images if images in members else None
 
 
+def _match_all(triples: Iterable[tuple], members: frozenset[Images]) -> tuple[dict, tuple]:
+    """Witness images and missing keys of ``(key, chart, positions)`` triples, in order."""
+    witnesses: dict[Any, Images] = {}
+    missing: list[Any] = []
+    for key, seq, pos in triples:
+        j = _match(seq, pos, members)
+        if j is None:
+            missing.append(key)
+        else:
+            witnesses[key] = j
+    return witnesses, tuple(missing)
+
+
 def _compatible(marking: ChartedMarking) -> bool:
     """The compatibility condition, by one match per chart (module docstring)."""
     members = marking.group.members
@@ -223,6 +237,15 @@ class StarReport(_Witnessed):
     coherent: bool | None
 
 
+def _star_pairs(marking: ChartedMarking) -> Iterator[tuple[str, str]]:
+    """Every ordered same-fiber pair of cover points, in report order."""
+    for s in marking.cover.base:
+        fiber = marking.cover.fiber(s)
+        for a in fiber:
+            for b in fiber:
+                yield a, b
+
+
 def verify_star(marking: ChartedMarking, *, audit: bool = False) -> StarReport:
     """Report chart compatibility for every same-fiber pair.
 
@@ -232,24 +255,14 @@ def verify_star(marking: ChartedMarking, *, audit: bool = False) -> StarReport:
     (|G|·m per pair) and the coherence loop over triples, reports them as
     ``unique`` and ``coherent``, and checks ``valid`` against the rule.
     """
-    members = marking.group.members
-    fibers = {s: marking.cover.fiber(s) for s in marking.cover.base}
-    witnesses: dict[tuple[str, str], Images] = {}
-    missing: list[tuple[str, str]] = []
-    for fiber in fibers.values():
-        positions = [_positions(marking.sigma[b]) for b in fiber]
-        for a in fiber:
-            for b, pos_b in zip(fiber, positions):
-                j = _match(marking.sigma[a], pos_b, members)
-                if j is not None:
-                    witnesses[(a, b)] = j
-                else:
-                    missing.append((a, b))
+    positions = {c: _positions(seq) for c, seq in marking.sigma.items()}
+    witnesses, missing = _match_all(
+        (((a, b), marking.sigma[a], positions[b]) for a, b in _star_pairs(marking)),
+        marking.group.members,
+    )
+    hit = set().union(*marking.sigma.values())  # fibers are disjoint
     unmarked: dict[str, tuple[str, ...]] = {}
-    for s, fiber in fibers.items():
-        hit: set[str] = set()
-        for c in fiber:
-            hit.update(marking.sigma[c])
+    for s in marking.cover.base:
         extra = tuple(p for p in marking.fiber_points[s] if p not in hit)
         if extra:
             unmarked[s] = extra
@@ -259,11 +272,13 @@ def verify_star(marking: ChartedMarking, *, audit: bool = False) -> StarReport:
         if valid != _compatible(marking):
             raise AssertionError("the pair scan and the one-match rule disagree")
         unique = _audit_unique(marking, witnesses)
-        coherent = _audit_coherent(fibers.values(), witnesses)
+        coherent = _audit_coherent(
+            [marking.cover.fiber(s) for s in marking.cover.base], witnesses
+        )
     return StarReport(
         valid=valid,
         witness_images=witnesses,
-        missing=tuple(missing),
+        missing=missing,
         unmarked=unmarked,
         unique=unique,
         coherent=coherent,
@@ -274,19 +289,15 @@ def _audit_unique(
     marking: ChartedMarking, witnesses: Mapping[tuple[str, str], Images]
 ) -> bool:
     """Each witnessed pair is matched by exactly one group element."""
-    unique = True
-    for a, b in witnesses:
-        count = sum(
-            1
+    labels = range(1, marking.m + 1)
+    return all(
+        sum(
+            all(marking.sigma[a][i - 1] == marking.sigma[b][g(i) - 1] for i in labels)
             for g in marking.group
-            if all(
-                marking.sigma[a][i - 1] == marking.sigma[b][g(i) - 1]
-                for i in range(1, marking.m + 1)
-            )
         )
-        if count != 1:
-            unique = False
-    return unique
+        == 1
+        for a, b in witnesses
+    )
 
 
 def _audit_coherent(
@@ -300,17 +311,11 @@ def _audit_coherent(
             w = witnesses.get((a, a))
             if w is not None and w != tuple(range(1, len(w) + 1)):
                 coherent = False
-        for a in fiber:
-            for b in fiber:
-                for c in fiber:
-                    wab = witnesses.get((a, b))
-                    wbc = witnesses.get((b, c))
-                    wac = witnesses.get((a, c))
-                    if None in (wab, wbc, wac):
-                        continue
-                    # sigma(a) = sigma(b) o w_ab forces w_ac = w_bc o w_ab.
-                    if tuple(wbc[k - 1] for k in wab) != wac:
-                        coherent = False
+        for a, b, c in itertools.product(fiber, repeat=3):
+            wab, wbc, wac = witnesses.get((a, b)), witnesses.get((b, c)), witnesses.get((a, c))
+            # sigma(a) = sigma(b) o w_ab forces w_ac = w_bc o w_ab.
+            if None not in (wab, wbc, wac) and tuple(wbc[k - 1] for k in wab) != wac:
+                coherent = False
     return coherent
 
 
@@ -376,19 +381,12 @@ def dominates(
     for c in fine.cover.cover:
         if coarse.cover.down[down[c]] != fine.cover.down[c]:
             raise ValueError(f"down map does not commute over {c}")
-    members = fine.group.members
     positions = {c: _positions(seq) for c, seq in coarse.sigma.items()}
-    witnesses: dict[str, Images] = {}
-    missing: list[str] = []
-    for c in fine.cover.cover:
-        j = _match(fine.sigma[c], positions[down[c]], members)
-        if j is not None:
-            witnesses[c] = j
-        else:
-            missing.append(c)
-    return DominationReport(
-        valid=not missing, witness_images=witnesses, missing=tuple(missing)
+    witnesses, missing = _match_all(
+        ((c, fine.sigma[c], positions[down[c]]) for c in fine.cover.cover),
+        fine.group.members,
     )
+    return DominationReport(valid=not missing, witness_images=witnesses, missing=missing)
 
 
 @dataclass(frozen=True)
@@ -407,15 +405,15 @@ class EquivalenceWitness:
         return verify_star(self.refinement)
 
 
-def _fiber_product_points(
-    c1: ChartedMarking, c2: ChartedMarking
-) -> list[tuple[str, str]]:
-    return [
-        (a, b)
-        for a in c1.cover.cover
-        for b in c2.cover.cover
-        if c1.cover.down[a] == c2.cover.down[b]
-    ]
+def _refinement_points(
+    c1: ChartedMarking, c2: ChartedMarking, base_map: Mapping[str, str]
+) -> Iterator[tuple[str, str]]:
+    """The common refinement over ``base_map``: each (a, b) with b over a's image, in order."""
+    for a in c1.cover.cover:
+        t = base_map[c1.cover.down[a]]
+        for b in c2.cover.cover:
+            if c2.cover.down[b] == t:
+                yield a, b
 
 
 def equivalent(
@@ -430,22 +428,23 @@ def equivalent(
     match(sigma1(a), sigma1(a')) = j(a', b)^-1 * j(a, b).
     """
     _require_same_setting(c1, c2)
-    pairs = _fiber_product_points(c1, c2)
-    names = [f"{a}*{b}" for a, b in pairs]
-    assert len(set(names)) == len(names), "cover point names collide"
+    pairs = list(_refinement_points(c1, c2, {s: s for s in c1.cover.base}))
+    to_first = {f"{a}*{b}": a for a, b in pairs}
+    to_second = {f"{a}*{b}": b for a, b in pairs}
+    assert len(to_first) == len(pairs), "cover point names collide"
     if not _compatible(c1):
         return None
-    base = tuple(c1.cover.base)
-    down = {name: c1.cover.down[a] for name, (a, b) in zip(names, pairs)}
     refinement = ChartedMarking(
-        cover=FiniteCover(base, tuple(names), down),
+        cover=FiniteCover(
+            tuple(c1.cover.base),
+            tuple(to_first),
+            {name: c1.cover.down[a] for name, a in to_first.items()},
+        ),
         m=c1.m,
         group=c1.group,
         fiber_points=dict(c1.fiber_points),
-        sigma={name: c1.sigma[a] for name, (a, b) in zip(names, pairs)},
+        sigma={name: c1.sigma[a] for name, a in to_first.items()},
     )
-    to_first = {name: a for name, (a, b) in zip(names, pairs)}
-    to_second = {name: b for name, (a, b) in zip(names, pairs)}
     dom_second = dominates(refinement, c2, to_second)
     if not dom_second.valid:
         return None
@@ -509,25 +508,17 @@ def verify_morphism(
         dst = c2.fiber_points[hm.base_map[s]]
         if set(fm) != set(src):
             raise ValueError(f"fiber map over {s} must be defined on its fiber")
-        if sorted(fm.values()) != sorted(set(fm.values())) or set(
-            fm.values()
-        ) != set(dst):
+        if len(set(fm.values())) != len(fm) or set(fm.values()) != set(dst):
             raise ValueError(f"fiber map over {s} must biject onto the target fiber")
-    members = c1.group.members
+    mapped = {
+        a: tuple(hm.fiber_maps[c1.cover.down[a]][p] for p in seq)
+        for a, seq in c1.sigma.items()
+    }
     positions = {b: _positions(seq) for b, seq in c2.sigma.items()}
-    witnesses: dict[tuple[str, str], Images] = {}
-    missing: list[tuple[str, str]] = []
-    for a in c1.cover.cover:
-        s = c1.cover.down[a]
-        mapped = tuple(hm.fiber_maps[s][p] for p in c1.sigma[a])
-        for b in c2.cover.cover:
-            if c2.cover.down[b] != hm.base_map[s]:
-                continue
-            j = _match(mapped, positions[b], members)
-            if j is not None:
-                witnesses[(a, b)] = j
-            else:
-                missing.append((a, b))
+    witnesses, missing = _match_all(
+        (((a, b), mapped[a], positions[b]) for a, b in _refinement_points(c1, c2, hm.base_map)),
+        c1.group.members,
+    )
     violations: list[tuple[str, str]] = []
     for s in c1.cover.base:
         for p in c1.fiber_points[s]:
@@ -539,7 +530,7 @@ def verify_morphism(
     return MorphismReport(
         valid=valid,
         witness_images=witnesses,
-        missing=tuple(missing),
+        missing=missing,
         classes_preserved=preserved,
         class_violations=tuple(violations),
         verdicts_agree=valid == preserved,
@@ -558,13 +549,9 @@ def globalize_trivial_group(marking: ChartedMarking) -> ChartedMarking:
         sigma[s] = marking.sigma[fiber[0]]
         for c in fiber[1:]:
             assert marking.sigma[c] == sigma[s]
-    identity_cover = FiniteCover(
-        marking.cover.base,
-        marking.cover.base,
-        {s: s for s in marking.cover.base},
-    )
+    base = marking.cover.base
     return ChartedMarking(
-        cover=identity_cover,
+        cover=FiniteCover(base, base, {s: s for s in base}),
         m=marking.m,
         group=marking.group,
         fiber_points=dict(marking.fiber_points),
@@ -590,19 +577,63 @@ _ID_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
 _SECTION_RE = re.compile(r"\[\s*([a-z]+(?:\s+[a-z]+)?)\s*\]\Z")
 
 
-def _check_id(token: str, filename: str, line: int) -> str:
-    if not _ID_RE.match(token):
-        raise FormatError(filename, line, f"bad identifier {token!r}")
-    return token
+def _ids(tokens: Sequence[str]) -> tuple[str, ...]:
+    """``tokens`` if all are identifiers; else a ``ValueError`` naming the first bad one.
 
-
-def _check_ids(value: str, filename: str, line: int) -> tuple[str, ...]:
-    # Tokens hold no whitespace: all are identifiers iff their concatenation is.
-    tokens = tuple(value.split())
-    if not _ID_RE.match("".join(tokens)):
+    No identifier is empty, so the tokens are all identifiers exactly when
+    none is empty and their concatenation is one; one match decides the
+    common case, and only a failure scans token by token.
+    """
+    if not (all(tokens) and _ID_RE.match("".join(tokens))):
         for tok in tokens:
-            _check_id(tok, filename, line)
-    return tokens
+            if not _ID_RE.match(tok):
+                raise ValueError(f"bad identifier {tok!r}")
+    return tuple(tokens)
+
+
+def _read_int(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _read_text(key: str, value: str) -> str:
+    return value
+
+
+def _read_ids(key: str, value: str) -> tuple[str, ...]:
+    return _ids(value.split())
+
+
+def _read_arrows(key: str, value: str) -> list[tuple[str, str]]:
+    parts = [part.strip() for part in value.split(",")]
+    pairs = [part.split("->") for part in parts]
+    # Entries before the first malformed one are checked first, in order.
+    k = next((k for k, pair in enumerate(pairs) if len(pair) != 2), len(pairs))
+    ends = _ids([end.strip() for pair in pairs[:k] for end in pair])
+    if k < len(parts):
+        message = f"expected 'a -> b', got {parts[k]!r}" if parts[k] else "empty entry in list"
+        raise ValueError(message)
+    return list(zip(ends[::2], ends[1::2]))
+
+
+# Per section kind, each key's value reader and, for a required key, the
+# form a missing-key error names.  A named key (``fiber x = ...``) takes one
+# identifier after the key word, and each name may appear once.
+_MARKING_KEYS = {
+    "m": (_read_int, "m = <int>"),
+    "base": (_read_ids, "base = <points>"),
+    "cover": (_read_arrows, "cover = <point> -> <base>, ..."),
+    "group": (_read_text, None),
+    "fiber": (_read_ids, None),
+    "sigma": (_read_ids, None),
+}
+_MORPHISM_KEYS = {
+    "h": (_read_arrows, "h = <base> -> <base>, ..."),
+    "map": (_read_arrows, None),
+}
+_NAMED_KEYS = frozenset({"fiber", "sigma", "map"})
 
 
 def _split_sections(
@@ -613,7 +644,7 @@ def _split_sections(
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        match = _SECTION_RE.match(line)
+        match = line[0] == "[" and _SECTION_RE.match(line)
         if match:
             sections.append((match.group(1), lineno, []))
             continue
@@ -623,153 +654,89 @@ def _split_sections(
     return sections
 
 
-def _parse_arrow_list(
-    value: str, filename: str, line: int
-) -> list[tuple[str, str]]:
-    out = []
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            raise FormatError(filename, line, "empty entry in list")
-        pieces = part.split("->")
-        if len(pieces) != 2:
-            raise FormatError(filename, line, f"expected 'a -> b', got {part!r}")
-        out.append(
-            (
-                _check_id(pieces[0].strip(), filename, line),
-                _check_id(pieces[1].strip(), filename, line),
-            )
-        )
-    return out
-
-
-def _parse_marking_section(
-    lines: list[tuple[int, str]], header_line: int, filename: str
-) -> ChartedMarking:
-    m: int | None = None
-    group_text: tuple[int, str] | None = None
-    base: tuple[str, ...] | None = None
-    cover_entries: list[tuple[str, str]] | None = None
-    fibers: dict[str, tuple[str, ...]] = {}
-    sigmas: dict[str, tuple[str, ...]] = {}
-    for lineno, line in lines:
+def _read_section(
+    section: tuple[int, list[tuple[int, str]]], keys: Mapping, filename: str
+) -> dict[tuple[str, ...], tuple[int, Any]]:
+    """The ``(line, value)`` of each key of a section, by its key words, read in order."""
+    header_line, body = section
+    values: dict[tuple[str, ...], tuple[int, Any]] = {}
+    for lineno, line in body:
         if "=" not in line:
             raise FormatError(filename, lineno, f"expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        key_parts = key.split()
-        value = value.strip()
-        if key_parts == ["m"]:
-            if m is not None:
-                raise FormatError(filename, lineno, "duplicate 'm'")
-            try:
-                m = int(value)
-            except ValueError:
-                raise FormatError(filename, lineno, f"m must be an integer, got {value!r}") from None
-        elif key_parts == ["group"]:
-            if group_text is not None:
-                raise FormatError(filename, lineno, "duplicate 'group'")
-            group_text = (lineno, value)
-        elif key_parts == ["base"]:
-            if base is not None:
-                raise FormatError(filename, lineno, "duplicate 'base'")
-            base = _check_ids(value, filename, lineno)
-        elif key_parts == ["cover"]:
-            if cover_entries is not None:
-                raise FormatError(filename, lineno, "duplicate 'cover'")
-            cover_entries = _parse_arrow_list(value, filename, lineno)
-        elif len(key_parts) == 2 and key_parts[0] == "fiber":
-            name = _check_id(key_parts[1], filename, lineno)
-            if name in fibers:
-                raise FormatError(filename, lineno, f"duplicate 'fiber {name}'")
-            fibers[name] = _check_ids(value, filename, lineno)
-        elif len(key_parts) == 2 and key_parts[0] == "sigma":
-            name = _check_id(key_parts[1], filename, lineno)
-            if name in sigmas:
-                raise FormatError(filename, lineno, f"duplicate 'sigma {name}'")
-            sigmas[name] = _check_ids(value, filename, lineno)
-        else:
+        words = tuple(key.split())
+        kind = words[0] if words else None
+        if kind not in keys or len(words) != (2 if kind in _NAMED_KEYS else 1):
             raise FormatError(filename, lineno, f"unknown key {key.strip()!r}")
-    if m is None:
-        raise FormatError(filename, header_line, "missing 'm = <int>'")
-    if base is None:
-        raise FormatError(filename, header_line, "missing 'base = <points>'")
-    if cover_entries is None:
-        raise FormatError(filename, header_line, "missing 'cover = <point> -> <base>, ...'")
-    try:
-        check_degree(m)  # before parsing builds anything of size m
-    except SizeLimitError as exc:
-        raise FormatError(filename, header_line, str(exc)) from None
-    if group_text is None:
-        generators: tuple[Permutation, ...] = ()
-    else:
-        group_line, raw = group_text
         try:
-            generators = parse_generators(raw, m)
+            if len(words) == 2:
+                _ids(words[1:])
+            if words in values:
+                raise ValueError(f"duplicate {' '.join(words)!r}")
+            values[words] = lineno, keys[kind][0](kind, value.strip())
         except ValueError as exc:
-            raise FormatError(filename, group_line, str(exc)) from None
+            raise FormatError(filename, lineno, str(exc)) from None
+    for key, (_, form) in keys.items():
+        if form is not None and (key,) not in values:
+            raise FormatError(filename, header_line, f"missing {form!r}")
+    return values
+
+
+def _named(values: Mapping[tuple[str, ...], tuple[int, Any]], kind: str) -> dict[str, Any]:
+    return {words[1]: v for words, (_, v) in values.items() if words[0] == kind}
+
+
+def _anchored(filename: str, line: int, fn: Callable[..., Any], *args: Any) -> Any:
+    """``fn(*args)``, with a ``ValueError`` it raises anchored to ``line``."""
     try:
-        group = group_from_generators(m, generators)
-        cover = FiniteCover(
-            base,
-            tuple(c for c, _ in cover_entries),
-            dict(cover_entries),
-        )
-        return ChartedMarking(
-            cover=cover, m=m, group=group, fiber_points=fibers, sigma=sigmas
-        )
-    except FormatError:
-        raise
+        return fn(*args)
     except ValueError as exc:
-        raise FormatError(filename, header_line, str(exc)) from None
+        raise FormatError(filename, line, str(exc)) from None
+
+
+def _read_marking(
+    section: tuple[int, list[tuple[int, str]]],
+    filename: str,
+    groups: dict[tuple[int, str], PermGroup],
+) -> ChartedMarking:
+    """A marking section; ``groups`` holds the groups closed so far, by (m, text)."""
+    line = section[0]
+    values = _read_section(section, _MARKING_KEYS, filename)
+    m, base, arrows = (values[(key,)][1] for key in ("m", "base", "cover"))
+    _anchored(filename, line, check_degree, m)  # before parsing builds anything of size m
+    group_line, text = values.get(("group",), (line, ""))
+    if (m, text) not in groups:
+        generators = _anchored(filename, group_line, parse_generators, text, m)
+        groups[(m, text)] = _anchored(filename, line, group_from_generators, m, generators)
+    cover = _anchored(
+        filename, line, FiniteCover, base, tuple(c for c, _ in arrows), dict(arrows)
+    )
+    fibers, sigma = _named(values, "fiber"), _named(values, "sigma")
+    return _anchored(filename, line, ChartedMarking, cover, m, groups[(m, text)], fibers, sigma)
 
 
 def parse_marking_document(text: str, filename: str = "<input>") -> ChartedMarking:
     sections = _split_sections(text, filename)
     if len(sections) != 1 or sections[0][0] != "marking":
         raise FormatError(filename, 1, "expected exactly one [marking] section")
-    _, header_line, lines = sections[0]
-    return _parse_marking_section(lines, header_line, filename)
+    return _read_marking(sections[0][1:], filename, {})
 
 
 def parse_morphism_document(
     text: str, filename: str = "<input>"
 ) -> tuple[FiberMorphism, ChartedMarking, ChartedMarking]:
+    """The morphism, source and target; a group both sections write alike is closed once."""
     sections = {name: (line, body) for name, line, body in _split_sections(text, filename)}
-    expected = {"marking source", "marking target", "morphism"}
-    if set(sections) != expected:
-        raise FormatError(
-            filename,
-            1,
-            "expected sections [marking source], [marking target], [morphism]",
-        )
-    src_line, src_body = sections["marking source"]
-    tgt_line, tgt_body = sections["marking target"]
-    source = _parse_marking_section(src_body, src_line, filename)
-    target = _parse_marking_section(tgt_body, tgt_line, filename)
-    mor_line, mor_body = sections["morphism"]
-    base_map: dict[str, str] | None = None
-    fiber_maps: dict[str, dict[str, str]] = {}
-    for lineno, line in mor_body:
-        if "=" not in line:
-            raise FormatError(filename, lineno, f"expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key_parts = key.split()
-        if key_parts == ["h"]:
-            if base_map is not None:
-                raise FormatError(filename, lineno, "duplicate 'h'")
-            base_map = dict(_parse_arrow_list(value.strip(), filename, lineno))
-        elif len(key_parts) == 2 and key_parts[0] == "map":
-            name = _check_id(key_parts[1], filename, lineno)
-            if name in fiber_maps:
-                raise FormatError(filename, lineno, f"duplicate 'map {name}'")
-            fiber_maps[name] = dict(
-                _parse_arrow_list(value.strip(), filename, lineno)
-            )
-        else:
-            raise FormatError(filename, lineno, f"unknown key {key.strip()!r}")
-    if base_map is None:
-        raise FormatError(filename, mor_line, "missing 'h = <base> -> <base>, ...'")
-    return FiberMorphism(base_map=base_map, fiber_maps=fiber_maps), source, target
+    if set(sections) != {"marking source", "marking target", "morphism"}:
+        message = "expected sections [marking source], [marking target], [morphism]"
+        raise FormatError(filename, 1, message)
+    groups: dict[tuple[int, str], PermGroup] = {}
+    source = _read_marking(sections["marking source"], filename, groups)
+    target = _read_marking(sections["marking target"], filename, groups)
+    values = _read_section(sections["morphism"], _MORPHISM_KEYS, filename)
+    fiber_maps = {s: dict(arrows) for s, arrows in _named(values, "map").items()}
+    morphism = FiberMorphism(base_map=dict(values[("h",)][1]), fiber_maps=fiber_maps)
+    return morphism, source, target
 
 
 def format_marking(marking: ChartedMarking, name: str = "marking") -> str:
@@ -794,15 +761,12 @@ def format_marking(marking: ChartedMarking, name: str = "marking") -> str:
 
 def render_star_report(marking: ChartedMarking, report: StarReport) -> str:
     lines = []
-    for s in marking.cover.base:
-        fiber = marking.cover.fiber(s)
-        for a in fiber:
-            for b in fiber:
-                w = report.witness_images.get((a, b))
-                if w is None:
-                    lines.append(f"({a}, {b}): NO WITNESS")
-                else:
-                    lines.append(f"({a}, {b}): gamma = {cycle_notation(w)}")
+    for a, b in _star_pairs(marking):
+        w = report.witness_images.get((a, b))
+        if w is None:
+            lines.append(f"({a}, {b}): NO WITNESS")
+        else:
+            lines.append(f"({a}, {b}): gamma = {cycle_notation(w)}")
     for s in marking.cover.base:
         if s in report.unmarked:
             lines.append(
@@ -838,16 +802,12 @@ def render_morphism_report(
     report: MorphismReport,
 ) -> str:
     lines = []
-    for a in c1.cover.cover:
-        s = c1.cover.down[a]
-        for b in c2.cover.cover:
-            if c2.cover.down[b] != hm.base_map[s]:
-                continue
-            w = report.witness_images.get((a, b))
-            if w is None:
-                lines.append(f"({a}*{b}): NO WITNESS")
-            else:
-                lines.append(f"({a}*{b}): gamma = {cycle_notation(w)}")
+    for a, b in _refinement_points(c1, c2, hm.base_map):
+        w = report.witness_images.get((a, b))
+        if w is None:
+            lines.append(f"({a}*{b}): NO WITNESS")
+        else:
+            lines.append(f"({a}*{b}): gamma = {cycle_notation(w)}")
     lines.append(f"charts: {'VALID' if report.valid else 'INVALID'}")
     lines.append(
         f"classes preserved: {'yes' if report.classes_preserved else 'no'}"

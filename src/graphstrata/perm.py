@@ -32,10 +32,7 @@ __all__ = [
     "group_from_generators",
     "symmetric_group",
     "symmetric_group_on",
-    "orbit_of_label",
     "label_orbits",
-    "stabilizer",
-    "canonical_rep",
     "cycle_notation",
     "parse_permutation",
     "parse_generators",
@@ -278,13 +275,6 @@ def symmetric_group_on(labels: Iterable[int], degree: int) -> PermGroup:
     return PermGroup(degree, gens, frozenset(members))
 
 
-def orbit_of_label(group: PermGroup, i: int) -> frozenset[int]:
-    """The orbit of a label under the group action."""
-    if not 1 <= i <= group.degree:
-        raise ValueError(f"label {i} outside 1..{group.degree}")
-    return label_orbits(group)[i - 1]
-
-
 def label_orbits(group: PermGroup) -> tuple[frozenset[int], ...]:
     """The orbit of every label: entry ``i - 1`` is label i's.
 
@@ -299,29 +289,3 @@ def label_orbits(group: PermGroup) -> tuple[frozenset[int], ...]:
                 for k in joined:
                     orbit[k] = joined
     return tuple(orbit[1:])
-
-
-def stabilizer(group: PermGroup, labeling: Sequence[object]) -> PermGroup:
-    """Elements preserving a labeling of {1, ..., m} up to slot equality.
-
-    ``labeling[i - 1]`` is the slot holding label ``i``; two labels are
-    interchangeable precisely when their slots compare equal.
-    """
-    if len(labeling) != group.degree:
-        raise ValueError("labeling length must equal the group degree")
-    kept = tuple(
-        g
-        for g in group
-        if all(labeling[g(i) - 1] == labeling[i - 1] for i in range(1, group.degree + 1))
-    )
-    return PermGroup(group.degree, kept, frozenset(g.images for g in kept))
-
-
-def canonical_rep(group: PermGroup, labeling: Sequence) -> tuple:
-    """Lexicographically least relabeling of ``labeling`` under the group."""
-    if len(labeling) != group.degree:
-        raise ValueError("labeling length must equal the group degree")
-    return min(
-        tuple(labeling[g(i) - 1] for i in range(1, group.degree + 1))
-        for g in group
-    )

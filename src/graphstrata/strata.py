@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gamma import GammaCensus, enumerate_gamma_strata
+from .gamma import enumerate_gamma_strata
 from .perm import PermGroup
 from .stablegraph import (
     SplitComponent,
@@ -66,14 +66,10 @@ def build_quotient_table(
     *,
     max_dim: int | None = None,
     census: StratumCensus | None = None,
-    gamma_census: GammaCensus | None = None,
 ) -> QuotientTable:
     if census is None:
         census = enumerate_stable_graphs(g, m, max_dim=max_dim)
-    if gamma_census is None:
-        gamma_census = enumerate_gamma_strata(
-            g, m, group, max_dim=max_dim, census=census
-        )
+    gamma_census = enumerate_gamma_strata(g, m, group, max_dim=max_dim, census=census)
     rows = []
     for nodes in sorted(census.classes_by_nodes):
         labeled = len(census.classes_by_nodes[nodes])

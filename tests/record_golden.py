@@ -44,6 +44,9 @@ CASES: dict[str, list[str]] = {
     "verify-morphism twist-endomorphism": [
         "verify-morphism", "@twist-endomorphism.desc",
     ],
+    "verify-morphism reordered-group-morphism": [
+        "verify-morphism", "@reordered-group-morphism.desc",
+    ],
 }
 CASES.update(
     {

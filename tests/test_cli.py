@@ -92,6 +92,19 @@ def test_enumerate_env_bound(capsys, monkeypatch):
 def test_nonpositive_bound_rejected(capsys):
     code, _, err = run(capsys, "enumerate", "0", "4", "--max-size", "0")
     assert code == 2 and "positive" in err
+    # A bound option is a usage error on a subcommand that does not read it:
+    # descent parsing keeps its fixed degree bound, numerology has none.
+    m11 = "[marking]\nm = 11\nbase = x\ncover = s -> x\n"
+    for argv, unread in [
+        (["verify-descent", m11, "--max-m", "12"], "--max-m 12"),
+        (
+            ["numerology", "2", "3", "0", "--max-size", "1", "--max-group-order", "1"],
+            "--max-size 1 --max-group-order 1",
+        ),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {unread}" in err
 
 
 def test_gamma_enumerate(capsys):

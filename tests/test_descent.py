@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -496,6 +497,32 @@ def test_twist_endomorphism_valid(fixtures_dir):
     assert report.witnesses[("s1", "s2")].is_identity()
 
 
+def test_morphism_document_closes_a_repeated_group_once(fixtures_dir, monkeypatch):
+    # The target group is reused when both sections write the same m and
+    # group text; the same group in other words is closed again.
+    closures = []
+    close = descent.group_from_generators
+
+    def counting(m, generators, **kwargs):
+        closures.append(m)
+        return close(m, generators, **kwargs)
+
+    monkeypatch.setattr(descent, "group_from_generators", counting)
+    verdicts = []
+    for name, expected in [
+        ("twist-endomorphism.desc", 1),
+        ("reordered-group-morphism.desc", 2),
+    ]:
+        closures.clear()
+        hm, src, tgt = parse_morphism_document((fixtures_dir / name).read_text(), name)
+        assert len(closures) == expected
+        assert (src.group is tgt.group) == (expected == 1)
+        assert src.group == tgt.group
+        report = verify_morphism(hm, src, tgt)
+        verdicts.append((report.valid, report.classes_preserved, report.witness_images))
+    assert verdicts[0] == verdicts[1] and verdicts[0][0]
+
+
 def test_class_breaking_map_invalid():
     marking = single_chart(("p1", "p2", "p3", "p4"))
     hm = FiberMorphism(
@@ -649,11 +676,34 @@ def test_parse_round_trip(intro_marking):
     assert parse_marking_document(text) == intro_marking
 
 
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in (Path(__file__).parent / "fixtures").glob("*.desc"))
+)
+def test_fixture_markings_round_trip(fixtures_dir, name):
+    text = (fixtures_dir / name).read_text()
+    if "[morphism]" in text:
+        markings = parse_morphism_document(text, name)[1:]
+    else:
+        markings = (parse_marking_document(text, name),)
+    for marking in markings:
+        formatted = format_marking(marking)
+        again = parse_marking_document(formatted)
+        assert again == marking
+        assert format_marking(again) == formatted
+
+
 def test_parse_reports_file_and_line():
     bad = "[marking]\nm = 4\nbase = x\nnonsense\n"
     with pytest.raises(FormatError) as err:
         parse_marking_document(bad, "bad.desc")
     assert "bad.desc:4" in str(err.value)
+
+
+MORPHISM_DOC = (
+    "[marking source]\nm = 1\nbase = x\ncover = s -> x\nfiber x = p\nsigma s = p\n"
+    "[marking target]\nm = 1\nbase = x\ncover = s -> x\nfiber x = p\nsigma s = p\n"
+    "[morphism]\nh = x -> x\nmap x = p -> p\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -667,11 +717,23 @@ def test_parse_reports_file_and_line():
         ("[marking]\nm = 4\nwhatever = 3\n", "unknown key"),
         ("[marking]\nm = 4\nbase = x*y\n", "bad identifier"),
         ("[marking]\nm = 4\ngroup = (1 5)\nbase = x\ncover = s -> x\n", "outside"),
+        ("[marking]\nm = 4\nbase = x\ncover = -> x\n", "doc.desc:4: bad identifier ''"),
+        (
+            "[marking]\nm = 4\nbase = x\ncover = s -> x, a b -> x\n",
+            "doc.desc:4: bad identifier 'a b'",
+        ),
+        (
+            "[marking]\nm = 1\nbase = x\ncover = s -> x\nfiber x = p\nfiber x = p\n",
+            "doc.desc:6: duplicate 'fiber x'",
+        ),
+        (MORPHISM_DOC + "k = x -> x\n", "doc.desc:16: unknown key 'k'"),
+        (MORPHISM_DOC + "map x = p -> p\n", "doc.desc:16: duplicate 'map x'"),
     ],
 )
 def test_parse_failures(text, needle):
+    parse = parse_morphism_document if "[morphism]" in text else parse_marking_document
     with pytest.raises(FormatError) as err:
-        parse_marking_document(text, "doc.desc")
+        parse(text, "doc.desc")
     assert needle in str(err.value)
     assert str(err.value).startswith("doc.desc:")
 
