@@ -91,13 +91,17 @@ def _max_group_order(args: argparse.Namespace) -> int:
     return MAX_GROUP_ORDER
 
 
+def _bounds(m: int, args: argparse.Namespace) -> tuple[int, int]:
+    """``--max-m`` and ``--max-group-order``, with ``m`` held to the first."""
+    max_degree, max_order = _max_m(args), _max_group_order(args)
+    check_degree(m, max_degree)
+    return max_degree, max_order
+
+
 def _resolve_group(text: str | None, m: int, args: argparse.Namespace) -> PermGroup:
-    max_degree = _max_m(args)
-    check_degree(m, max_degree)  # before parsing builds anything of size m
+    max_degree, max_order = _bounds(m, args)  # before parsing builds anything of size m
     generators = parse_generators(text, m) if text else ()
-    return group_from_generators(
-        m, generators, max_degree=max_degree, max_order=_max_group_order(args)
-    )
+    return group_from_generators(m, generators, max_degree=max_degree, max_order=max_order)
 
 
 def _read_document(arg: str) -> tuple[str, str]:
@@ -163,6 +167,7 @@ def _cmd_check_stability(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_canon(args: argparse.Namespace) -> tuple[int, str]:
     graph = _load_connected_graph(args.graph)
     if args.group is None:
+        _bounds(graph.m, args)
         result = canonical_form(graph)
     else:
         group = _resolve_group(args.group, graph.m, args)

@@ -21,9 +21,7 @@ chart r over its base point, since the group is closed; and then all
 charts mark the same m points, so none is unmarked exactly when the fiber
 has m points.  ``class_function``, ``equivalent`` and
 ``globalize_trivial_group`` decide by this rule.  ``verify_star`` still
-matches every pair, for its report; with ``audit=True`` it also confirms
-uniqueness, composition and agreement with the one-match rule by
-exhaustive scans, and the tests run it.  When the condition holds, each
+matches every pair, for its report.  When the condition holds, each
 distinguished point acquires a well-defined class: the orbit of its chart
 index (``class_function``).  Witnesses are kept as image tuples; a
 report's ``witnesses`` builds ``Permutation`` values only when read.
@@ -49,12 +47,10 @@ visible rather than hiding it.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .limits import SizeLimitError
 from .perm import PermGroup, Permutation, check_degree, cycle_notation
 from .perm import group_from_generators, label_orbits, parse_generators
 
@@ -222,19 +218,12 @@ class StarReport(_Witnessed):
     ``witness_images`` maps each ordered same-fiber pair to its
     relabeling; ``missing`` lists pairs with no relabeling in the group;
     ``unmarked`` lists declared fiber points no chart ever marks.
-    ``unique`` and ``coherent`` are the results of the audit scans (the
-    witness is the only group element that works; witnesses compose over
-    triples and are the identity on the diagonal).  Both hold for any
-    injective charts, so they are ``None`` unless ``verify_star`` ran with
-    ``audit=True``.
     """
 
     valid: bool
     witness_images: dict[tuple[str, str], Images]
     missing: tuple[tuple[str, str], ...]
     unmarked: dict[str, tuple[str, ...]]
-    unique: bool | None
-    coherent: bool | None
 
 
 def _star_pairs(marking: ChartedMarking) -> Iterator[tuple[str, str]]:
@@ -246,14 +235,12 @@ def _star_pairs(marking: ChartedMarking) -> Iterator[tuple[str, str]]:
                 yield a, b
 
 
-def verify_star(marking: ChartedMarking, *, audit: bool = False) -> StarReport:
+def verify_star(marking: ChartedMarking) -> StarReport:
     """Report chart compatibility for every same-fiber pair.
 
     Costs one ``_match`` per pair, k^2 over k charts, to report each
     witness; the verdict alone needs k (the one-match rule, module
-    docstring).  With ``audit`` it also runs the exhaustive uniqueness scan
-    (|G|·m per pair) and the coherence loop over triples, reports them as
-    ``unique`` and ``coherent``, and checks ``valid`` against the rule.
+    docstring).
     """
     positions = {c: _positions(seq) for c, seq in marking.sigma.items()}
     witnesses, missing = _match_all(
@@ -266,57 +253,12 @@ def verify_star(marking: ChartedMarking, *, audit: bool = False) -> StarReport:
         extra = tuple(p for p in marking.fiber_points[s] if p not in hit)
         if extra:
             unmarked[s] = extra
-    valid = not missing and not unmarked
-    unique = coherent = None
-    if audit:
-        if valid != _compatible(marking):
-            raise AssertionError("the pair scan and the one-match rule disagree")
-        unique = _audit_unique(marking, witnesses)
-        coherent = _audit_coherent(
-            [marking.cover.fiber(s) for s in marking.cover.base], witnesses
-        )
     return StarReport(
-        valid=valid,
+        valid=not missing and not unmarked,
         witness_images=witnesses,
         missing=missing,
         unmarked=unmarked,
-        unique=unique,
-        coherent=coherent,
     )
-
-
-def _audit_unique(
-    marking: ChartedMarking, witnesses: Mapping[tuple[str, str], Images]
-) -> bool:
-    """Each witnessed pair is matched by exactly one group element."""
-    labels = range(1, marking.m + 1)
-    return all(
-        sum(
-            all(marking.sigma[a][i - 1] == marking.sigma[b][g(i) - 1] for i in labels)
-            for g in marking.group
-        )
-        == 1
-        for a, b in witnesses
-    )
-
-
-def _audit_coherent(
-    fibers: Iterable[Sequence[str]],
-    witnesses: Mapping[tuple[str, str], Images],
-) -> bool:
-    """Diagonal witnesses are identities and witnesses compose over triples."""
-    coherent = True
-    for fiber in fibers:
-        for a in fiber:
-            w = witnesses.get((a, a))
-            if w is not None and w != tuple(range(1, len(w) + 1)):
-                coherent = False
-        for a, b, c in itertools.product(fiber, repeat=3):
-            wab, wbc, wac = witnesses.get((a, b)), witnesses.get((b, c)), witnesses.get((a, c))
-            # sigma(a) = sigma(b) o w_ab forces w_ac = w_bc o w_ab.
-            if None not in (wab, wbc, wac) and tuple(wbc[k - 1] for k in wab) != wac:
-                coherent = False
-    return coherent
 
 
 def class_function(marking: ChartedMarking) -> dict[str, frozenset[int]]:
@@ -398,11 +340,6 @@ class EquivalenceWitness:
     to_second: dict[str, str]
     dom_first: DominationReport
     dom_second: DominationReport
-
-    @property
-    def star(self) -> StarReport:
-        """The refinement's compatibility report, computed when read."""
-        return verify_star(self.refinement)
 
 
 def _refinement_points(

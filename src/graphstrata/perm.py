@@ -257,6 +257,7 @@ def symmetric_group_on(labels: Iterable[int], degree: int) -> PermGroup:
     """All permutations of ``labels`` inside degree ``degree``, rest fixed."""
     if degree < 1:
         raise ValueError("degree must be positive")
+    check_degree(degree)
     moved = sorted(labels)
     for a in moved:
         if not 1 <= a <= degree:

@@ -28,7 +28,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .limits import DEFAULT_MAX_DIM, MAX_PERM_DEGREE, SizeLimitError
 

@@ -5,7 +5,7 @@ class, grouped by node count.  A group of leg relabelings acts on that
 census; fusing its orbits produces the quotient table, which records the
 labeled count, the class count, and the orbit decomposition per node
 count.  Orbit sizes multiply against stabilizer orders to the group
-order, so a table doubles as an audit of the covering-degree claim.
+order, so a table doubles as a check of the covering-degree claim.
 
 ``component_census`` runs the vertex-splitting pipeline across a whole
 graph: every vertex becomes a smooth piece whose detached half-edges turn

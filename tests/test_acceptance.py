@@ -48,6 +48,7 @@ from graphstrata.stablegraph import (
 from graphstrata.strata import build_quotient_table, component_census
 
 from oracle import brute_force_census, iso_key
+from star_audit import audit_unique
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -152,7 +153,7 @@ def test_criterion_4_twisted_gluing_fixture():
     marking = parse_marking_document(
         (FIXTURES / "intro-example.desc").read_text(), "intro-example.desc"
     )
-    report = verify_star(marking, audit=True)
+    report = verify_star(marking)
     small = parse_marking_document(
         (FIXTURES / "intro-small-group.desc").read_text(),
         "intro-small-group.desc",
@@ -162,7 +163,7 @@ def test_criterion_4_twisted_gluing_fixture():
     twist = parse_permutation("(1 2)(3 4)", 4)
     ok = (
         report.valid
-        and report.unique
+        and audit_unique(marking, report.witness_images)
         and report.witnesses.get(("s1", "s2")) == twist
         and not small_report.valid
         and classes.get("p1") == frozenset({1, 2})
@@ -172,7 +173,8 @@ def test_criterion_4_twisted_gluing_fixture():
     )
     _verdict(4, "twisted two-chart fixture", ok)
     assert ok, (
-        f"valid={report.valid} unique={report.unique}"
+        f"valid={report.valid}"
+        f" unique={audit_unique(marking, report.witness_images)}"
         f" witness={report.witnesses.get(('s1', 's2'))}"
         f" small-group valid={small_report.valid} classes={classes}"
     )

@@ -89,9 +89,16 @@ def test_enumerate_env_bound(capsys, monkeypatch):
     assert code == 2 and "GS_MAX_SIZE" in err
 
 
-def test_nonpositive_bound_rejected(capsys):
+def test_nonpositive_bound_rejected(capsys, fixtures_dir):
     code, _, err = run(capsys, "enumerate", "0", "4", "--max-size", "0")
     assert code == 2 and "positive" in err
+    # canon reads its bounds with or without a group.
+    graph = str(fixtures_dir / "loop-and-bridge.json")
+    for flag in ("--max-m", "--max-group-order"):
+        for group in ((), ("--group", "(1 2)")):
+            code, out, err = run(capsys, "canon", graph, flag, "0", *group)
+            assert (code, out) == (2, "")
+            assert err == f"error: {flag} must be positive, got 0\n"
     # A bound option is a usage error on a subcommand that does not read it:
     # descent parsing keeps its fixed degree bound, numerology has none.
     m11 = "[marking]\nm = 11\nbase = x\ncover = s -> x\n"
@@ -105,6 +112,17 @@ def test_nonpositive_bound_rejected(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"unrecognized arguments: {unread}" in err
+
+
+@pytest.mark.parametrize("group", [(), ("--group", "(1 2)(3 4)")])
+def test_canon_holds_leg_count_to_max_m(capsys, fixtures_dir, group):
+    graph = str(fixtures_dir / "loop-and-bridge.json")  # 4 legs
+    code, out, err = run(capsys, "canon", graph, "--max-m", "3", *group)
+    assert (code, out) == (2, "")
+    assert err == "error: degree 4 exceeds bound 3\n"
+    code, out, err = run(capsys, "canon", graph, "--max-m", "4", *group)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "canon", graph, *group)[1]
 
 
 def test_gamma_enumerate(capsys):
@@ -245,6 +263,18 @@ def test_split_unstable_piece_is_negative_verdict(capsys, tmp_path):
     code, out, _ = run(capsys, "split", path, "--vertex", "0")
     assert code == 1
     assert json.loads(out)["stable"] is False
+
+
+def test_split_refuses_piece_above_degree_bound(capsys, tmp_path):
+    # A genus-0 vertex with 4 loops splits into a piece with 8 marks; with
+    # 6 loops the 12 marks would need all 12! relabelings, so it is refused.
+    four = write_graph(tmp_path, StableGraph((0,), ((0, 0),) * 4, ()), "four.json")
+    code, out, _ = run(capsys, "split", four, "--vertex", "0")
+    assert code == 0 and json.loads(out)["marks"] == 8
+    six = write_graph(tmp_path, StableGraph((0,), ((0, 0),) * 6, ()), "six.json")
+    code, out, err = run(capsys, "split", six, "--vertex", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: degree 12 exceeds bound 10\n"
 
 
 def test_split_requires_vertex_flag(capsys, tmp_path):

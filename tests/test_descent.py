@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -11,6 +12,7 @@ from graphstrata.descent import (
     FiberMorphism,
     FiniteCover,
     FormatError,
+    StarReport,
     class_function,
     dominates,
     equivalent,
@@ -30,6 +32,8 @@ from graphstrata.perm import (
     parse_permutation,
     symmetric_group,
 )
+
+from star_audit import audit_coherent, audit_unique
 
 
 def make_group(gens, m):
@@ -89,14 +93,20 @@ def test_marking_validation():
 
 
 def test_intro_marking_is_valid(intro_marking):
-    report = verify_star(intro_marking, audit=True)
-    assert report.valid
-    assert report.unique
-    assert report.coherent
+    report = verify_star(intro_marking)
+    assert report.valid and descent._compatible(intro_marking)
+    assert audit_unique(intro_marking, report.witness_images)
+    assert audit_coherent(intro_marking, report.witness_images)
     assert report.missing == ()
     assert report.witnesses[("s1", "s2")] == parse_permutation("(1 2)(3 4)", 4)
     assert report.witnesses[("s2", "s1")] == parse_permutation("(1 2)(3 4)", 4)
     assert report.witnesses[("s1", "s1")].is_identity()
+
+
+def test_star_report_holds_only_its_verdict_and_pairs():
+    assert [f.name for f in dataclasses.fields(StarReport)] == [
+        "valid", "witness_images", "missing", "unmarked",
+    ]
 
 
 def test_intro_fails_with_smaller_group(intro_small_group_marking):
@@ -142,8 +152,10 @@ def test_witness_coherence_across_triples():
             "c": ("p2", "p1", "p4", "p3"),
         },
     )
-    report = verify_star(marking, audit=True)
-    assert report.valid and report.coherent and report.unique
+    report = verify_star(marking)
+    assert report.valid and descent._compatible(marking)
+    assert audit_coherent(marking, report.witness_images)
+    assert audit_unique(marking, report.witness_images)
     w = report.witnesses
     for s, t, u in itertools.product("abc", repeat=3):
         assert w[(t, u)] * w[(s, t)] == w[(s, u)]
@@ -193,13 +205,9 @@ def test_default_check_agrees_with_audit_on_random_markings():
     for _ in range(400):
         marking = _random_star_marking(rng, rng.randint(2, 5))
         fast = verify_star(marking)
-        full = verify_star(marking, audit=True)
-        assert fast.unique is None and fast.coherent is None
-        assert full.unique is True and full.coherent is True
-        assert fast.valid == full.valid
-        assert fast.witnesses == full.witnesses
-        assert fast.missing == full.missing
-        assert fast.unmarked == full.unmarked
+        assert audit_unique(marking, fast.witness_images) is True
+        assert audit_coherent(marking, fast.witness_images) is True
+        assert fast.valid == descent._compatible(marking)
         verdicts.add(fast.valid)
         # Brute force over the group, sharing no code with verify_star:
         # a pair has a witness exactly when one group element matches.
@@ -268,7 +276,7 @@ HAND_MARKINGS = {
 def test_one_match_rule_on_hand_cases(name):
     expected, marking = HAND_MARKINGS[name]
     assert descent._compatible(marking) is expected
-    assert verify_star(marking, audit=True).valid is expected
+    assert verify_star(marking).valid is expected
 
 
 def test_one_match_rule_agrees_with_pair_scan_on_random_markings():
@@ -276,7 +284,7 @@ def test_one_match_rule_agrees_with_pair_scan_on_random_markings():
     verdicts = set()
     for _ in range(400):
         marking = _random_star_marking(rng, rng.randint(2, 5))
-        full = verify_star(marking, audit=True)
+        full = verify_star(marking)
         assert descent._compatible(marking) == full.valid
         verdicts.add(full.valid)
     assert verdicts == {True, False}
@@ -403,7 +411,7 @@ def test_class_function_invariant_under_domination():
 def test_equivalent_reflexive(intro_marking):
     witness = equivalent(intro_marking, intro_marking)
     assert witness is not None
-    assert witness.star.valid
+    assert verify_star(witness.refinement).valid
     assert witness.dom_first.valid and witness.dom_second.valid
 
 

@@ -136,7 +136,7 @@ def test_reduced_equivalence_agrees_with_fiber_product_search():
                 if new is not None:
                     seen["equivalent"] += 1
                     assert candidate == 0
-                    assert new.star.valid
+                    assert verify_star(new.refinement).valid
                     assert new.refinement == old.refinement
                     assert new.to_first == old.to_first
                     assert new.to_second == old.to_second

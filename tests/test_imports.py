@@ -1,0 +1,59 @@
+"""Every name a library module imports is referenced in that module.
+
+Names listed in the module's ``__all__`` (re-exports) and ``from
+__future__`` imports are exempt.  Only the standard ``ast`` module is used.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graphstrata"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(source):
+    """Names bound by imports in ``source`` that nothing else in it reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exempt = used | _exported(tree)
+    return sorted((line, name) for name, line in imported.items() if name not in exempt)
+
+
+def test_every_module_is_checked():
+    assert {"descent.py", "perm.py", "stablegraph.py", "cli.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import re\n"
+        "from typing import Iterable, Sequence\n"
+        "__all__ = ['Sequence']\n"
+        "def f(x: Iterable) -> None:\n"
+        "    pass\n"
+    )
+    assert unused_imports(source) == [(2, "re")]
