@@ -79,21 +79,16 @@ def _max_size(args: argparse.Namespace) -> int:
     return _positive(value, "GS_MAX_SIZE")
 
 
-def _max_m(args: argparse.Namespace) -> int:
-    if args.max_m is not None:
-        return _positive(args.max_m, "--max-m")
-    return MAX_PERM_DEGREE
-
-
-def _max_group_order(args: argparse.Namespace) -> int:
-    if args.max_group_order is not None:
-        return _positive(args.max_group_order, "--max-group-order")
-    return MAX_GROUP_ORDER
+def _option(args: argparse.Namespace, name: str, default: int) -> int:
+    """Bound option ``--name``, or ``default`` when it is not given."""
+    value = getattr(args, name.replace("-", "_"))
+    return default if value is None else _positive(value, f"--{name}")
 
 
 def _bounds(m: int, args: argparse.Namespace) -> tuple[int, int]:
     """``--max-m`` and ``--max-group-order``, with ``m`` held to the first."""
-    max_degree, max_order = _max_m(args), _max_group_order(args)
+    max_degree = _option(args, "max-m", MAX_PERM_DEGREE)
+    max_order = _option(args, "max-group-order", MAX_GROUP_ORDER)
     check_degree(m, max_degree)
     return max_degree, max_order
 
@@ -134,7 +129,7 @@ def _load_connected_graph(arg: str) -> StableGraph:
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
     census = enumerate_stable_graphs(
-        args.g, args.m, max_dim=_max_size(args), max_legs=_max_m(args)
+        args.g, args.m, max_dim=_max_size(args), max_legs=_option(args, "max-m", MAX_PERM_DEGREE)
     )
     return 0, dumps(census_to_doc(census))
 
@@ -178,15 +173,15 @@ def _cmd_canon(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_split(args: argparse.Namespace) -> tuple[int, str]:
     graph = _load_connected_graph(args.graph)
     piece = split_component(graph, args.vertex)
-    kept = len(graph.legs_at(args.vertex))
+    gens = ",".join(g.cycle_string() for g in piece.generators) or "()"
     doc = {
         "format": SPLIT_FORMAT,
         "vertex": piece.vertex,
         "genus": piece.genus,
         "marks": piece.marks,
-        "kept_labels": kept,
-        "interchangeable": list(range(kept + 1, piece.marks + 1)),
-        "group": None if piece.group is None else piece.group.generator_string(),
+        "kept_labels": piece.marks - len(piece.interchangeable),
+        "interchangeable": list(piece.interchangeable),
+        "group": gens if piece.marks else None,
         "stable": piece.stable,
         "graph": graph_to_doc(piece.graph),
     }

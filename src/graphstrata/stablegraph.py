@@ -19,18 +19,20 @@ labels; ``canonical_form`` picks a fixed representative of each class by
 minimizing an encoding over vertex orderings compatible with a vertex
 invariant.  When the invariant (genus, degree, legs) already tells every
 vertex apart, it fixes the one ordering; otherwise it is refined by
-neighbor classes and the orderings within each cell are enumerated.
+neighbor classes and a pruned depth-first search finds the least ordering.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .limits import DEFAULT_MAX_DIM, MAX_PERM_DEGREE, SizeLimitError
+from .perm import PermGroup, Permutation, check_degree, symmetric_group_on
 
 __all__ = [
     "StableGraph",
@@ -349,45 +351,65 @@ def _refined_cells(
     return [cells[r] for r in sorted(cells)]
 
 
-_MAX_ORDERINGS = 2_000_000
+_SEARCH_BUDGET = 500_000  # edge relabelings: each search node relabels every edge
 
 
-def _iter_cell_orderings(cells: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    total = 1
-    for cell in cells:
-        for k in range(2, len(cell) + 1):
-            total *= k
-        if total > _MAX_ORDERINGS:
-            raise SizeLimitError("too many vertex orderings to canonicalize")
-    for choice in itertools.product(*(itertools.permutations(c) for c in cells)):
-        yield tuple(itertools.chain.from_iterable(choice))
+def _least_order(
+    genera: Sequence[int], edges: Sequence[tuple[int, int]], extra: Sequence[tuple]
+) -> Sequence[int]:
+    """The allowed vertex order whose relabeled, sorted edge list is least.
 
-
-def _min_encoding(
-    genera: Sequence[int],
-    edges: Sequence[tuple[int, int]],
-    extra: Sequence[tuple],
-    encode: Callable[[Sequence[int]], tuple],
-) -> tuple:
-    """Least ``encode(order)`` over the orderings the invariant allows.
-
-    A discrete invariant fixes the ordering: when the signatures
-    (genus, degree, decoration) are pairwise distinct, refinement would
-    stop after one round with the same ranks and leave one ordering, so
-    the vertices are sorted by signature and encoded once.
+    Allowed orders take the refined cells in turn, so each puts the same
+    genus and decoration at each position.  A discrete invariant fixes the
+    ordering: when the signatures (genus, degree, decoration) are pairwise
+    distinct, refinement would stop after one round with the same ranks and
+    leave one ordering, so the vertices are sorted by signature.  Otherwise
+    a depth-first search places one vertex per position.  With k placed,
+    counting each unplaced end as position k bounds every completion from
+    below, and a branch whose bound is not below the best so far is cut.
+    Of twins (one signature, equal edge counts to every other vertex) only
+    the least unplaced is tried: swapping two twins is an automorphism.
     """
     nv = len(genera)
     deg = _degrees(nv, edges)
     sig = [(genera[v], deg[v], extra[v]) for v in range(nv)]
     if len(set(sig)) == nv:
-        return encode(sorted(range(nv), key=sig.__getitem__))
-    best = None
-    for order in _iter_cell_orderings(_refined_cells(sig, edges)):
-        enc = encode(order)
-        if best is None or enc < best:
-            best = enc
-    assert best is not None
-    return best
+        return sorted(range(nv), key=sig.__getitem__)
+    nbr: list[dict[int, int]] = [{} for _ in range(nv)]
+    for u, v in edges:
+        if u != v:
+            nbr[u][v] = nbr[u].get(v, 0) + 1
+            nbr[v][u] = nbr[v].get(u, 0) + 1
+    prev, last = [], {}  # the next smaller twin of each vertex, or -1
+    for u in range(nv):
+        key = (sig[u], frozenset(nbr[u].items()))  # twins with no edge between
+        joined = [w for w in nbr[u] if w < u and sig[w] == sig[u]
+                  and {**nbr[u], u: 0, w: 0} == {**nbr[w], u: 0, w: 0}]
+        prev.append(max(joined, default=last.get(key, -1)))
+        last[key] = u
+    slots = [cell for cell in _refined_cells(sig, edges) for _ in cell]
+    best, result, work = [(nv, nv)], (), 0  # above every bound
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        order = stack.pop()
+        k = len(order)
+        pos = [k] * nv
+        for i, v in enumerate(order):
+            pos[v] = i
+        bound = sorted([(pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u])
+                        for u, v in edges])
+        if k == nv and bound < best:
+            best, result = bound, order
+        if bound >= best:  # cut, or a leaf just taken as the best
+            continue
+        candidates = [w for w in slots[k] if pos[w] == k and (prev[w] < 0 or pos[prev[w]] < k)]
+        work += len(candidates) * len(edges)
+        if work > _SEARCH_BUDGET:
+            raise SizeLimitError(
+                f"canonical form search exceeds its budget of {_SEARCH_BUDGET} edge relabelings"
+            )
+        stack += [order + (w,) for w in reversed(candidates)]
+    return result
 
 
 def canonical_form(graph: StableGraph) -> StableGraph:
@@ -395,18 +417,11 @@ def canonical_form(graph: StableGraph) -> StableGraph:
 
     Idempotent, and equal for any two isomorphic presentations.
     """
-
-    def encode(order: Sequence[int]) -> tuple:
-        pos = {old: new for new, old in enumerate(order)}
-        genera2 = tuple(graph.genera[old] for old in order)
-        edges2 = tuple(sorted(_norm(pos[u], pos[v]) for u, v in graph.edges))
-        legs2 = tuple(pos[v] for v in graph.legs)
-        return (genera2, edges2, legs2)
-
-    genera2, edges2, legs2 = _min_encoding(
-        graph.genera, graph.edges, _leg_extras(graph, True), encode
-    )
-    return StableGraph(genera2, edges2, legs2)
+    order = _least_order(graph.genera, graph.edges, _leg_extras(graph, True))
+    pos = {old: new for new, old in enumerate(order)}
+    edges = [(pos[u], pos[v]) for u, v in graph.edges]
+    legs = [pos[v] for v in graph.legs]
+    return StableGraph(tuple(graph.genera[v] for v in order), tuple(edges), tuple(legs))
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +431,10 @@ def canonical_form(graph: StableGraph) -> StableGraph:
 def _shape_key(shape: tuple) -> tuple:
     """The least (genera, leg counts, edges) of the shape's class."""
     genera, counts, edges = shape
-
-    def encode(order: Sequence[int]) -> tuple:
-        pos = {old: new for new, old in enumerate(order)}
-        return (
-            tuple(genera[old] for old in order),
-            tuple(counts[old] for old in order),
-            tuple(sorted(_norm(pos[u], pos[v]) for u, v in edges)),
-        )
-
-    return _min_encoding(genera, edges, [(c,) for c in counts], encode)
+    order = _least_order(genera, edges, [(c,) for c in counts])
+    pos = {old: new for new, old in enumerate(order)}
+    relabeled = tuple(sorted(_norm(pos[u], pos[v]) for u, v in edges))
+    return tuple(genera[v] for v in order), tuple(counts[v] for v in order), relabeled
 
 
 def _degenerations(shape: tuple, v: int) -> Iterator[tuple]:
@@ -582,45 +591,41 @@ class SplitComponent:
 
     Original legs keep their relative order and are relabeled 1..a; every
     incident half-edge (two per loop) becomes a fresh leg with a label
-    above a.  The fresh labels are mutually interchangeable, recorded as
-    the full symmetric group on them (None when there are no marks).
+    above a.  The fresh labels are mutually interchangeable: ``generators``
+    are their adjacent transpositions, and ``group`` is the full symmetric
+    group on them (None when there are no marks), closed on first read.
     """
 
     vertex: int
     genus: int
     marks: int
     graph: StableGraph
-    group: "object | None"
+    interchangeable: tuple[int, ...]
     report: StabilityReport
 
     @property
     def stable(self) -> bool:
         return self.report.valid
 
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        fresh = self.interchangeable
+        return tuple(Permutation.from_cycles(self.marks, [ab]) for ab in zip(fresh, fresh[1:]))
+
+    @functools.cached_property
+    def group(self) -> PermGroup | None:
+        return symmetric_group_on(self.interchangeable, self.marks) if self.marks else None
+
 
 def split_component(graph: StableGraph, vertex: int) -> SplitComponent:
-    from .perm import symmetric_group_on
-
     if not 0 <= vertex < graph.num_vertices:
         raise ValueError(f"vertex {vertex} outside 0..{graph.num_vertices - 1}")
-    kept = graph.legs_at(vertex)
-    half_edges = graph.degree(vertex)
-    marks = len(kept) + half_edges
-    component = StableGraph(
-        (graph.genera[vertex],), (), tuple(0 for _ in range(marks))
-    )
-    if marks == 0:
-        group = None
-    else:
-        group = symmetric_group_on(range(len(kept) + 1, marks + 1), marks)
-    return SplitComponent(
-        vertex=vertex,
-        genus=graph.genera[vertex],
-        marks=marks,
-        graph=component,
-        group=group,
-        report=check_stability(component),
-    )
+    kept = len(graph.legs_at(vertex))
+    marks = kept + graph.degree(vertex)
+    check_degree(marks)
+    component = StableGraph((graph.genera[vertex],), (), (0,) * marks)
+    return SplitComponent(vertex, graph.genera[vertex], marks, component,
+                          tuple(range(kept + 1, marks + 1)), check_stability(component))
 
 
 # ---------------------------------------------------------------------------

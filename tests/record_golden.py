@@ -29,6 +29,46 @@ C5 = "(1 2 3 4 5)"
 S3xS2 = "(1 2),(2 3),(4 5)"
 S5 = "(1 2),(2 3),(3 4),(4 5)"
 
+
+def inline_graph(genera, edges, legs=()):
+    """An inline ``stable-graph/1`` document, half-edges numbered per vertex."""
+    used = [0] * len(genera)
+
+    def half(v):
+        used[v] += 1
+        return f"v{v}.h{used[v] - 1}"
+
+    return json.dumps(
+        {
+            "format": "stable-graph/1",
+            "vertices": [{"genus": g} for g in genera],
+            "edges": [[half(u), half(v)] for u, v in edges],
+            "legs": [{"label": k, "vertex": f"v{v}"} for k, v in enumerate(legs, 1)],
+        }
+    )
+
+
+def cycle(n, genus=1):
+    return inline_graph([genus] * n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def complete(n, genus=0):
+    return inline_graph([genus] * n, [(u, v) for v in range(n) for u in range(v)])
+
+
+def petals(n, genus=1):
+    """A hub joined to both ends of each of n petal edges: n triangles at one vertex."""
+    edges = []
+    for p in range(n):
+        a, b = 2 * p + 1, 2 * p + 2
+        edges += [(0, a), (0, b), (a, b)]
+    return inline_graph([genus] * (2 * n + 1), edges)
+
+
+def loops(n, genus=0):
+    return inline_graph([genus], [(0, 0)] * n)
+
+
 CASES: dict[str, list[str]] = {
     "verify-descent intro-example": ["verify-descent", "@intro-example.desc"],
     "verify-descent intro-small-group": ["verify-descent", "@intro-small-group.desc"],
@@ -83,6 +123,16 @@ CASES.update(
         "equiv-descent m5-cover-1234 twice": [
             "equiv-descent", "@m5-cover-1234.desc", "@m5-cover-1234.desc",
         ],
+        "enumerate 5 0 --max-size 12": ["enumerate", "5", "0", "--max-size", "12"],
+        "canon 9-cycle of genus 1": ["canon", cycle(9)],
+        "canon K_8": ["canon", complete(8)],
+        "canon K_9": ["canon", complete(9)],
+        "canon 9-petal hub": ["canon", petals(9)],
+        "split loop-and-bridge vertex 0": [
+            "split", "@loop-and-bridge.json", "--vertex", "0",
+        ],
+        "split 4 loops": ["split", loops(4), "--vertex", "0"],
+        "split 5 loops": ["split", loops(5), "--vertex", "0"],
     }
 )
 CASES.update(
@@ -99,12 +149,21 @@ def resolve(args: list[str]) -> list[str]:
     return [str(FIXTURES / a[1:]) if a.startswith("@") else a for a in args]
 
 
-def run(main, args: list[str]) -> str:
-    """``"<exit> <stdout sha256>"`` of one in-process ``main`` call."""
+def output(main, args: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one in-process ``main`` call."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(resolve(args))
-    return f"{code} {hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest()}"
+    return code, out.getvalue()
+
+
+def digest(code: int, text: str) -> str:
+    """``"<exit> <stdout sha256>"``, the form in which a run is pinned."""
+    return f"{code} {hashlib.sha256(text.encode('utf-8')).hexdigest()}"
+
+
+def run(main, args: list[str]) -> str:
+    return digest(*output(main, args))
 
 
 def main() -> int:

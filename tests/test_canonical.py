@@ -146,6 +146,40 @@ def _mutated(graph, rng):
     return StableGraph(tuple(genera), tuple(edges), tuple(legs))
 
 
+def _complete(n):
+    return [(u, v) for v in range(n) for u in range(v)]
+
+
+def _petals(n):
+    """A hub, vertex 0, joined to both ends of each of n petal edges."""
+    return [e for p in range(1, 2 * n, 2) for e in ((0, p), (0, p + 1), (p, p + 1))]
+
+
+# Multigraphs with many automorphisms, where a wrong cut or tie rule in the
+# search would pick another minimum; random graphs rarely reach them.  No
+# cell has more than 8 vertices, so the reference still enumerates every
+# ordering.
+SYMMETRIC = {
+    "twins with loops": ((0, 0, 0), [(0, 1), (0, 2), (1, 1), (2, 2)]),
+    "twins with doubled edges": ((1, 0, 0, 1), [(0, 1), (0, 2), (1, 2), (1, 2), (3, 1), (3, 2)]),
+    "twins with loops and doubled edges": (
+        (0, 1, 1), [(0, 1), (0, 1), (0, 2), (0, 2), (1, 1), (2, 2)],
+    ),
+    # one cell: 0 and 1 are twins, 2 has their neighbours but other counts
+    "twins and a look-alike": ((0, 0, 0), [(0, 1), (0, 1), (0, 1), (0, 2), (1, 2), (2, 2)]),
+    "K_4": ((0,) * 4, _complete(4)),
+    "K_5": ((1,) * 5, _complete(5)),
+    "K_3,3": ((0,) * 6, [(u, v) for u in range(3) for v in range(3, 6)]),
+    "8-cycle": ((1,) * 8, [(v, (v + 1) % 8) for v in range(8)]),
+    "cube": ((0,) * 8, [(v, v | b) for v in range(8) for b in (1, 2, 4) if not v & b]),
+    "triangular prism": (
+        (0,) * 6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)],
+    ),
+    "3-petal hub": ((1,) * 7, _petals(3)),
+    "4-petal hub": ((1,) * 9, _petals(4)),
+}
+SYMMETRIC_RELABELINGS = 3
+
 RANDOM_PAIRS = 600
 
 
@@ -158,6 +192,16 @@ def random_pairs():
         b = a if rng.random() < 0.4 else _mutated(a, rng)
         pairs.append((a, _shuffled(b, rng)))
     return pairs
+
+
+@pytest.fixture(scope="module")
+def symmetric_inputs():
+    rng = random.Random(1014)
+    return [
+        _shuffled(StableGraph(genera, edges, ()), rng)
+        for genera, edges in SYMMETRIC.values()
+        for _ in range(SYMMETRIC_RELABELINGS)
+    ]
 
 
 def test_networkx_counts_loops_and_multi_edges():
@@ -184,8 +228,8 @@ def test_canonical_form_agrees_with_networkx(random_pairs):
         assert (graph_isomorphism(a, b) is not None) == same, (a, b)
 
 
-def test_canonical_form_matches_reference_on_random_graphs(random_pairs):
-    for graph in itertools.chain.from_iterable(random_pairs):
+def test_canonical_form_matches_reference_on_random_graphs(random_pairs, symmetric_inputs):
+    for graph in itertools.chain(*random_pairs, symmetric_inputs):
         expected = reference_canonical_form(*_triple(graph))
         assert _triple(canonical_form(graph)) == expected, graph
 

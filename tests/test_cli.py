@@ -2,13 +2,23 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import graphstrata
+import graphstrata.perm
+import graphstrata.stablegraph
 from graphstrata.cli import main
-from graphstrata.stablegraph import StableGraph, dumps, graph_to_doc
+from graphstrata.stablegraph import (
+    _SEARCH_BUDGET,
+    StableGraph,
+    dumps,
+    graph_to_doc,
+    split_component,
+)
+from record_golden import cycle, inline_graph, loops, petals
 
 SPLIT_12_34 = StableGraph((0, 0), ((0, 1),), (0, 0, 1, 1))
 
@@ -246,6 +256,64 @@ def test_canon_with_group_fuses_orbit(capsys, tmp_path):
     assert plain_a != plain_b
 
 
+def _ring(n):
+    """An n-cycle of genus-1 vertices written as its own canonical form.
+
+    Its edges are (0,1), (0,2), then (i, i+2) for i = 1..n-3, then (n-2, n-1),
+    found by hand: position 0 takes both its neighbours at once, and each later
+    position meets the least free one.
+    """
+    edges = [(0, 1), (0, 2)] + [(i, i + 2) for i in range(1, n - 2)] + [(n - 2, n - 1)]
+    return inline_graph([1] * n, edges)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_canon_cycles_past_the_old_ordering_cap(capsys, n):
+    # One cell of n alike vertices: n! orderings, refused when they were enumerated.
+    code, out, err = run(capsys, "canon", _ring(n))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == json.loads(_ring(n))
+    assert run(capsys, "canon", cycle(n)) == (0, out, "")
+
+
+def test_canon_refuses_the_petal_hub_past_the_search_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "canon", petals(9))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: canonical form search exceeds its budget of {_SEARCH_BUDGET} edge relabelings\n"
+    )
+
+
+def test_canon_long_cycle_keeps_the_exit_contract(capsys):
+    code, out, err = run(capsys, "canon", cycle(1500))
+    assert code in (0, 2) and "Traceback" not in err
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_split_prints_generators_without_closing_the_group(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("split closed a group")
+
+    for module in (graphstrata.perm, graphstrata.stablegraph):
+        monkeypatch.setattr(module, "symmetric_group_on", refuse, raising=False)
+    monkeypatch.setattr(graphstrata.perm, "group_from_generators", refuse)
+    code, out, _ = run(capsys, "split", loops(5), "--vertex", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["marks"] == 10 and doc["interchangeable"] == list(range(1, 11))
+    assert doc["group"] == ",".join(f"({a} {a + 1})" for a in range(1, 10))
+
+
+def test_split_group_is_still_the_full_symmetric_group():
+    piece = split_component(StableGraph((0,), ((0, 0),) * 3, (0,)), 0)
+    assert (piece.marks, piece.interchangeable) == (7, (2, 3, 4, 5, 6, 7))
+    assert piece.group.order == 720 and piece.group.generators == piece.generators
+    assert all(g(1) == 1 for g in piece.group)
+
+
 def test_split_reports_piece(capsys, tmp_path):
     path = write_graph(tmp_path, StableGraph((1, 2), ((0, 1), (0, 1)), ()))
     code, out, _ = run(capsys, "split", path, "--vertex", "0")
@@ -267,7 +335,7 @@ def test_split_unstable_piece_is_negative_verdict(capsys, tmp_path):
 
 def test_split_refuses_piece_above_degree_bound(capsys, tmp_path):
     # A genus-0 vertex with 4 loops splits into a piece with 8 marks; with
-    # 6 loops the 12 marks would need all 12! relabelings, so it is refused.
+    # 6 loops its 12 marks exceed the bound on label permutations.
     four = write_graph(tmp_path, StableGraph((0,), ((0, 0),) * 4, ()), "four.json")
     code, out, _ = run(capsys, "split", four, "--vertex", "0")
     assert code == 0 and json.loads(out)["marks"] == 8

@@ -5,8 +5,10 @@ must keep the exit-code contract on any document: 0, 1 or 2 and no
 traceback; exit 2 prints exactly one ``error:`` line on stderr and nothing
 on stdout; exits 0 and 1 print nothing on stderr.  Mutations replace any
 value of the JSON tree with a hostile one, delete or duplicate entries,
-move legs between vertices, change genera, and cut or splice the text.  Documents stay a few vertices and legs large,
-so no mutation asks for a large group.
+move legs between vertices, change genera, and cut or splice the text.
+Documents stay a few vertices and legs large, so no mutation asks for a
+large group; one, a hub with four petals, is symmetric enough that
+``canon`` runs its pruned search.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from graphstrata.cli import main
+from record_golden import petals
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOCUMENTS = tuple(
@@ -30,6 +33,9 @@ DOCUMENTS = tuple(
         "edges": [],
         "legs": [{"label": 1, "vertex": "v0"}],
     },
+    # Nine vertices, eight alike: canon runs the pruned search, and a
+    # duplicated edge or moved leg can push it past its budget.
+    json.loads(petals(4)),
 )
 
 HOSTILE_VALUES = (
