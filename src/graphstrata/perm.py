@@ -18,7 +18,6 @@ sequence, with no ``Permutation`` built, and ``Permutation`` prints by it.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -51,10 +50,6 @@ class Permutation:
             raise ValueError("permutation degree must be positive")
         if sorted(self.images) != list(range(1, m + 1)):
             raise ValueError(f"not a bijection of 1..{m}: {self.images!r}")
-
-    @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(tuple(range(1, m + 1)))
 
     @classmethod
     def from_cycles(cls, m: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
@@ -182,10 +177,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.members)
 
-    @property
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
-
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
 
@@ -262,18 +253,11 @@ def symmetric_group_on(labels: Iterable[int], degree: int) -> PermGroup:
     for a in moved:
         if not 1 <= a <= degree:
             raise ValueError(f"label {a} outside 1..{degree}")
-    base = list(range(1, degree + 1))
-    members = set()
-    for images in itertools.permutations(moved):
-        arr = base[:]
-        for slot, img in zip(moved, images):
-            arr[slot - 1] = img
-        members.add(tuple(arr))
     gens = tuple(
         Permutation.from_cycles(degree, [(a, b)])
         for a, b in zip(moved, moved[1:])
     )
-    return PermGroup(degree, gens, frozenset(members))
+    return group_from_generators(degree, gens)
 
 
 def label_orbits(group: PermGroup) -> tuple[frozenset[int], ...]:

@@ -265,28 +265,9 @@ def _iter_vertex_maps(
 
 @dataclass(frozen=True)
 class GraphIsomorphism:
-    """Witness of an isomorphism: where each vertex and edge goes."""
+    """Witness of an isomorphism: where each vertex goes."""
 
     vertex_map: tuple[int, ...]
-    edge_map: tuple[int, ...]
-
-
-def _edge_map(
-    edges_a: Sequence[tuple[int, int]],
-    edges_b: Sequence[tuple[int, int]],
-    vmap: Sequence[int],
-) -> tuple[int, ...]:
-    slots: dict[tuple[int, int], list[int]] = {}
-    for j, pair in enumerate(edges_b):
-        slots.setdefault(pair, []).append(j)
-    taken: dict[tuple[int, int], int] = {}
-    out = []
-    for u, v in edges_a:
-        pair = _norm(vmap[u], vmap[v])
-        k = taken.get(pair, 0)
-        taken[pair] = k + 1
-        out.append(slots[pair][k])
-    return tuple(out)
 
 
 def _leg_extras(graph: StableGraph, respect: bool) -> list[tuple]:
@@ -302,8 +283,6 @@ def _leg_extras(graph: StableGraph, respect: bool) -> list[tuple]:
 def iter_graph_isomorphisms(
     a: StableGraph, b: StableGraph, respect_leg_labels: bool = True
 ) -> Iterator[GraphIsomorphism]:
-    if a.m != b.m:
-        return
     for vmap in _iter_vertex_maps(
         a.genera,
         a.edges,
@@ -312,7 +291,7 @@ def iter_graph_isomorphisms(
         b.edges,
         _leg_extras(b, respect_leg_labels),
     ):
-        yield GraphIsomorphism(vmap, _edge_map(a.edges, b.edges, vmap))
+        yield GraphIsomorphism(vmap)
 
 
 def graph_isomorphism(

@@ -51,10 +51,6 @@ class QuotientTable:
     rows: tuple[QuotientRow, ...]
 
     @property
-    def total_labeled(self) -> int:
-        return sum(row.labeled for row in self.rows)
-
-    @property
     def total_gamma(self) -> int:
         return sum(row.gamma for row in self.rows)
 

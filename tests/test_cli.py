@@ -467,6 +467,21 @@ def test_group_parse_error(capsys):
     assert code == 2 and "cycle" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("gamma-enumerate", "2", "0"), "m must be positive"),
+        (("quotient-table", "2", "0"), "m must be positive"),
+        (("canon", inline_graph([2], []), "--group", "()"), "permutation degree must be positive"),
+    ],
+)
+def test_group_commands_need_a_marked_point(capsys, argv, message):
+    # A label group acts on 1..m, and no permutation has degree 0.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
 # Parsing a generator builds an image list of length m, so a degree this
 # large must be refused before the group text is read.
 HUGE_M = str(10**12)

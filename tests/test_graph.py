@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -176,9 +178,57 @@ def test_isomorphism_distinguishes_genus():
 def test_automorphisms_of_theta():
     theta = StableGraph((0, 0), ((0, 1), (0, 1), (0, 1)), ())
     autos = list(iter_graph_isomorphisms(theta, theta))
-    # one witness per vertex bijection; parallel edges get one fixed matching
+    # one witness per vertex bijection; parallel edges add none
     assert len(autos) == 2
     assert sorted(a.vertex_map for a in autos) == [(0, 1), (1, 0)]
+
+
+def _random_multigraph(rng, nv):
+    """Genera 0 or 1, up to eight edges with loops and repeats, up to four legs."""
+    genera = tuple(rng.choice((0, 0, 0, 1)) for _ in range(nv))
+    edges = tuple(
+        (rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randrange(9))
+    )
+    legs = tuple(rng.randrange(nv) for _ in range(rng.randrange(5)))
+    return StableGraph(genera, edges, legs)
+
+
+def _brute_force_vertex_maps(a, b, respect_leg_labels):
+    """Vertex permutations carrying genera, edges and legs of a onto b."""
+    edges_b = Counter(b.edges)
+    legs_b = b.legs if respect_leg_labels else Counter(b.legs)
+    found = set()
+    for phi in itertools.permutations(range(a.num_vertices)):
+        legs = tuple(phi[v] for v in a.legs)
+        if (
+            all(b.genera[phi[v]] == g for v, g in enumerate(a.genera))
+            and Counter(tuple(sorted((phi[u], phi[v]))) for u, v in a.edges) == edges_b
+            and (legs if respect_leg_labels else Counter(legs)) == legs_b
+        ):
+            found.add(phi)
+    return found
+
+
+@pytest.mark.parametrize("respect_leg_labels", [True, False])
+def test_isomorphism_witnesses_match_brute_force(respect_leg_labels):
+    # Each graph against itself, a vertex renaming, the renaming with its leg
+    # labels shuffled, and an unrelated graph on as many vertices.
+    rng = random.Random(20261018)
+    for _ in range(300):
+        nv = rng.randint(1, 6)
+        a = _random_multigraph(rng, nv)
+        b = shuffled_presentation(a, rng)
+        labels = list(range(a.m))
+        rng.shuffle(labels)
+        b_relabeled = StableGraph(b.genera, b.edges, tuple(b.legs[k] for k in labels))
+        for other in (a, b, b_relabeled, _random_multigraph(rng, nv)):
+            witnessed = [
+                iso.vertex_map
+                for iso in iter_graph_isomorphisms(a, other, respect_leg_labels)
+            ]
+            assert len(witnessed) == len(set(witnessed))
+            assert set(witnessed) == _brute_force_vertex_maps(a, other, respect_leg_labels)
+        assert _brute_force_vertex_maps(a, b, respect_leg_labels)
 
 
 # ---------------------------------------------------------------------------

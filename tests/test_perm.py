@@ -253,3 +253,37 @@ def test_group_membership():
 def test_empty_group_rejected():
     with pytest.raises(ValueError):
         PermGroup(2, (), ())
+
+
+@pytest.mark.parametrize(
+    "labels,degree",
+    [([], 5), ([3], 5), ([2, 4], 5), ([1, 2, 3, 4, 5], 5), ([1, 2, 3, 4, 5, 6], 6)],
+)
+def test_symmetric_group_on_matches_reference(labels, degree):
+    group = symmetric_group_on(labels, degree)
+    expected = set()
+    for images in itertools.permutations(labels):
+        arr = list(range(1, degree + 1))
+        for slot, img in zip(labels, images):
+            arr[slot - 1] = img
+        expected.add(tuple(arr))
+    assert group.members == expected
+    assert group.generators == tuple(
+        parse_permutation(f"({a} {b})", degree) for a, b in zip(labels, labels[1:])
+    )
+
+
+@pytest.mark.parametrize(
+    "labels,degree,error,message",
+    [
+        ([1], 0, ValueError, "degree must be positive"),
+        ([1], 11, SizeLimitError, "degree 11 exceeds bound 10"),
+        ([7], 4, ValueError, "label 7 outside 1..4"),
+        ([0, 1], 5, ValueError, "label 0 outside 1..5"),
+        ([1, 2, 2], 5, ValueError, "label 2 repeated across cycles"),
+    ],
+)
+def test_symmetric_group_on_refusals(labels, degree, error, message):
+    with pytest.raises(error) as caught:
+        symmetric_group_on(labels, degree)
+    assert type(caught.value) is error and str(caught.value) == message
