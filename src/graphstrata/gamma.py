@@ -16,6 +16,7 @@ from .stablegraph import (
     GraphIsomorphism,
     StableGraph,
     StratumCensus,
+    _carried,
     canonical_form,
     enumerate_stable_graphs,
     graph_to_doc,
@@ -49,14 +50,15 @@ def _check_degree(graph: StableGraph, group: PermGroup) -> None:
 
 def relabel_legs(graph: StableGraph, gamma: Permutation) -> StableGraph:
     """Send the leg labeled i to the label gamma(i), leaving vertices put."""
-    if gamma.degree != graph.m:
-        raise ValueError(f"permutation degree {gamma.degree} != m = {graph.m}")
+    m = len(graph.legs)
+    if gamma.degree != m:
+        raise ValueError(f"permutation degree {gamma.degree} != m = {m}")
     # gamma was checked to be a bijection of 1..m when it was built.
     images = gamma.images
-    legs = [0] * graph.m
+    legs = [0] * m
     for k, v in enumerate(graph.legs):
         legs[images[k] - 1] = v
-    return StableGraph(graph.genera, graph.edges, tuple(legs))
+    return _carried(graph.genera, graph.edges, tuple(legs))
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,18 @@ class StableGraph:
 
     def encoding(self) -> tuple:
         """A total-order key determining the graph up to equality."""
-        return (self.num_vertices, self.m, self.genera, self.edges, self.legs)
+        return (len(self.genera), len(self.legs), self.genera, self.edges, self.legs)
+
+
+def _carried(genera: tuple, edges: tuple, legs: tuple) -> StableGraph:
+    """A graph carried from a validated one by a bijection, not checked again.
+
+    The fields must be as ``__post_init__`` leaves them: tuples of ints,
+    each edge with ``u <= v``, edges sorted.
+    """
+    graph = object.__new__(StableGraph)
+    graph.__dict__.update(genera=genera, edges=edges, legs=legs)
+    return graph
 
 
 def _connected(nv: int, edges: Sequence[tuple[int, int]]) -> bool:
@@ -272,7 +283,7 @@ class GraphIsomorphism:
 
 def _leg_extras(graph: StableGraph, respect: bool) -> list[tuple]:
     """Per vertex, its leg labels (or only their number) in one pass."""
-    at: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+    at: list[list[int]] = [[] for _ in range(len(graph.genera))]
     for k, v in enumerate(graph.legs, 1):
         at[v].append(k)
     if respect:
@@ -396,11 +407,13 @@ def canonical_form(graph: StableGraph) -> StableGraph:
 
     Idempotent, and equal for any two isomorphic presentations.
     """
-    order = _least_order(graph.genera, graph.edges, _leg_extras(graph, True))
-    pos = {old: new for new, old in enumerate(order)}
-    edges = [(pos[u], pos[v]) for u, v in graph.edges]
-    legs = [pos[v] for v in graph.legs]
-    return StableGraph(tuple(graph.genera[v] for v in order), tuple(edges), tuple(legs))
+    genera = graph.genera
+    order = _least_order(genera, graph.edges, _leg_extras(graph, True))
+    pos = [0] * len(order)
+    for new, old in enumerate(order):
+        pos[old] = new
+    edges = tuple(sorted([_norm(pos[u], pos[v]) for u, v in graph.edges]))
+    return _carried(tuple([genera[v] for v in order]), edges, tuple([pos[v] for v in graph.legs]))
 
 
 # ---------------------------------------------------------------------------

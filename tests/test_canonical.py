@@ -6,6 +6,10 @@ refine-then-enumerate algorithm: it refines the vertex invariant by
 neighbor classes and minimizes the encoding over every ordering the
 refined cells allow, with no shortcut for a discrete invariant.  The
 library must pick exactly the same least encoding.
+
+``canonical_form`` and ``relabel_legs`` build their results without
+running the constructor's checks; the last test rebuilds each result
+through the constructor and asserts nothing changes.
 """
 
 import itertools
@@ -14,6 +18,8 @@ import random
 import networkx as nx
 import pytest
 
+from graphstrata.gamma import relabel_legs
+from graphstrata.perm import Permutation
 from graphstrata.stablegraph import (
     StableGraph,
     canonical_form,
@@ -242,3 +248,45 @@ def test_canonical_form_matches_reference_on_census(g, m):
         other = _shuffled(graph, rng)
         assert _triple(canonical_form(other)) == _triple(graph)
         assert reference_canonical_form(*_triple(other)) == _triple(graph)
+
+
+def _random_presentation(rng):
+    """Up to 6 vertices, loops and parallel edges, edges listed either way
+    round and in any order, up to 5 legs; not necessarily connected."""
+    nv = rng.randint(1, 6)
+    edges = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randrange(9))]
+    if edges and rng.random() < 0.5:
+        edges.append(rng.choice(edges)[::-1])
+    genera = [rng.choice((0, 0, 1, 2)) for _ in range(nv)]
+    legs = [rng.randrange(nv) for _ in range(rng.randrange(6))]
+    return StableGraph(tuple(genera), tuple(edges), tuple(legs))
+
+
+def _assert_as_constructed(graph):
+    """``graph`` is what the validating constructor makes of its own fields."""
+    rebuilt = StableGraph(graph.genera, graph.edges, graph.legs)
+    assert graph == rebuilt and hash(graph) == hash(rebuilt), graph
+    genera, edges, legs = _triple(graph)
+    assert type(genera) is tuple and all(type(g) is int for g in genera), graph
+    assert type(legs) is tuple and all(type(v) is int for v in legs), graph
+    assert type(edges) is tuple, graph
+    for edge in edges:
+        assert type(edge) is tuple and len(edge) == 2, graph
+        assert type(edge[0]) is int and type(edge[1]) is int and edge[0] <= edge[1], graph
+    assert list(edges) == sorted(edges), graph
+
+
+def test_derived_graphs_keep_constructor_invariants():
+    rng = random.Random(1403)
+    for _ in range(400):
+        graph = _random_presentation(rng)
+        canonical = canonical_form(graph)
+        derived = [canonical]
+        for _ in range(3 if graph.m else 0):
+            images = list(range(1, graph.m + 1))
+            rng.shuffle(images)
+            gamma = Permutation(tuple(images))
+            moved = relabel_legs(graph, gamma)
+            derived += [moved, canonical_form(moved), relabel_legs(canonical, gamma)]
+        for result in derived:
+            _assert_as_constructed(result)

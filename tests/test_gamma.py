@@ -51,6 +51,12 @@ def test_relabel_is_a_left_action():
         )
 
 
+def test_relabel_legs_refuses_other_degree():
+    with pytest.raises(ValueError) as excinfo:
+        relabel_legs(SPLIT_12_34, parse_permutation("(1 2)", 3))
+    assert str(excinfo.value) == "permutation degree 3 != m = 4"
+
+
 def test_relabel_identity():
     assert relabel_legs(SPLIT_12_34, parse_permutation("()", 4)) == SPLIT_12_34
 

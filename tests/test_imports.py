@@ -1,5 +1,7 @@
 """Every name a library module imports is referenced in that module, and
 every private top-level name it defines is read somewhere in the package.
+``StableGraph`` is built past its checks in one private helper only, and
+only the two functions that carry a validated graph by a bijection call it.
 
 Names listed in the module's ``__all__`` (re-exports) and ``from
 __future__`` imports are exempt.  Only the standard ``ast`` module is used.
@@ -115,3 +117,91 @@ def test_check_finds_an_unread_private_name():
         "b.py": "from . import a\nfrom .a import _kept\ny = _kept(a._LIMIT)\n",
     }
     assert unread_private_names(sources) == [("a.py", 2, "_edge_map")]
+
+
+# The only functions allowed to build a StableGraph past its checks: each
+# carries an already validated graph by a bijection.
+UNCHECKED_CALLERS = {("stablegraph.py", "canonical_form"), ("gamma.py", "relabel_legs")}
+
+
+def _top_level_owners(tree):
+    """(top-level definition name or None, node) for every node of ``tree``."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            yield owner, node
+
+
+def _is_unchecked_new(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == "StableGraph"
+    )
+
+
+def unchecked_constructions(sources):
+    """Problems with the one unchecked ``StableGraph`` construction path.
+
+    ``object.__new__(StableGraph)`` must appear once, in a private
+    top-level function of ``stablegraph.py``, and every other reference to
+    that helper must sit in one of ``UNCHECKED_CALLERS``.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    sites = [
+        (module, owner)
+        for module, tree in trees.items()
+        for owner, node in _top_level_owners(tree)
+        if _is_unchecked_new(node)
+    ]
+    if len(sites) != 1:
+        return [f"object.__new__(StableGraph) appears {len(sites)} times: {sites}"]
+    module, helper = sites[0]
+    if module != "stablegraph.py" or not (helper or "").startswith("_"):
+        return [f"object.__new__(StableGraph) is not in a private stablegraph helper: {sites[0]}"]
+    problems = []
+    for module, tree in trees.items():
+        for owner, node in _top_level_owners(tree):
+            if isinstance(node, ast.alias) and node.name == helper and node.asname:
+                problems.append(f"{module} imports {helper} as {node.asname}")
+            referenced = (isinstance(node, ast.Name) and node.id == helper) or (
+                isinstance(node, ast.Attribute) and node.attr == helper
+            )
+            if referenced and (module, owner) not in UNCHECKED_CALLERS:
+                problems.append(f"{module}:{node.lineno} {owner} uses {helper}")
+    return problems
+
+
+def test_one_unchecked_construction_path():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unchecked_constructions(sources) == []
+
+
+def test_check_finds_an_unchecked_construction_elsewhere():
+    stablegraph = (
+        "class StableGraph:\n"
+        "    pass\n"
+        "def _carried(genera, edges, legs):\n"
+        "    return object.__new__(StableGraph)\n"
+        "def canonical_form(graph):\n"
+        "    return _carried(graph.genera, graph.edges, graph.legs)\n"
+    )
+    gamma = (
+        "from .stablegraph import _carried\n"
+        "def relabel_legs(graph, gamma):\n"
+        "    return _carried(graph.genera, graph.edges, graph.legs)\n"
+    )
+    assert unchecked_constructions({"stablegraph.py": stablegraph, "gamma.py": gamma}) == []
+    from_doc = stablegraph + "def graph_from_doc(doc):\n    return _carried((0,), (), ())\n"
+    assert unchecked_constructions({"stablegraph.py": from_doc, "gamma.py": gamma}) == [
+        "stablegraph.py:8 graph_from_doc uses _carried"
+    ]
+    second = gamma + "def f():\n    return object.__new__(StableGraph)\n"
+    assert "appears 2 times" in unchecked_constructions(
+        {"stablegraph.py": stablegraph, "gamma.py": second}
+    )[0]
