@@ -48,9 +48,9 @@ visible rather than hiding it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
+from ._record import record
 from .perm import PermGroup, Permutation, check_degree, cycle_notation
 from .perm import group_from_generators, label_orbits, parse_generators
 
@@ -79,7 +79,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class FiniteCover:
     """A surjection ``down`` from the cover set onto the base set."""
 
@@ -109,7 +109,7 @@ class FiniteCover:
         return tuple(c for c in self.cover if self.down[c] == s)
 
 
-@dataclass(frozen=True)
+@record
 class ChartedMarking:
     """Charts sigma over a finite cover, one injective m-sequence per point."""
 
@@ -211,7 +211,7 @@ class _Witnessed:
         return {key: Permutation(j) for key, j in self.witness_images.items()}
 
 
-@dataclass(frozen=True)
+@record
 class StarReport(_Witnessed):
     """Outcome of the chart compatibility check.
 
@@ -290,7 +290,7 @@ def orbit_label(orbit: frozenset[int]) -> str:
     return f"[{min(orbit)}]"
 
 
-@dataclass(frozen=True)
+@record
 class DominationReport(_Witnessed):
     """Per fine cover point, the relabeling onto the coarse chart."""
 
@@ -331,7 +331,7 @@ def dominates(
     return DominationReport(valid=not missing, witness_images=witnesses, missing=missing)
 
 
-@dataclass(frozen=True)
+@record
 class EquivalenceWitness:
     """The pull-back of the first marking to the fiber product, restating both."""
 
@@ -394,7 +394,7 @@ def equivalent(
     )
 
 
-@dataclass(frozen=True)
+@record
 class FiberMorphism:
     """A base map with one bijection of distinguished fibers per base point."""
 
@@ -402,7 +402,7 @@ class FiberMorphism:
     fiber_maps: dict[str, dict[str, str]]
 
 
-@dataclass(frozen=True)
+@record
 class MorphismReport(_Witnessed):
     """Chart verdict, class verdict, and whether they agree.
 

@@ -8,9 +8,9 @@ such classes is the orbit fusion of the labeled census.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._record import record
 from .perm import PermGroup, Permutation, label_orbits
 from .stablegraph import (
     GraphIsomorphism,
@@ -61,8 +61,10 @@ def relabel_legs(graph: StableGraph, gamma: Permutation) -> StableGraph:
     return _carried(graph.genera, graph.edges, tuple(legs))
 
 
-@dataclass(frozen=True)
+@record
 class GammaWitness:
+    """A relabeling in the group and an isomorphism of the relabeled graph onto the other."""
+
     gamma: Permutation
     isomorphism: GraphIsomorphism
 
@@ -94,7 +96,7 @@ def gamma_canonical_form(graph: StableGraph, group: PermGroup) -> StableGraph:
     )
 
 
-@dataclass(frozen=True)
+@record
 class GammaMarkedGraph:
     """A stable graph considered up to the group's relabelings."""
 
@@ -132,7 +134,7 @@ def gamma_automorphisms(
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class GammaClass:
     """One fused class: its orbit of labeled classes and the stabilizer."""
 
@@ -146,8 +148,10 @@ class GammaClass:
         return len(self.orbit)
 
 
-@dataclass(frozen=True)
+@record
 class GammaCensus:
+    """All fused classes for fixed (g, m) under ``group``, grouped by node count."""
+
     g: int
     m: int
     group: PermGroup

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
+from ._record import record
 from .limits import MAX_GROUP_ORDER, MAX_PERM_DEGREE, SizeLimitError
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class Permutation:
     """A bijection of {1, ..., m}, stored as its image sequence."""
 
@@ -150,7 +150,7 @@ def parse_generators(text: str, degree: int) -> tuple[Permutation, ...]:
     return tuple(parse_permutation(part, degree) for part in text.split(","))
 
 
-@dataclass(frozen=True)
+@record(uncompared=("generators",))
 class PermGroup:
     """A subgroup of the symmetric group, held as the set of its members.
 
@@ -162,7 +162,7 @@ class PermGroup:
     """
 
     degree: int
-    generators: tuple[Permutation, ...] = field(compare=False)
+    generators: tuple[Permutation, ...]
     members: frozenset[tuple[int, ...]]
 
     def __post_init__(self) -> None:

@@ -28,9 +28,9 @@ import functools
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ._record import record
 from .limits import DEFAULT_MAX_DIM, MAX_PERM_DEGREE, SizeLimitError
 from .perm import PermGroup, Permutation, check_degree, symmetric_group_on
 
@@ -68,7 +68,7 @@ class DisconnectedGraphError(ValueError):
     """Raised when an operation needs a connected graph."""
 
 
-@dataclass(frozen=True)
+@record
 class StableGraph:
     """A genus-decorated multigraph with labeled legs.
 
@@ -168,8 +168,10 @@ def genus(graph: StableGraph) -> int:
     return sum(graph.genera) + graph.num_edges - graph.num_vertices + 1
 
 
-@dataclass(frozen=True)
+@record
 class StabilityReport:
+    """Stability verdict: unstable vertices, genus, mark count, and 2g - 2 + m > 0."""
+
     valid: bool
     violating_vertices: tuple[int, ...]
     graph_genus: int
@@ -274,7 +276,7 @@ def _iter_vertex_maps(
     yield from rec(0)
 
 
-@dataclass(frozen=True)
+@record
 class GraphIsomorphism:
     """Witness of an isomorphism: where each vertex goes."""
 
@@ -508,7 +510,7 @@ def _iter_label_assignments(
     yield from rec(0, tuple(range(1, m + 1)))
 
 
-@dataclass(frozen=True)
+@record
 class StratumCensus:
     """All isomorphism classes for fixed (g, m), grouped by node count."""
 
@@ -577,7 +579,7 @@ def enumerate_stable_graphs(
 # splitting off one vertex
 
 
-@dataclass(frozen=True)
+@record
 class SplitComponent:
     """One vertex viewed as a curve of its own.
 
@@ -624,7 +626,7 @@ def split_component(graph: StableGraph, vertex: int) -> SplitComponent:
 # Hilbert numerology for the pluricanonical embedding
 
 
-@dataclass(frozen=True)
+@record
 class HilbertNumerology:
     """Degree data of an n-canonical embedding of a stable marked curve.
 

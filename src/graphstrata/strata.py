@@ -14,8 +14,7 @@ into interchangeable marks, and for a stable input every piece is stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .gamma import enumerate_gamma_strata
 from .perm import PermGroup
 from .stablegraph import (
@@ -35,16 +34,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class QuotientRow:
+    """Per node count: labeled classes, fused classes, and the fused orbit sizes."""
+
     nodes: int
     labeled: int
     gamma: int
     orbit_sizes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class QuotientTable:
+    """The quotient rows of the (g, m) census under ``group``, by node count."""
+
     g: int
     m: int
     group: PermGroup
