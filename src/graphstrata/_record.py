@@ -1,21 +1,19 @@
 """Frozen value records, built without ``dataclasses``.
 
-``record`` gives a class whose body annotates its fields what
-``@dataclass(frozen=True)`` gives it: an ``__init__`` that takes the
-fields positionally or by keyword, sets each with ``object.__setattr__``
-and then runs ``__post_init__`` if the class has one; ``__eq__`` and
+``record`` gives a class that annotates its fields what
+``@dataclass(frozen=True)`` gives it, with the same values and messages:
+``__init__`` by position or keyword, then ``__post_init__``; ``__eq__`` and
 ``__hash__`` over the compared fields; a ``QualName(f=value, ...)`` repr;
-``__match_args__``; and assignment and deletion that raise
-``FrozenInstanceError``.  With ``order=True`` it adds the four order
-methods; names in ``uncompared`` stay out of equality and hashing, as
-``field(compare=False)`` does.  Every value, message and ordering is the
-dataclass's, so no output can tell the two apart.
+``__match_args__``; and ``FrozenInstanceError`` on assignment and deletion.
+``order=True`` adds the four order methods, and names in ``uncompared``
+stay out of equality and hashing, as with ``field(compare=False)``.
 
-The methods are closures over the field names: no source is compiled, and
-``dataclasses`` (which imports ``inspect``) is never loaded.  Each command
-runs in a fresh process, where that import alone cost more than most
-answers.  Instances keep a ``__dict__``, so ``functools.cached_property``
-works on them.
+The methods are closures, so nothing is compiled and ``dataclasses`` (which
+imports ``inspect``) is never loaded: each command runs in a fresh process,
+where that import cost more than most answers.  Fields are set with
+``object.__setattr__``; writing them into ``__dict__`` would slow every
+later attribute read.  Instances keep a ``__dict__`` for
+``functools.cached_property``.
 """
 
 from __future__ import annotations
@@ -79,15 +77,20 @@ def record(cls=None, /, *, order: bool = False, uncompared: tuple[str, ...] = ()
     names = tuple(cls.__dict__.get("__annotations__", ()))
     n = len(names)
     numbered = tuple(enumerate(names))  # read faster than zip(names, args)
+    keywords = frozenset(names)
     post_init = getattr(cls, "__post_init__", None)
     set_field = object.__setattr__
     where = f"{cls.__qualname__}.__init__"
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != n:
-            args = _bind(where, names, args, kwargs)
-        for k, name in numbered:
-            set_field(self, name, args[k])
+        if kwargs and not args and kwargs.keys() == keywords:
+            for name in names:
+                set_field(self, name, kwargs[name])
+        else:
+            if kwargs or len(args) != n:
+                args = _bind(where, names, args, kwargs)
+            for k, name in numbered:
+                set_field(self, name, args[k])
         if post_init is not None:
             post_init(self)
 
