@@ -246,6 +246,9 @@ def test_argument_errors_match_the_dataclass(cls):
     by_keyword = dict(zip(cls.__match_args__, a))
     assert cls(**by_keyword) == cls(*a)
     assert repr(cls(**by_keyword)) == repr(TWIN[cls](**by_keyword))
+    mixed = dict(zip(cls.__match_args__[1:], a[1:]))
+    assert cls(a[0], **mixed) == cls(*a)
+    assert repr(cls(a[0], **mixed)) == repr(TWIN[cls](a[0], **mixed))
 
 
 @by_name
