@@ -54,10 +54,9 @@ def relabel_legs(graph: StableGraph, gamma: Permutation) -> StableGraph:
     if gamma.degree != m:
         raise ValueError(f"permutation degree {gamma.degree} != m = {m}")
     # gamma was checked to be a bijection of 1..m when it was built.
-    images = gamma.images
     legs = [0] * m
-    for k, v in enumerate(graph.legs):
-        legs[images[k] - 1] = v
+    for image, v in zip(gamma.images, graph.legs):
+        legs[image - 1] = v
     return _carried(graph.genera, graph.edges, tuple(legs))
 
 

@@ -16,10 +16,10 @@ dimension 3g - 3 + m - i.
 on 3g - 3 + m, placing labels on unlabeled shapes built by degeneration.
 Isomorphisms preserve genera, the edge multiset, and (when asked) leg
 labels; ``canonical_form`` picks a fixed representative of each class by
-minimizing an encoding over vertex orderings compatible with a vertex
-invariant.  When the invariant (genus, degree, legs) already tells every
-vertex apart, it fixes the one ordering; otherwise it is refined by
-neighbor classes and a pruned depth-first search finds the least ordering.
+minimizing an encoding over the vertex orderings that sort the invariant
+(genus, degree, least leg label), and returns a graph already so ordered
+itself.  A discrete invariant fixes the ordering; otherwise it is refined
+by neighbor classes and a pruned depth-first search finds the least one.
 """
 
 from __future__ import annotations
@@ -226,10 +226,10 @@ def _norm(u: int, v: int) -> tuple[int, int]:
 def _iter_vertex_maps(
     genera_a: Sequence[int],
     edges_a: Sequence[tuple[int, int]],
-    extra_a: Sequence[tuple],
+    extra_a: Sequence,
     genera_b: Sequence[int],
     edges_b: Sequence[tuple[int, int]],
-    extra_b: Sequence[tuple],
+    extra_b: Sequence,
 ) -> Iterator[tuple[int, ...]]:
     """All vertex bijections preserving genus, adjacency, and decorations."""
     nv = len(genera_a)
@@ -346,25 +346,23 @@ def _refined_cells(
 _SEARCH_BUDGET = 500_000  # edge relabelings: each search node relabels every edge
 
 
-def _least_order(
-    genera: Sequence[int], edges: Sequence[tuple[int, int]], extra: Sequence[tuple]
-) -> Sequence[int]:
+def _least_order(sig: Sequence[tuple], edges: Sequence[tuple[int, int]]) -> list[int]:
     """The allowed vertex order whose relabeled, sorted edge list is least.
 
-    Allowed orders take the refined cells in turn, so each puts the same
-    genus and decoration at each position.  A discrete invariant fixes the
-    ordering: when the signatures (genus, degree, decoration) are pairwise
-    distinct, refinement would stop after one round with the same ranks and
-    leave one ordering, so the vertices are sorted by signature.  Otherwise
-    a depth-first search places one vertex per position.  With k placed,
-    counting each unplaced end as position k bounds every completion from
-    below, and a branch whose bound is not below the best so far is cut.
-    Of twins (one signature, equal edge counts to every other vertex) only
-    the least unplaced is tried: swapping two twins is an automorphism.
+    ``sig[v]`` is (genus, degree, decoration) of v, the decoration being the
+    least leg label (0 if none), or a shape's leg count.  Allowed orders
+    take the refined cells in turn, so each puts the same genus and
+    decoration at each position.  A discrete invariant fixes the ordering:
+    when the signatures are pairwise distinct, refinement would stop after
+    one round with the same ranks and leave one ordering, so the vertices
+    are sorted by signature.  Otherwise a depth-first search places one
+    vertex per position.  With k placed, counting each unplaced end as
+    position k bounds every completion from below, and a branch whose bound
+    is not below the best so far is cut.  Of twins (one signature, equal
+    edge counts to every other vertex) only the least unplaced is tried:
+    swapping two twins is an automorphism.
     """
-    nv = len(genera)
-    deg = _degrees(nv, edges)
-    sig = [(genera[v], deg[v], extra[v]) for v in range(nv)]
+    nv = len(sig)
     if len(set(sig)) == nv:
         return sorted(range(nv), key=sig.__getitem__)
     nbr: list[dict[int, int]] = [{} for _ in range(nv)]
@@ -401,21 +399,29 @@ def _least_order(
                 f"canonical form search exceeds its budget of {_SEARCH_BUDGET} edge relabelings"
             )
         stack += [order + (w,) for w in reversed(candidates)]
-    return result
+    return list(result)
 
 
 def canonical_form(graph: StableGraph) -> StableGraph:
     """A fixed representative of the labeled isomorphism class.
 
-    Idempotent, and equal for any two isomorphic presentations.
+    Idempotent, and equal for any two isomorphic presentations; a graph
+    already in its least order is returned itself.  Label sets are disjoint,
+    so a vertex's least label ties and orders it as all its labels would.
     """
-    genera = graph.genera
-    order = _least_order(genera, graph.edges, _leg_extras(graph, True))
-    pos = [0] * len(order)
+    genera, edges, legs = graph.genera, graph.edges, graph.legs
+    nv = len(genera)
+    least = [0] * nv
+    for k in range(len(legs), 0, -1):
+        least[legs[k - 1]] = k
+    order = _least_order(list(zip(genera, _degrees(nv, edges), least)), edges)
+    if order == list(range(nv)):
+        return graph
+    pos = [0] * nv
     for new, old in enumerate(order):
         pos[old] = new
-    edges = tuple(sorted([_norm(pos[u], pos[v]) for u, v in graph.edges]))
-    return _carried(tuple([genera[v] for v in order]), edges, tuple([pos[v] for v in graph.legs]))
+    edges = tuple(sorted([_norm(pos[u], pos[v]) for u, v in edges]))
+    return _carried(tuple([genera[v] for v in order]), edges, tuple([pos[v] for v in legs]))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +431,7 @@ def canonical_form(graph: StableGraph) -> StableGraph:
 def _shape_key(shape: tuple) -> tuple:
     """The least (genera, leg counts, edges) of the shape's class."""
     genera, counts, edges = shape
-    order = _least_order(genera, edges, [(c,) for c in counts])
+    order = _least_order(list(zip(genera, _degrees(len(genera), edges), counts)), edges)
     pos = {old: new for new, old in enumerate(order)}
     relabeled = tuple(sorted(_norm(pos[u], pos[v]) for u, v in edges))
     return tuple(genera[v] for v in order), tuple(counts[v] for v in order), relabeled
@@ -558,14 +564,9 @@ def enumerate_stable_graphs(
     for e, shapes in enumerate(_shapes_by_edges(g, m, dim)):
         bucket: list[StableGraph] = []
         for genera, counts, edges in shapes:
-            extras = [(c,) for c in counts]
-            auts = list(
-                _iter_vertex_maps(genera, edges, extras, genera, edges, extras)
-            )
+            auts = list(_iter_vertex_maps(genera, edges, counts, genera, edges, counts))
             for legs in _iter_label_assignments(counts, m):
-                if any(
-                    tuple(phi[v] for v in legs) < legs for phi in auts
-                ):
+                if any(tuple(phi[v] for v in legs) < legs for phi in auts):
                     continue
                 bucket.append(canonical_form(StableGraph(genera, edges, legs)))
         bucket.sort(key=StableGraph.encoding)

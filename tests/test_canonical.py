@@ -7,9 +7,15 @@ neighbor classes and minimizes the encoding over every ordering the
 refined cells allow, with no shortcut for a discrete invariant.  The
 library must pick exactly the same least encoding.
 
+The library keys each vertex by (genus, degree, least leg label) where
+the reference keys it by all its labels; a test checks on random graphs
+that both keys tie and order vertices alike, and the fusion-traffic test
+compares every group image of the census with the reference.
+
 ``canonical_form`` and ``relabel_legs`` build their results without
-running the constructor's checks; the last test rebuilds each result
-through the constructor and asserts nothing changes.
+running the constructor's checks; the last tests rebuild results through
+the constructor and assert nothing changes, and check that a graph
+already in canonical form comes back as the same object.
 """
 
 import itertools
@@ -19,7 +25,7 @@ import networkx as nx
 import pytest
 
 from graphstrata.gamma import relabel_legs
-from graphstrata.perm import Permutation
+from graphstrata.perm import Permutation, group_from_generators, parse_generators
 from graphstrata.stablegraph import (
     StableGraph,
     canonical_form,
@@ -250,6 +256,50 @@ def test_canonical_form_matches_reference_on_census(g, m):
         assert reference_canonical_form(*_triple(other)) == _triple(graph)
 
 
+def _least_label_keys(genera, edges, legs):
+    """(genus, degree, least leg label or 0) per vertex."""
+    return [(g, d, min(at, default=0)) for g, d, at in _signatures(genera, edges, legs)]
+
+
+# Every group image of every labeled class, as orbit fusion canonicalizes
+# them, with whether some image has a leg-free vertex (least label 0) and
+# whether some image has two alike vertices and so takes the search path.
+# The leg-free central vertices of (0,6) differ in degree; (1,4) has alike
+# leg-free vertices.
+FUSION_CASES = [
+    (0, 5, "(1 2),(1 2 3 4 5)", False, False),
+    (1, 3, "(1 2),(1 2 3)", True, False),
+    (1, 4, "(1 2),(1 2 3 4)", True, True),
+    (0, 6, "(1 2),(2 3),(4 5),(5 6)", True, False),
+]
+
+
+@pytest.mark.parametrize("g,m,gens,leg_free,searched", FUSION_CASES)
+def test_canonical_form_matches_reference_on_fusion_images(g, m, gens, leg_free, searched):
+    group = group_from_generators(m, parse_generators(gens, m))
+    seen_leg_free = seen_search = False
+    for labeled in enumerate_stable_graphs(g, m).all_graphs():
+        for gamma in group:
+            image = relabel_legs(labeled, gamma)
+            expected = reference_canonical_form(*_triple(image))
+            assert _triple(canonical_form(image)) == expected, (labeled, gamma)
+            keys = _least_label_keys(*_triple(image))
+            seen_leg_free |= any(least == 0 for _, _, least in keys)
+            seen_search |= len(set(keys)) < len(keys)
+    assert (seen_leg_free, seen_search) == (leg_free, searched)
+
+
+def test_least_label_keys_tie_and_order_like_label_tuples(random_pairs):
+    for graph in itertools.chain(*random_pairs):
+        full = _signatures(*_triple(graph))
+        least = _least_label_keys(*_triple(graph))
+        nv = graph.num_vertices
+        for v, w in itertools.combinations(range(nv), 2):
+            assert (full[v] == full[w]) == (least[v] == least[w]), graph
+        by_full = sorted(range(nv), key=full.__getitem__)
+        assert by_full == sorted(range(nv), key=least.__getitem__), graph
+
+
 def _random_presentation(rng):
     """Up to 6 vertices, loops and parallel edges, edges listed either way
     round and in any order, up to 5 legs; not necessarily connected."""
@@ -290,3 +340,17 @@ def test_derived_graphs_keep_constructor_invariants():
             derived += [moved, canonical_form(moved), relabel_legs(canonical, gamma)]
         for result in derived:
             _assert_as_constructed(result)
+
+
+@pytest.mark.parametrize("g,m", [(0, 6), (1, 4), (2, 2)])
+def test_census_graphs_are_their_own_canonical_form(g, m):
+    for graph in enumerate_stable_graphs(g, m).all_graphs():
+        assert canonical_form(graph) is graph, graph
+        _assert_as_constructed(graph)
+
+
+def test_canonical_forms_of_symmetric_graphs_are_returned_unbuilt(symmetric_inputs):
+    for graph in symmetric_inputs:
+        canonical = canonical_form(graph)
+        assert canonical_form(canonical) is canonical, graph
+        _assert_as_constructed(canonical)
