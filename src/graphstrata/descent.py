@@ -530,9 +530,11 @@ def _ids(tokens: Sequence[str]) -> tuple[str, ...]:
 
 def _read_int(key: str, value: str) -> int:
     try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+        if re.fullmatch(r"-?[0-9]+", value):
+            return int(value)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def _read_text(key: str, value: str) -> str:

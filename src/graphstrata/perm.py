@@ -121,7 +121,7 @@ def cycle_notation(images: Sequence[int]) -> str:
     return "".join(["(" + " ".join(map(str, c)) + ")" for c in _cycles(images)]) or "()"
 
 
-_CYCLE_RE = re.compile(r"\(\s*((?:\d+)(?:\s+\d+)*)?\s*\)")
+_CYCLE_RE = re.compile(r"\(\s*((?:[0-9]+)(?:\s+[0-9]+)*)?\s*\)")
 
 
 def parse_permutation(text: str, degree: int) -> Permutation:

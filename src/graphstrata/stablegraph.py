@@ -13,13 +13,16 @@ edges is the number of nodes of the curve; a stratum with i nodes has
 dimension 3g - 3 + m - i.
 
 ``enumerate_stable_graphs`` lists all isomorphism classes up to a bound
-on 3g - 3 + m, placing labels on unlabeled shapes built by degeneration.
-Isomorphisms preserve genera, the edge multiset, and (when asked) leg
-labels; ``canonical_form`` picks a fixed representative of each class by
-minimizing an encoding over the vertex orderings that sort the invariant
-(genus, degree, least leg label), and returns a graph already so ordered
-itself.  A discrete invariant fixes the ordering; otherwise it is refined
-by neighbor classes and a pruned depth-first search finds the least one.
+on 3g - 3 + m, placing labels by a lexicographic walk on unlabeled shapes
+built by degeneration.  Every search keys a vertex by one signature,
+(genus, degree, decoration).  Isomorphisms preserve genera, the edge
+multiset, and (when asked) leg labels, and come in (signature, index)
+order of the first graph's vertices.  ``canonical_form`` picks a fixed
+representative of each class by minimizing an encoding over the vertex
+orderings that sort the signature decorated by the least leg label, and
+returns a graph already so ordered itself.  A discrete invariant fixes
+the ordering; otherwise it is refined by neighbor classes and a pruned
+depth-first search finds the least one.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import re
 from collections import Counter
 from typing import Iterator, Sequence
 
@@ -211,12 +215,15 @@ def stratum_dim(graph: StableGraph) -> int:
 # isomorphism and canonical form
 
 
-def _degrees(nv: int, edges: Sequence[tuple[int, int]]) -> list[int]:
-    deg = [0] * nv
+def _signature(
+    genera: Sequence[int], edges: Sequence[tuple[int, int]], decoration: Sequence
+) -> list[tuple]:
+    """Per vertex: genus, degree (a loop counts twice) and decoration."""
+    deg = [0] * len(genera)
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
-    return deg
+    return list(zip(genera, deg, decoration))
 
 
 def _norm(u: int, v: int) -> tuple[int, int]:
@@ -224,54 +231,44 @@ def _norm(u: int, v: int) -> tuple[int, int]:
 
 
 def _iter_vertex_maps(
-    genera_a: Sequence[int],
+    sig_a: Sequence[tuple],
     edges_a: Sequence[tuple[int, int]],
-    extra_a: Sequence,
-    genera_b: Sequence[int],
+    sig_b: Sequence[tuple],
     edges_b: Sequence[tuple[int, int]],
-    extra_b: Sequence,
 ) -> Iterator[tuple[int, ...]]:
-    """All vertex bijections preserving genus, adjacency, and decorations."""
-    nv = len(genera_a)
-    if len(genera_b) != nv or len(edges_a) != len(edges_b):
+    """All vertex bijections preserving signatures and edge counts, in
+    increasing order of the images of a's vertices in (signature, index) order."""
+    if sorted(sig_a) != sorted(sig_b):  # equal degree sums, so edge counts
         return
-    deg_a = _degrees(nv, edges_a)
-    deg_b = _degrees(nv, edges_b)
-    keys_a = [(genera_a[v], deg_a[v], extra_a[v]) for v in range(nv)]
-    keys_b = [(genera_b[v], deg_b[v], extra_b[v]) for v in range(nv)]
-    if sorted(keys_a) != sorted(keys_b):
-        return
-    mult_a = Counter(edges_a)
-    mult_b = Counter(edges_b)
-    order = sorted(range(nv), key=lambda v: (keys_a[v], v))
-    candidates = {
-        v: tuple(w for w in range(nv) if keys_b[w] == keys_a[v]) for v in order
-    }
-    mapping = [-1] * nv
+    nv = len(sig_a)
+    mult_a = [[0] * nv for _ in range(nv)]
+    mult_b = [[0] * nv for _ in range(nv)]
+    for mult, edges in ((mult_a, edges_a), (mult_b, edges_b)):
+        for u, v in edges:
+            mult[u][v] += 1
+            mult[v][u] += 1  # so a loop counts twice on both sides
+    order = sorted(range(nv), key=lambda v: (sig_a[v], v))
+    images = [[w for w in range(nv) if sig_b[w] == sig_a[v]] for v in order]
+    mapping = [0] * nv
     used = [False] * nv
 
     def rec(k: int) -> Iterator[tuple[int, ...]]:
         if k == nv:
             yield tuple(mapping)
             return
-        v = order[k]
-        for w in candidates[v]:
+        v, placed = order[k], order[:k + 1]  # v is the last placed: its loops
+        for w in images[k]:
             if used[w]:
                 continue
-            if mult_a[(v, v)] != mult_b[(w, w)]:
-                continue
-            ok = True
-            for prev in order[:k]:
-                if mult_a[_norm(prev, v)] != mult_b[_norm(mapping[prev], w)]:
-                    ok = False
-                    break
-            if not ok:
-                continue
             mapping[v] = w
-            used[w] = True
-            yield from rec(k + 1)
-            mapping[v] = -1
-            used[w] = False
+            row_a, row_b = mult_a[v], mult_b[w]
+            for prev in placed:
+                if row_a[prev] != row_b[mapping[prev]]:
+                    break
+            else:
+                used[w] = True
+                yield from rec(k + 1)
+                used[w] = False
 
     yield from rec(0)
 
@@ -296,14 +293,9 @@ def _leg_extras(graph: StableGraph, respect: bool) -> list[tuple]:
 def iter_graph_isomorphisms(
     a: StableGraph, b: StableGraph, respect_leg_labels: bool = True
 ) -> Iterator[GraphIsomorphism]:
-    for vmap in _iter_vertex_maps(
-        a.genera,
-        a.edges,
-        _leg_extras(a, respect_leg_labels),
-        b.genera,
-        b.edges,
-        _leg_extras(b, respect_leg_labels),
-    ):
+    sig_a = _signature(a.genera, a.edges, _leg_extras(a, respect_leg_labels))
+    sig_b = _signature(b.genera, b.edges, _leg_extras(b, respect_leg_labels))
+    for vmap in _iter_vertex_maps(sig_a, a.edges, sig_b, b.edges):
         yield GraphIsomorphism(vmap)
 
 
@@ -414,7 +406,7 @@ def canonical_form(graph: StableGraph) -> StableGraph:
     least = [0] * nv
     for k in range(len(legs), 0, -1):
         least[legs[k - 1]] = k
-    order = _least_order(list(zip(genera, _degrees(nv, edges), least)), edges)
+    order = _least_order(_signature(genera, edges, least), edges)
     if order == list(range(nv)):
         return graph
     pos = [0] * nv
@@ -431,7 +423,7 @@ def canonical_form(graph: StableGraph) -> StableGraph:
 def _shape_key(shape: tuple) -> tuple:
     """The least (genera, leg counts, edges) of the shape's class."""
     genera, counts, edges = shape
-    order = _least_order(list(zip(genera, _degrees(len(genera), edges), counts)), edges)
+    order = _least_order(_signature(genera, edges, counts), edges)
     pos = {old: new for new, old in enumerate(order)}
     relabeled = tuple(sorted(_norm(pos[u], pos[v]) for u, v in edges))
     return tuple(genera[v] for v in order), tuple(counts[v] for v in order), relabeled
@@ -500,20 +492,25 @@ def _shapes_by_edges(g: int, m: int, top: int) -> list[list[tuple]]:
 def _iter_label_assignments(
     counts: Sequence[int], m: int
 ) -> Iterator[tuple[int, ...]]:
-    """All ways to place labels 1..m so vertex v gets counts[v] of them."""
-    legs = [0] * m
+    """All ways to place labels 1..m so vertex v gets counts[v] of them.
 
-    def rec(v: int, remaining: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if v == len(counts):
-            yield tuple(legs)
+    ``legs[k]`` is the vertex of label k + 1.  The placements are the
+    arrangements of the multiset with counts[v] copies of v, walked from the
+    sorted one by next permutation, so each comes once, in increasing order.
+    """
+    legs = [v for v, c in enumerate(counts) for _ in range(c)]
+    while True:
+        yield tuple(legs)
+        i = m - 2
+        while i >= 0 and legs[i] >= legs[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for chosen in itertools.combinations(remaining, counts[v]):
-            for k in chosen:
-                legs[k - 1] = v
-            rest = tuple(x for x in remaining if x not in chosen)
-            yield from rec(v + 1, rest)
-
-    yield from rec(0, tuple(range(1, m + 1)))
+        j = m - 1
+        while legs[j] <= legs[i]:
+            j -= 1
+        legs[i], legs[j] = legs[j], legs[i]
+        legs[i + 1:] = legs[:i:-1]
 
 
 @record
@@ -564,7 +561,8 @@ def enumerate_stable_graphs(
     for e, shapes in enumerate(_shapes_by_edges(g, m, dim)):
         bucket: list[StableGraph] = []
         for genera, counts, edges in shapes:
-            auts = list(_iter_vertex_maps(genera, edges, counts, genera, edges, counts))
+            sig = _signature(genera, edges, counts)
+            auts = list(_iter_vertex_maps(sig, edges, sig, edges))
             for legs in _iter_label_assignments(counts, m):
                 if any(tuple(phi[v] for v in legs) < legs for phi in auts):
                     continue
@@ -706,16 +704,15 @@ def graph_to_doc(graph: StableGraph) -> dict:
     }
 
 
+_VERTEX_RE = re.compile(r"v(0|[1-9][0-9]*)")
+_HALF_EDGE_RE = re.compile(r"v(0|[1-9][0-9]*)\.h(0|[1-9][0-9]*)")
+
+
 def _parse_half_edge(text: object, nv: int, where: str) -> tuple[int, int]:
-    if not isinstance(text, str) or "." not in text:
-        raise ValueError(f"{where}: expected 'v<i>.h<k>', got {text!r}")
-    vpart, _, hpart = text.partition(".")
-    if not (vpart.startswith("v") and hpart.startswith("h")):
-        raise ValueError(f"{where}: expected 'v<i>.h<k>', got {text!r}")
+    match = _HALF_EDGE_RE.fullmatch(text) if isinstance(text, str) else None
     try:
-        v = int(vpart[1:])
-        h = int(hpart[1:])
-    except ValueError:
+        v, h = int(match[1]), int(match[2])
+    except (TypeError, ValueError):  # no match, or more digits than int() converts
         raise ValueError(f"{where}: expected 'v<i>.h<k>', got {text!r}") from None
     if not 0 <= v < nv:
         raise ValueError(f"{where}: vertex v{v} does not exist")
@@ -770,11 +767,10 @@ def graph_from_doc(doc: object) -> StableGraph:
             raise ValueError(f"legs[{j}]: 'label' must be a positive integer")
         if label in by_label:
             raise ValueError(f"legs[{j}]: label {label} repeated")
-        if not isinstance(vtx, str) or not vtx.startswith("v"):
-            raise ValueError(f"legs[{j}]: 'vertex' must look like 'v<i>'")
+        match = _VERTEX_RE.fullmatch(vtx) if isinstance(vtx, str) else None
         try:
-            v = int(vtx[1:])
-        except ValueError:
+            v = int(match[1])
+        except (TypeError, ValueError):
             raise ValueError(f"legs[{j}]: 'vertex' must look like 'v<i>'") from None
         if not 0 <= v < nv:
             raise ValueError(f"legs[{j}]: vertex {vtx} does not exist")

@@ -133,6 +133,12 @@ CASES.update(
         ],
         "split 4 loops": ["split", loops(4), "--vertex", "0"],
         "split 5 loops": ["split", loops(5), "--vertex", "0"],
+        "verify-morphism cyclic-swap-morphism": [
+            "verify-morphism", "@cyclic-swap-morphism.desc",
+        ],
+        "verify-morphism class-violation-morphism": [
+            "verify-morphism", "@class-violation-morphism.desc",
+        ],
     }
 )
 CASES.update(

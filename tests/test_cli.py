@@ -207,6 +207,61 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
     assert "broken.json" in err and "line 1" in err
 
 
+FOUR_LEGS = [{"label": k, "vertex": f"v{(k - 1) // 2}"} for k in range(1, 5)]
+
+
+@pytest.mark.parametrize(
+    "parts,message",
+    [
+        # Half-edge and vertex ids are ASCII digits without a sign, a
+        # separator or a leading zero, so no two ids name one half-edge.
+        *(
+            (
+                {"vertices": [{"genus": 0}] * 2, "edges": [[end, "v1.h0"]], "legs": FOUR_LEGS},
+                f"edges[0]: expected 'v<i>.h<k>', got {end!r}",
+            )
+            for end in ("v 1.h0", "v+1.h+0", "v0.h-1", "v01.h0", "v1_0.h0")
+        ),
+        *(
+            (
+                {"vertices": [{"genus": 1}], "legs": [{"label": 1, "vertex": vertex}]},
+                "legs[0]: 'vertex' must look like 'v<i>'",
+            )
+            for vertex in ("v00", "v\u0660")
+        ),
+    ],
+)
+def test_graph_document_ids_are_ascii_digits(capsys, parts, message):
+    doc = json.dumps({"format": "stable-graph/1", **parts})
+    code, out, err = run(capsys, "check-stability", doc)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: <inline>: {message}"]
+
+
+def test_group_labels_are_ascii_digits(capsys):
+    doc = inline_graph([0], [], [0, 0, 0])
+    code, out, err = run(capsys, "canon", doc, "--group", "(\u0661 \u0662)")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: bad cycle notation: '(\u0661 \u0662)'"]
+
+
+@pytest.mark.parametrize(
+    "m,message",
+    [
+        ("1_0", "<inline>:2: m must be an integer, got '1_0'"),
+        ("+2", "<inline>:2: m must be an integer, got '+2'"),
+        ("\u0662", "<inline>:2: m must be an integer, got '\u0662'"),
+        ("-1", "<inline>:1: m must be positive"),
+        ("1" * 5000, f"<inline>:2: m must be an integer, got {'1' * 5000!r}"),
+    ],
+)
+def test_descent_m_is_ascii_digits(capsys, m, message):
+    doc = f"[marking]\nm = {m}\nbase = x\ncover = s -> x\nfiber x = p1 p2\nsigma s = p1 p2\n"
+    code, out, err = run(capsys, "verify-descent", doc)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize(
     "field,parts",
     [

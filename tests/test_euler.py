@@ -76,12 +76,15 @@ def count_gamma_automorphisms(graph, group):
     nv = len(graph.genera)
     mult = Counter(graph.edges)
     labels = [frozenset(k + 1 for k, x in enumerate(graph.legs) if x == v) for v in range(nv)]
-    # φ keeps the genus and moves a vertex's labels within their Γ-orbit, so it
-    # permutes the vertices within these classes.
+    degree = Counter(itertools.chain(*graph.edges))  # a loop counts twice
+    loops = Counter(u for u, v in graph.edges if u == v)
+    # φ keeps the genus, the degree and the loops and moves a vertex's labels
+    # within their Γ-orbit, so it permutes the vertices within these classes.
     classes = {}
     for v in range(nv):
         orbit = min(sorted(gamma[k - 1] for k in labels[v]) for gamma in group)
-        classes.setdefault((graph.genera[v], tuple(orbit)), []).append(v)
+        key = (graph.genera[v], degree[v], loops[v], tuple(orbit))
+        classes.setdefault(key, []).append(v)
     maps = [
         dict(zip(itertools.chain(*classes.values()), itertools.chain(*choice)))
         for choice in itertools.product(*map(itertools.permutations, classes.values()))
@@ -136,7 +139,10 @@ def test_m11():
     assert chi(1, 1) == Fraction(5, 12)
 
 
-@pytest.mark.parametrize("g,m", [(0, 4), (0, 6), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0)])
+@pytest.mark.parametrize(
+    "g,m",
+    [(0, 4), (0, 6), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (4, 0)],
+)
 def test_forgetful_map_fibers_are_the_curves(g, m):
     # M̄_{g,m+1} is the universal curve over M̄_{g,m}; over a curve with E
     # nodes the fiber is the curve itself, of Euler characteristic 2 - 2g + E.
@@ -149,7 +155,14 @@ def test_forgetful_map_fibers_are_the_curves(g, m):
 
 @pytest.mark.parametrize(
     "g,m,generators",
-    [(0, 5, "(1 2),(2 3),(3 4),(4 5)"), (1, 3, "(1 2 3)"), (0, 6, "(1 2),(3 4)")],
+    [
+        (0, 5, "(1 2),(2 3),(3 4),(4 5)"),
+        (1, 3, "(1 2 3)"),
+        (0, 6, "(1 2),(3 4)"),
+        (0, 4, "(1 2)(3 4),(1 3)(2 4)"),
+        (0, 5, "(1 2 3 4 5)"),
+        (0, 5, "(1 2),(2 3),(4 5)"),
+    ],
 )
 def test_quotient_by_the_label_group(g, m, generators):
     # The strata of [M̄_{g,m}/Γ] are the fused classes, each with automorphism

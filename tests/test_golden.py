@@ -6,9 +6,17 @@ import json
 import pytest
 
 from graphstrata.cli import main
-from record_golden import CASES, GOLDEN_PATH, digest, output
+from graphstrata.stablegraph import GRAPH_FORMAT, graph_from_doc, graph_to_doc
+from record_golden import CASES, FIXTURES, GOLDEN_PATH, digest, output
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(autouse=True)
+def _default_size_bound(monkeypatch):
+    # The runs were pinned with the default census bound, which GS_MAX_SIZE
+    # in the caller's environment would override.
+    monkeypatch.delenv("GS_MAX_SIZE", raising=False)
 
 
 @functools.cache
@@ -32,6 +40,40 @@ def test_genus_5_census_class_count():
     # published table, which is not transcribed into this repository.
     code, text = _output("enumerate 5 0 --max-size 12")
     assert (code, json.loads(text)["total"]) == (0, 4555)
+
+
+def _graph_docs(node):
+    """Every graph document nested in a JSON value."""
+    if isinstance(node, dict) and node.get("format") == GRAPH_FORMAT:
+        yield node
+    elif isinstance(node, (dict, list)):
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _graph_docs(child)
+
+
+def test_golden_graph_documents_round_trip():
+    # The id grammar admits every document the pinned runs read or print.
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.json"))]
+    texts += [text for _, text in map(_output, sorted(CASES)) if text.startswith("{")]
+    docs = [doc for text in texts for doc in _graph_docs(json.loads(text))]
+    assert len(docs) > 4555
+    for doc in docs:
+        assert graph_to_doc(graph_from_doc(doc)) == doc
+
+
+@pytest.mark.parametrize(
+    "name,lines",
+    [
+        ("verify-morphism cyclic-swap-morphism",
+         ["(s*s): NO WITNESS", "classes preserved: yes", "verdicts agree: no"]),
+        ("verify-morphism class-violation-morphism",
+         ["class violation: p2 -> p3", "class violation: p3 -> p2", "verdicts agree: yes"]),
+    ],
+)
+def test_failing_morphisms_render_their_verdict_lines(name, lines):
+    code, text = _output(name)
+    assert code == 1 and text.endswith("INVALID\n")
+    assert set(lines) <= set(text.splitlines())
 
 
 def test_recorder_adds_missing_cases_and_keeps_recorded_ones(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from graphstrata.limits import SizeLimitError
 from graphstrata.stablegraph import (
     DisconnectedGraphError,
+    _iter_label_assignments,
     StableGraph,
     canonical_form,
     census_to_doc,
@@ -209,10 +210,23 @@ def _brute_force_vertex_maps(a, b, respect_leg_labels):
     return found
 
 
+def _search_order(graph, respect_leg_labels):
+    """Vertices by (genus, degree, leg labels or their number), then index."""
+
+    def key(v):
+        labels = graph.legs_at(v)
+        extra = labels if respect_leg_labels else (len(labels),)
+        return graph.genera[v], graph.degree(v), extra, v
+
+    return sorted(range(graph.num_vertices), key=key)
+
+
 @pytest.mark.parametrize("respect_leg_labels", [True, False])
 def test_isomorphism_witnesses_match_brute_force(respect_leg_labels):
     # Each graph against itself, a vertex renaming, the renaming with its leg
-    # labels shuffled, and an unrelated graph on as many vertices.
+    # labels shuffled, and an unrelated graph on as many vertices.  The
+    # witnesses come once each, ordered by their images along the search
+    # order of the first graph's vertices.
     rng = random.Random(20261018)
     for _ in range(300):
         nv = rng.randint(1, 6)
@@ -226,8 +240,12 @@ def test_isomorphism_witnesses_match_brute_force(respect_leg_labels):
                 iso.vertex_map
                 for iso in iter_graph_isomorphisms(a, other, respect_leg_labels)
             ]
-            assert len(witnessed) == len(set(witnessed))
-            assert set(witnessed) == _brute_force_vertex_maps(a, other, respect_leg_labels)
+            order = _search_order(a, respect_leg_labels)
+            expected = sorted(
+                _brute_force_vertex_maps(a, other, respect_leg_labels),
+                key=lambda phi: [phi[v] for v in order],
+            )
+            assert witnessed == expected
         assert _brute_force_vertex_maps(a, b, respect_leg_labels)
 
 
@@ -305,6 +323,15 @@ def test_census_matches_brute_force(g, m):
     # per-bucket sizes agree, so dedup lost nothing
     for e, graphs in census.classes_by_nodes.items():
         assert len(graphs) == len(oracle[e])
+
+
+@pytest.mark.parametrize("counts", [(), (3,), (0, 2, 3), (1, 1, 1, 1, 1), (2, 2, 2, 2)])
+def test_label_placements_come_once_each_in_increasing_order(counts):
+    # Label k + 1 sits on vertex legs[k], so the placements are the distinct
+    # arrangements of the multiset holding counts[v] copies of v.
+    multiset = [v for v, c in enumerate(counts) for _ in range(c)]
+    expected = sorted(set(itertools.permutations(multiset)))
+    assert list(_iter_label_assignments(counts, len(multiset))) == expected
 
 
 def test_census_entries_are_stable_and_in_range(all_censuses):
