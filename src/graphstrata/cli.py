@@ -10,6 +10,8 @@ Graph arguments name JSON documents; descent arguments name sectioned
 text documents.  An argument starting with "{" or "[" is read as an
 inline document instead of a path.  The environment variable GS_MAX_SIZE
 overrides the default bound on 3g-3+m for the enumeration commands.
+Integer arguments and GS_MAX_SIZE are read as descent documents read
+``m``: ASCII digits after an optional minus sign.
 
 ``main(argv)`` is the in-process entry point: it returns the exit code
 instead of exiting, can be called any number of times, and builds its
@@ -26,6 +28,8 @@ import sys
 from typing import Sequence
 
 from .descent import (
+    _parse_marking_documents,
+    _read_int,
     equivalent,
     parse_marking_document,
     parse_morphism_document,
@@ -72,11 +76,15 @@ def _max_size(args: argparse.Namespace) -> int:
     env = os.environ.get("GS_MAX_SIZE")
     if env is None:
         return DEFAULT_MAX_DIM
+    return _positive(_read_int("GS_MAX_SIZE", env), "GS_MAX_SIZE")
+
+
+def _integer(text: str) -> int:
+    """An integer argument, in the grammar of descent documents."""
     try:
-        value = int(env)
+        return _read_int("argument", text)
     except ValueError:
-        raise ValueError(f"GS_MAX_SIZE must be an integer, got {env!r}") from None
-    return _positive(value, "GS_MAX_SIZE")
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _option(args: argparse.Namespace, name: str, default: int) -> int:
@@ -196,10 +204,9 @@ def _cmd_verify_descent(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_equiv_descent(args: argparse.Namespace) -> tuple[int, str]:
-    text1, name1 = _read_document(args.file1)
-    text2, name2 = _read_document(args.file2)
-    first = parse_marking_document(text1, name1)
-    second = parse_marking_document(text2, name2)
+    first, second = _parse_marking_documents(
+        _read_document(args.file1), _read_document(args.file2)
+    )
     witness = equivalent(first, second)
     return (0 if witness is not None else 1), render_equivalence(
         first, second, witness
@@ -261,21 +268,21 @@ def _build_parser() -> argparse.ArgumentParser:
     max_size = argparse.ArgumentParser(add_help=False)
     max_size.add_argument(
         "--max-size",
-        type=int,
+        type=_integer,
         metavar="N",
         help="bound on 3g-3+m for enumeration (default: GS_MAX_SIZE or 6)",
     )
     max_m = argparse.ArgumentParser(add_help=False)
     max_m.add_argument(
         "--max-m",
-        type=int,
+        type=_integer,
         metavar="N",
         help="bound on the number of leg labels (default 10)",
     )
     max_order = argparse.ArgumentParser(add_help=False)
     max_order.add_argument(
         "--max-group-order",
-        type=int,
+        type=_integer,
         metavar="N",
         help="bound on the order of label groups (default 10!)",
     )
@@ -296,16 +303,16 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=census,
         help="list all stable graph classes for (g, m)",
     )
-    p.add_argument("g", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("g", type=_integer)
+    p.add_argument("m", type=_integer)
 
     p = sub.add_parser(
         "gamma-enumerate",
         parents=census + [max_order],
         help="list graph classes for (g, m) fused under a label group",
     )
-    p.add_argument("g", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("g", type=_integer)
+    p.add_argument("m", type=_integer)
     p.add_argument("--group", metavar="GENS", help=_GROUP_HELP)
 
     p = sub.add_parser(
@@ -329,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="detach one vertex as a marked curve of its own",
     )
     p.add_argument("graph", help="graph document (path or inline JSON)")
-    p.add_argument("--vertex", type=int, required=True, metavar="V")
+    p.add_argument("--vertex", type=_integer, required=True, metavar="V")
 
     p = sub.add_parser(
         "verify-descent",
@@ -358,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=census + [max_order],
         help="labeled versus group-fused class counts per node count",
     )
-    p.add_argument("g", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("g", type=_integer)
+    p.add_argument("m", type=_integer)
     p.add_argument("--group", metavar="GENS", help=_GROUP_HELP)
 
     p = sub.add_parser(
@@ -367,9 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="Hilbert polynomial data of the n-canonical embedding",
     )
-    p.add_argument("g", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("g", type=_integer)
+    p.add_argument("n", type=_integer)
+    p.add_argument("m", type=_integer)
 
     return parser
 

@@ -529,6 +529,10 @@ def _ids(tokens: Sequence[str]) -> tuple[str, ...]:
 
 
 def _read_int(key: str, value: str) -> int:
+    """``value`` as an integer: ASCII digits after an optional minus sign.
+
+    The command line reads its integer arguments by this grammar too.
+    """
     try:
         if re.fullmatch(r"-?[0-9]+", value):
             return int(value)
@@ -655,10 +659,19 @@ def _read_marking(
 
 
 def parse_marking_document(text: str, filename: str = "<input>") -> ChartedMarking:
-    sections = _split_sections(text, filename)
-    if len(sections) != 1 or sections[0][0] != "marking":
-        raise FormatError(filename, 1, "expected exactly one [marking] section")
-    return _read_marking(sections[0][1:], filename, {})
+    return _parse_marking_documents((text, filename))[0]
+
+
+def _parse_marking_documents(*documents: tuple[str, str]) -> tuple[ChartedMarking, ...]:
+    """Each ``(text, filename)`` in turn; a group two documents write alike is closed once."""
+    groups: dict[tuple[int, str], PermGroup] = {}
+    markings = []
+    for text, filename in documents:
+        sections = _split_sections(text, filename)
+        if len(sections) != 1 or sections[0][0] != "marking":
+            raise FormatError(filename, 1, "expected exactly one [marking] section")
+        markings.append(_read_marking(sections[0][1:], filename, groups))
+    return tuple(markings)
 
 
 def parse_morphism_document(

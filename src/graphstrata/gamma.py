@@ -8,6 +8,8 @@ such classes is the orbit fusion of the labeled census.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import attrgetter
 from typing import Iterator
 
 from ._record import record
@@ -50,14 +52,15 @@ def _check_degree(graph: StableGraph, group: PermGroup) -> None:
 
 def relabel_legs(graph: StableGraph, gamma: Permutation) -> StableGraph:
     """Send the leg labeled i to the label gamma(i), leaving vertices put."""
-    m = len(graph.legs)
-    if gamma.degree != m:
-        raise ValueError(f"permutation degree {gamma.degree} != m = {m}")
+    images, old = gamma.images, graph.legs
+    m = len(old)
+    if len(images) != m:
+        raise ValueError(f"permutation degree {len(images)} != m = {m}")
     # gamma was checked to be a bijection of 1..m when it was built.
-    legs = [0] * m
-    for image, v in zip(gamma.images, graph.legs):
-        legs[image - 1] = v
-    return _carried(graph.genera, graph.edges, tuple(legs))
+    legs = [0] * (m + 1)  # legs[0] is a pad, so labels index it directly
+    for image, v in zip(images, old):
+        legs[image] = v
+    return _carried(graph.genera, graph.edges, tuple(legs[1:]))
 
 
 @record
@@ -86,13 +89,16 @@ def gamma_equivalent(
     return None
 
 
+# Relabelings keep the vertex and leg counts, so images of one graph order
+# by these fields as by ``StableGraph.encoding``.
+_fields = attrgetter("genera", "edges", "legs")
+
+
 def gamma_canonical_form(graph: StableGraph, group: PermGroup) -> StableGraph:
     """Least canonical form over all relabelings in the group."""
     _check_degree(graph, group)
-    return min(
-        (canonical_form(relabel_legs(graph, gamma)) for gamma in group),
-        key=StableGraph.encoding,
-    )
+    images = map(relabel_legs, repeat(graph), group)
+    return min(map(canonical_form, images), key=_fields)
 
 
 @record
@@ -193,12 +199,13 @@ def enumerate_gamma_strata(
             orbits.setdefault(key.encoding(), []).append(labeled)
         bucket = []
         for enc in sorted(orbits):
-            members = sorted(orbits[enc], key=StableGraph.encoding)
+            members = sorted(orbits[enc], key=_fields)
             rep = members[0]
+            fields = _fields(rep)
             stab = tuple(
                 gamma
                 for gamma in group
-                if canonical_form(relabel_legs(rep, gamma)) == rep
+                if _fields(canonical_form(relabel_legs(rep, gamma))) == fields
             )
             stabilizer = PermGroup(
                 group.degree, stab, frozenset(g.images for g in stab)

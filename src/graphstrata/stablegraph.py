@@ -32,6 +32,7 @@ import itertools
 import json
 import re
 from collections import Counter
+from operator import lt
 from typing import Iterator, Sequence
 
 from ._record import record
@@ -400,13 +401,19 @@ def canonical_form(graph: StableGraph) -> StableGraph:
     Idempotent, and equal for any two isomorphic presentations; a graph
     already in its least order is returned itself.  Label sets are disjoint,
     so a vertex's least label ties and orders it as all its labels would.
+    When the vertex signatures strictly increase along the vertices, they
+    are discrete and already sorted, so the graph is returned after that
+    one pass, with no search.
     """
     genera, edges, legs = graph.genera, graph.edges, graph.legs
     nv = len(genera)
     least = [0] * nv
     for k in range(len(legs), 0, -1):
         least[legs[k - 1]] = k
-    order = _least_order(_signature(genera, edges, least), edges)
+    sig = _signature(genera, edges, least)
+    if all(map(lt, sig, sig[1:])):
+        return graph
+    order = _least_order(sig, edges)
     if order == list(range(nv)):
         return graph
     pos = [0] * nv
@@ -562,9 +569,10 @@ def enumerate_stable_graphs(
         bucket: list[StableGraph] = []
         for genera, counts, edges in shapes:
             sig = _signature(genera, edges, counts)
-            auts = list(_iter_vertex_maps(sig, edges, sig, edges))
+            # The identity comes first and never moves a placement lower.
+            moves = [phi.__getitem__ for phi in _iter_vertex_maps(sig, edges, sig, edges)][1:]
             for legs in _iter_label_assignments(counts, m):
-                if any(tuple(phi[v] for v in legs) < legs for phi in auts):
+                if any(tuple(map(move, legs)) < legs for move in moves):
                     continue
                 bucket.append(canonical_form(StableGraph(genera, edges, legs)))
         bucket.sort(key=StableGraph.encoding)

@@ -151,6 +151,19 @@ CASES.update(
 )
 
 
+CASES.update(
+    {
+        "gamma-enumerate 0 6 C6": ["gamma-enumerate", "0", "6", "--group", "(1 2 3 4 5 6)"],
+        "quotient-table 0 7 C7": ["quotient-table", "0", "7", "--group", "(1 2 3 4 5 6 7)"],
+        "gamma-enumerate 0 6 S3xS3": [
+            "gamma-enumerate", "0", "6", "--group", "(1 2),(2 3),(4 5),(5 6)",
+        ],
+        "gamma-enumerate 1 4 S4": ["gamma-enumerate", "1", "4", "--group", "(1 2),(2 3),(3 4)"],
+        "gamma-enumerate 2 2 S2": ["gamma-enumerate", "2", "2", "--group", "(1 2)"],
+    }
+)
+
+
 def resolve(args: list[str]) -> list[str]:
     return [str(FIXTURES / a[1:]) if a.startswith("@") else a for a in args]
 

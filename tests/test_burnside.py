@@ -57,6 +57,7 @@ CASES = [
     (0, 5, ""),
     (0, 6, "(1 2 3 4 5 6)"),
     (0, 6, "(1 2)(3 4),(1 3)(2 4)"),
+    (0, 6, "(1 2),(2 3),(4 5),(5 6)"),
     (1, 2, "(1 2)"),
     (1, 3, "(1 2 3)"),
     (1, 3, "(1 2),(2 3)"),

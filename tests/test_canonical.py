@@ -12,6 +12,12 @@ the reference keys it by all its labels; a test checks on random graphs
 that both keys tie and order vertices alike, and the fusion-traffic test
 compares every group image of the census with the reference.
 
+``canonical_form`` returns a graph already in order itself, after one
+pass over its signatures; a test checks that it does so exactly when the
+reference leaves the graph unchanged.  Fused keys and stabilizers are
+checked against the least reference form over every relabeling and a
+reference scan of the group.
+
 ``canonical_form`` and ``relabel_legs`` build their results without
 running the constructor's checks; the last tests rebuild results through
 the constructor and assert nothing changes, and check that a graph
@@ -24,7 +30,7 @@ import random
 import networkx as nx
 import pytest
 
-from graphstrata.gamma import relabel_legs
+from graphstrata.gamma import enumerate_gamma_strata, gamma_canonical_form, relabel_legs
 from graphstrata.perm import Permutation, group_from_generators, parse_generators
 from graphstrata.stablegraph import (
     StableGraph,
@@ -254,6 +260,55 @@ def test_canonical_form_matches_reference_on_census(g, m):
         other = _shuffled(graph, rng)
         assert _triple(canonical_form(other)) == _triple(graph)
         assert reference_canonical_form(*_triple(other)) == _triple(graph)
+
+
+def test_canonical_form_returns_its_input_exactly_when_it_is_canonical(
+    random_pairs, symmetric_inputs
+):
+    # The exit for a graph already in order must not fire on tied
+    # signatures: the symmetric inputs tie every vertex.
+    for graph in itertools.chain(*random_pairs, symmetric_inputs):
+        unchanged = reference_canonical_form(*_triple(graph)) == _triple(graph)
+        assert (canonical_form(graph) is graph) == unchanged, graph
+
+
+def _relabeled(graph, images):
+    """(genera, edges, legs) with the leg labeled i moved to label images[i - 1]."""
+    legs = [None] * len(images)
+    for label, vertex in zip(images, graph.legs):
+        legs[label - 1] = vertex
+    return graph.genera, graph.edges, tuple(legs)
+
+
+# The (1,4) images have alike leg-free vertices and so take the search.
+GROUP_CASES = [
+    (0, 5, "(1 2),(2 3),(3 4)"),
+    (0, 5, "(1 2),(2 3),(4 5)"),
+    (1, 4, "(1 2),(2 3),(3 4)"),
+]
+
+
+@pytest.mark.parametrize("g,m,gens", GROUP_CASES)
+def test_gamma_canonical_form_is_the_least_reference_form(g, m, gens):
+    group = group_from_generators(m, parse_generators(gens, m))
+    for labeled in enumerate_stable_graphs(g, m).all_graphs():
+        least = min(
+            reference_canonical_form(*_relabeled(labeled, gamma.images)) for gamma in group
+        )
+        assert _triple(gamma_canonical_form(labeled, group)) == least, labeled
+
+
+@pytest.mark.parametrize("g,m,gens", GROUP_CASES)
+def test_stabilizers_are_a_reference_scan_in_group_order(g, m, gens):
+    group = group_from_generators(m, parse_generators(gens, m))
+    for cls in enumerate_gamma_strata(g, m, group).all_classes():
+        rep = _triple(cls.representative)
+        scan = tuple(
+            gamma
+            for gamma in group
+            if reference_canonical_form(*_relabeled(cls.representative, gamma.images)) == rep
+        )
+        assert cls.stabilizer.generators == scan, cls.representative
 
 
 def _least_label_keys(genera, edges, legs):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import graphstrata
+import graphstrata.descent
 import graphstrata.perm
 import graphstrata.stablegraph
 from graphstrata.cli import main
@@ -263,6 +264,42 @@ def test_descent_m_is_ascii_digits(capsys, m, message):
 
 
 @pytest.mark.parametrize(
+    "argv,name,value",
+    [
+        (("enumerate", "0", "0_4"), "m", "0_4"),
+        (("enumerate", "0", " 4 "), "m", " 4 "),
+        (("enumerate", "\u0660", "4"), "g", "\u0660"),
+        (("numerology", "\u0661", "3", "1"), "g", "\u0661"),
+        (("numerology", "1", "+3", "1"), "n", "+3"),
+        (("numerology", "1", "3", "1" * 5000), "m", "1" * 5000),
+        (("enumerate", "0", "4", "--max-size", "\u0666"), "--max-size", "\u0666"),
+        (("gamma-enumerate", "0", "4", "--max-m", "1_0"), "--max-m", "1_0"),
+        (("quotient-table", "0", "4", "--max-group-order", "2.4"), "--max-group-order", "2.4"),
+        (("split", loops(2), "--vertex", "0x0"), "--vertex", "0x0"),
+    ],
+)
+def test_integer_arguments_are_ascii_digits(capsys, argv, name, value):
+    # The grammar of m in descent documents: ASCII digits after an optional
+    # minus, and no more digits than int() converts.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"error: argument {name}: invalid int value: {value!r}")
+
+
+def test_integer_arguments_keep_signs_and_leading_zeros(capsys):
+    assert run(capsys, "enumerate", "0", "04") == run(capsys, "enumerate", "0", "4")
+    code, out, err = run(capsys, "enumerate", "-1", "4")
+    assert (code, out, err) == (2, "", "error: g and m must be nonnegative\n")
+
+
+def test_size_bound_from_the_environment_is_ascii_digits(capsys, monkeypatch):
+    monkeypatch.setenv("GS_MAX_SIZE", "\u0663")
+    code, out, err = run(capsys, "enumerate", "0", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: GS_MAX_SIZE must be an integer, got '\u0663'\n"
+
+
+@pytest.mark.parametrize(
     "field,parts",
     [
         ("genus", {"vertices": [{"genus": True}], "legs": [{"label": 1, "vertex": "v0"}]}),
@@ -463,6 +500,27 @@ def test_equiv_descent_ignores_generator_order(capsys, fixtures_dir, tmp_path):
         code, out, err = run(capsys, "equiv-descent", *map(str, pair))
         assert (code, out, err) == (0, expected, "")
         assert out.endswith("EQUIVALENT\n")
+
+
+def test_equiv_descent_closes_a_shared_group_once(capsys, fixtures_dir, monkeypatch):
+    # Both documents share one table of closed groups, keyed by m and the
+    # group text, so a group written alike is closed once.
+    closures = []
+    close = graphstrata.descent.group_from_generators
+
+    def counting(m, generators, **kwargs):
+        closures.append(m)
+        return close(m, generators, **kwargs)
+
+    monkeypatch.setattr(graphstrata.descent, "group_from_generators", counting)
+    intro = str(fixtures_dir / "intro-example.desc")
+    for other, expected, code in [
+        ("intro-example.desc", 1, 0),
+        ("intro-small-group.desc", 2, 2),
+    ]:
+        closures.clear()
+        assert run(capsys, "equiv-descent", intro, str(fixtures_dir / other))[0] == code
+        assert len(closures) == expected
 
 
 def test_verify_morphism_fixture(capsys, fixtures_dir):
