@@ -529,10 +529,7 @@ def _ids(tokens: Sequence[str]) -> tuple[str, ...]:
 
 
 def _read_int(key: str, value: str) -> int:
-    """``value`` as an integer: ASCII digits after an optional minus sign.
-
-    The command line reads its integer arguments by this grammar too.
-    """
+    """``value`` as ASCII digits after an optional minus; the CLI's integers too."""
     try:
         if re.fullmatch(r"-?[0-9]+", value):
             return int(value)

@@ -408,8 +408,10 @@ def canonical_form(graph: StableGraph) -> StableGraph:
     genera, edges, legs = graph.genera, graph.edges, graph.legs
     nv = len(genera)
     least = [0] * nv
-    for k in range(len(legs), 0, -1):
-        least[legs[k - 1]] = k
+    k = len(legs)
+    for v in reversed(legs):  # down from the last label, so the least stays
+        least[v] = k
+        k -= 1
     sig = _signature(genera, edges, least)
     if all(map(lt, sig, sig[1:])):
         return graph
@@ -419,8 +421,13 @@ def canonical_form(graph: StableGraph) -> StableGraph:
     pos = [0] * nv
     for new, old in enumerate(order):
         pos[old] = new
-    edges = tuple(sorted([_norm(pos[u], pos[v]) for u, v in edges]))
-    return _carried(tuple([genera[v] for v in order]), edges, tuple([pos[v] for v in legs]))
+    moved = []
+    for u, v in edges:
+        u, v = pos[u], pos[v]
+        moved.append((u, v) if u <= v else (v, u))
+    moved.sort()
+    return _carried(tuple(map(genera.__getitem__, order)), tuple(moved),
+                    tuple(map(pos.__getitem__, legs)))
 
 
 # ---------------------------------------------------------------------------
