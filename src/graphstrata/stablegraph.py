@@ -576,8 +576,11 @@ def enumerate_stable_graphs(
         bucket: list[StableGraph] = []
         for genera, counts, edges in shapes:
             sig = _signature(genera, edges, counts)
-            # The identity comes first and never moves a placement lower.
-            moves = [phi.__getitem__ for phi in _iter_vertex_maps(sig, edges, sig, edges)][1:]
+            # Only the identity keeps distinct signatures in place; it comes
+            # first among the maps and never moves a placement lower.
+            moves = []
+            if len(set(sig)) < len(sig):
+                moves = [phi.__getitem__ for phi in _iter_vertex_maps(sig, edges, sig, edges)][1:]
             for legs in _iter_label_assignments(counts, m):
                 if any(tuple(map(move, legs)) < legs for move in moves):
                     continue
