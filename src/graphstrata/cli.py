@@ -25,7 +25,7 @@ import functools
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .descent import (
     _parse_marking_documents,
@@ -39,14 +39,14 @@ from .descent import (
     verify_morphism,
     verify_star,
 )
-from .gamma import enumerate_gamma_strata, gamma_canonical_form, gamma_census_to_doc
+from .gamma import enumerate_gamma_strata, gamma_canonical_form, gamma_census_chunks
 from .limits import DEFAULT_MAX_DIM, MAX_GROUP_ORDER, MAX_PERM_DEGREE
 from .perm import PermGroup, check_degree, group_from_generators, parse_generators
 from .stablegraph import (
     DisconnectedGraphError,
     StableGraph,
     canonical_form,
-    census_to_doc,
+    census_chunks,
     check_stability,
     dumps,
     enumerate_stable_graphs,
@@ -135,20 +135,25 @@ def _load_connected_graph(arg: str) -> StableGraph:
     return graph
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
+# Each handler returns its exit status and its output as a sequence of
+# text chunks.  A census is built in full before its writer yields the
+# first chunk, so every bound and input error comes before any output.
+
+
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     census = enumerate_stable_graphs(
         args.g, args.m, max_dim=_max_size(args), max_legs=_option(args, "max-m", MAX_PERM_DEGREE)
     )
-    return 0, dumps(census_to_doc(census))
+    return 0, census_chunks(census)
 
 
-def _cmd_gamma_enumerate(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_gamma_enumerate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     group = _resolve_group(args.group, args.m, args)
     fused = enumerate_gamma_strata(args.g, args.m, group, max_dim=_max_size(args))
-    return 0, dumps(gamma_census_to_doc(fused))
+    return 0, gamma_census_chunks(fused)
 
 
-def _cmd_check_stability(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_check_stability(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     graph = _load_graph(args.graph)
     report = check_stability(graph)
     lines = [
@@ -164,10 +169,10 @@ def _cmd_check_stability(args: argparse.Namespace) -> tuple[int, str]:
         slack = 2 * report.graph_genus - 2 + report.marks
         lines.append(f"outside stable range: 2g-2+m = {slack}")
     lines.append("STABLE" if report.valid else "UNSTABLE")
-    return (0 if report.valid else 1), "\n".join(lines) + "\n"
+    return (0 if report.valid else 1), ["\n".join(lines) + "\n"]
 
 
-def _cmd_canon(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_canon(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     graph = _load_connected_graph(args.graph)
     if args.group is None:
         _bounds(graph.m, args)
@@ -175,10 +180,10 @@ def _cmd_canon(args: argparse.Namespace) -> tuple[int, str]:
     else:
         group = _resolve_group(args.group, graph.m, args)
         result = gamma_canonical_form(graph, group)
-    return 0, dumps(graph_to_doc(result))
+    return 0, [dumps(graph_to_doc(result))]
 
 
-def _cmd_split(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_split(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     graph = _load_connected_graph(args.graph)
     piece = split_component(graph, args.vertex)
     gens = ",".join(g.cycle_string() for g in piece.generators) or "()"
@@ -193,44 +198,42 @@ def _cmd_split(args: argparse.Namespace) -> tuple[int, str]:
         "stable": piece.stable,
         "graph": graph_to_doc(piece.graph),
     }
-    return (0 if piece.stable else 1), dumps(doc)
+    return (0 if piece.stable else 1), [dumps(doc)]
 
 
-def _cmd_verify_descent(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_verify_descent(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     text, name = _read_document(args.file)
     marking = parse_marking_document(text, name)
     report = verify_star(marking)
-    return (0 if report.valid else 1), render_star_report(marking, report)
+    return (0 if report.valid else 1), [render_star_report(marking, report)]
 
 
-def _cmd_equiv_descent(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_equiv_descent(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     first, second = _parse_marking_documents(
         _read_document(args.file1), _read_document(args.file2)
     )
     witness = equivalent(first, second)
-    return (0 if witness is not None else 1), render_equivalence(
-        first, second, witness
-    )
+    return (0 if witness is not None else 1), [render_equivalence(first, second, witness)]
 
 
-def _cmd_verify_morphism(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_verify_morphism(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     text, name = _read_document(args.file)
     morphism, source, target = parse_morphism_document(text, name)
     report = verify_morphism(morphism, source, target)
-    return (0 if report.valid else 1), render_morphism_report(
-        morphism, source, target, report
-    )
+    return (0 if report.valid else 1), [
+        render_morphism_report(morphism, source, target, report)
+    ]
 
 
-def _cmd_quotient_table(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_quotient_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     group = _resolve_group(args.group, args.m, args)
     table = build_quotient_table(args.g, args.m, group, max_dim=_max_size(args))
-    return 0, render_quotient_table(table)
+    return 0, [render_quotient_table(table)]
 
 
-def _cmd_numerology(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_numerology(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     data = hilbert_numerology(args.g, args.n, args.m)
-    return 0, f"P(t)={data.polynomial_str()} N={data.ambient_dim} rank={data.rank}\n"
+    return 0, [f"P(t)={data.polynomial_str()} N={data.ambient_dim} rank={data.rank}\n"]
 
 
 _HANDLERS = {
@@ -388,12 +391,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        status, text = _HANDLERS[args.command](args)
+        status, chunks = _HANDLERS[args.command](args)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

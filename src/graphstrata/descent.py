@@ -708,14 +708,27 @@ def format_marking(marking: ChartedMarking, name: str = "marking") -> str:
 # report rendering
 
 
+class _Named(dict):
+    """Cycle notation by image tuple, each written once per report.
+
+    A report names the same few witnesses for many pairs; each render call
+    makes its own table, so none outlives the call.
+    """
+
+    def __missing__(self, images: tuple[int, ...]) -> str:
+        text = self[images] = cycle_notation(images)
+        return text
+
+
 def render_star_report(marking: ChartedMarking, report: StarReport) -> str:
     lines = []
+    named = _Named()
     for a, b in _star_pairs(marking):
         w = report.witness_images.get((a, b))
         if w is None:
             lines.append(f"({a}, {b}): NO WITNESS")
         else:
-            lines.append(f"({a}, {b}): gamma = {cycle_notation(w)}")
+            lines.append(f"({a}, {b}): gamma = {named[w]}")
     for s in marking.cover.base:
         if s in report.unmarked:
             lines.append(
@@ -736,9 +749,10 @@ def render_equivalence(
     if witness is None:
         return "NOT EQUIVALENT\n"
     lines = [f"refinement: {len(witness.refinement.cover.cover)} cover points"]
+    named = _Named()
     for name in witness.refinement.cover.cover:
-        left = cycle_notation(witness.dom_first.witness_images[name])
-        right = cycle_notation(witness.dom_second.witness_images[name])
+        left = named[witness.dom_first.witness_images[name]]
+        right = named[witness.dom_second.witness_images[name]]
         lines.append(f"({name}): left gamma = {left}, right gamma = {right}")
     lines.append("EQUIVALENT")
     return "\n".join(lines) + "\n"
@@ -751,12 +765,13 @@ def render_morphism_report(
     report: MorphismReport,
 ) -> str:
     lines = []
+    named = _Named()
     for a, b in _refinement_points(c1, c2, hm.base_map):
         w = report.witness_images.get((a, b))
         if w is None:
             lines.append(f"({a}*{b}): NO WITNESS")
         else:
-            lines.append(f"({a}*{b}): gamma = {cycle_notation(w)}")
+            lines.append(f"({a}*{b}): gamma = {named[w]}")
     lines.append(f"charts: {'VALID' if report.valid else 'INVALID'}")
     lines.append(
         f"classes preserved: {'yes' if report.classes_preserved else 'no'}"

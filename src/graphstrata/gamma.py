@@ -8,6 +8,7 @@ such classes is the orbit fusion of the labeled census.
 
 from __future__ import annotations
 
+import json
 from itertools import repeat
 from operator import attrgetter
 from typing import Iterator
@@ -18,10 +19,12 @@ from .stablegraph import (
     GraphIsomorphism,
     StableGraph,
     StratumCensus,
+    _by_nodes_chunks,
     _carried,
+    _graph_writer,
+    _json_list,
     canonical_form,
     enumerate_stable_graphs,
-    graph_to_doc,
     iter_graph_isomorphisms,
 )
 
@@ -36,6 +39,7 @@ __all__ = [
     "GammaCensus",
     "enumerate_gamma_strata",
     "quotient_fibers",
+    "gamma_census_chunks",
     "gamma_census_to_doc",
     "GAMMA_CENSUS_FORMAT",
 ]
@@ -51,16 +55,17 @@ def _check_degree(graph: StableGraph, group: PermGroup) -> None:
 
 
 def relabel_legs(graph: StableGraph, gamma: Permutation) -> StableGraph:
-    """Send the leg labeled i to the label gamma(i), leaving vertices put."""
-    images, old = gamma.images, graph.legs
-    m = len(old)
-    if len(images) != m:
-        raise ValueError(f"permutation degree {len(images)} != m = {m}")
+    """Send the leg labeled i to the label gamma(i), leaving vertices put.
+
+    When gamma only permutes labels on the same vertices, the result equals
+    the graph, which is returned itself.
+    """
+    old = graph.legs
+    if len(gamma.images) != len(old):
+        raise ValueError(f"permutation degree {len(gamma.images)} != m = {len(old)}")
     # gamma was checked to be a bijection of 1..m when it was built.
-    legs = [0] * (m + 1)  # legs[0] is a pad, so labels index it directly
-    for image, v in zip(images, old):
-        legs[image] = v
-    return _carried(graph.genera, graph.edges, tuple(legs[1:]))
+    legs = gamma._pull(old)
+    return graph if legs == old else _carried(graph.genera, graph.edges, legs)
 
 
 @record
@@ -236,22 +241,31 @@ def quotient_fibers(
     return tuple(fused.all_classes())
 
 
+def gamma_census_chunks(fused: GammaCensus) -> Iterator[str]:
+    """The ``gamma-census/1`` document as ``dumps`` writes it, in pieces.
+
+    This writer is the one serializer of the format: joined, the chunks are
+    the document text, trailing newline included.
+    """
+    group = [f'    "{g.cycle_string()}"' for g in fused.group.generators]
+    yield (
+        f'{{\n  "format": "{GAMMA_CENSUS_FORMAT}",\n  "g": {fused.g},\n  "m": {fused.m},\n'
+        f'  "group": {_json_list(group, "  ")},\n  "total": {fused.total},\n'
+        '  "classes_by_nodes": '
+    )
+    graph_text = _graph_writer("        ")
+
+    def class_text(cls: GammaClass) -> str:
+        return (
+            '{\n        "representative": ' + graph_text(cls.representative)
+            + f',\n        "orbit_size": {cls.orbit_size},'
+            f'\n        "stabilizer_order": {cls.stabilizer.order}\n      }}'
+        )
+
+    yield from _by_nodes_chunks(fused.classes_by_nodes, class_text)
+    yield "\n}\n"
+
+
 def gamma_census_to_doc(fused: GammaCensus) -> dict:
-    return {
-        "format": GAMMA_CENSUS_FORMAT,
-        "g": fused.g,
-        "m": fused.m,
-        "group": [g.cycle_string() for g in fused.group.generators],
-        "total": fused.total,
-        "classes_by_nodes": {
-            str(i): [
-                {
-                    "representative": graph_to_doc(cls.representative),
-                    "orbit_size": cls.orbit_size,
-                    "stabilizer_order": cls.stabilizer.order,
-                }
-                for cls in fused.classes_by_nodes[i]
-            ]
-            for i in sorted(fused.classes_by_nodes)
-        },
-    }
+    """The fused census document as a JSON value, read back from ``gamma_census_chunks``."""
+    return json.loads("".join(gamma_census_chunks(fused)))

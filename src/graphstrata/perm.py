@@ -100,6 +100,21 @@ class Permutation:
     def __str__(self) -> str:
         return self.cycle_string()
 
+    @functools.cached_property
+    def _pull(self):
+        """Moves the values of a per-label tuple along the permutation.
+
+        For ``s`` with entry ``i - 1`` at label i, the result has at label
+        p(i) what ``s`` has at label i: an ``itemgetter`` of the inverse,
+        derived on first use.  The only permutation of degree 1 is the
+        identity, which ``tuple`` applies (``itemgetter`` of one index would
+        return an item, not a tuple).
+        """
+        inv = [0] * len(self.images)
+        for i, j in enumerate(self.images):
+            inv[j - 1] = i
+        return itemgetter(*inv) if len(inv) > 1 else tuple
+
 
 def _cycles(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     out = []
@@ -171,7 +186,7 @@ class PermGroup:
 
     @functools.cached_property
     def elements(self) -> tuple[Permutation, ...]:
-        return tuple(Permutation(c) for c in sorted(self.members))
+        return tuple(map(_member, sorted(self.members)))
 
     @property
     def order(self) -> int:
@@ -188,6 +203,16 @@ class PermGroup:
         if not self.generators:
             return "()"
         return ",".join(g.cycle_string() for g in self.generators)
+
+
+def _member(images: tuple[int, ...]) -> Permutation:
+    """The ``Permutation`` of a closed group's member, not checked again.
+
+    Closure composes bijections, so every member is one already.
+    """
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
 
 
 def check_degree(m: int, bound: int = MAX_PERM_DEGREE) -> None:

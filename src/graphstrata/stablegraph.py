@@ -59,6 +59,7 @@ __all__ = [
     "hilbert_numerology",
     "graph_to_doc",
     "graph_from_doc",
+    "census_chunks",
     "census_to_doc",
     "dumps",
     "GRAPH_FORMAT",
@@ -800,14 +801,92 @@ def graph_from_doc(doc: object) -> StableGraph:
     return StableGraph(tuple(genera), tuple(edges), legs)
 
 
+def _json_list(items: list[str], pad: str) -> str:
+    """A JSON list of rendered items, each already indented, closed at ``pad``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+
+
+def _graph_writer(pad: str):
+    """A function giving ``graph_to_doc(graph)`` as ``dumps`` writes it at nesting ``pad``.
+
+    ``pad`` is the indent of the line each object opens on; its closing
+    brace gets the same indent and no newline follows it.  The text up to
+    the legs depends only on the genera and edges, and a census lists the
+    graphs of one shape in a row, so that text is rendered again only when
+    the shape changes.  Each leg is rendered once per (label, vertex).
+    """
+    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+    shape, start = None, ""
+    leg_items: dict[tuple[int, int], str] = {}
+
+    def head(genera: tuple, edges: tuple) -> str:
+        vertices = [f'{p2}{{\n{p3}"genus": {g}\n{p2}}}' for g in genera]
+        counters = [0] * len(genera)
+        pairs = []
+        for u, v in edges:
+            hu = counters[u]
+            counters[u] += 1
+            hv = counters[v]
+            counters[v] += 1
+            pairs.append(f'{p2}[\n{p3}"v{u}.h{hu}",\n{p3}"v{v}.h{hv}"\n{p2}]')
+        return (
+            f'{{\n{p1}"format": "{GRAPH_FORMAT}",\n{p1}"vertices": {_json_list(vertices, p1)},\n'
+            f'{p1}"edges": {_json_list(pairs, p1)},\n{p1}"legs": '
+        )
+
+    def text(graph: StableGraph) -> str:
+        nonlocal shape, start
+        if (graph.genera, graph.edges) != shape:
+            shape = (graph.genera, graph.edges)
+            start = head(*shape)
+        legs = []
+        for kv in enumerate(graph.legs, 1):
+            item = leg_items.get(kv)
+            if item is None:
+                item = leg_items[kv] = f'{p2}{{\n{p3}"label": {kv[0]},\n{p3}"vertex": "v{kv[1]}"\n{p2}}}'
+            legs.append(item)
+        return start + _json_list(legs, p1) + "\n" + pad + "}"
+
+    return text
+
+
+def _by_nodes_chunks(classes_by_nodes: dict, item_text) -> Iterator[str]:
+    """The ``"classes_by_nodes"`` value of a census document, a chunk per class.
+
+    ``item_text`` renders one class as an object opening at a six-space
+    indent.  Node counts come in increasing order.
+    """
+    sep = "{"
+    for i in sorted(classes_by_nodes):
+        items = classes_by_nodes[i]
+        if not items:
+            yield f'{sep}\n    "{i}": []'
+        else:
+            head = f'{sep}\n    "{i}": [\n      '
+            for item in items:
+                yield head + item_text(item)
+                head = ",\n      "
+            yield "\n    ]"
+        sep = ","
+    yield "\n  }" if classes_by_nodes else "{}"
+
+
+def census_chunks(census: StratumCensus) -> Iterator[str]:
+    """The ``stable-graph-census/1`` document as ``dumps`` writes it, in pieces.
+
+    This writer is the one serializer of the format: joined, the chunks are
+    the document text, trailing newline included.
+    """
+    yield (
+        f'{{\n  "format": "{CENSUS_FORMAT}",\n  "g": {census.g},\n  "m": {census.m},\n'
+        f'  "total": {census.total},\n  "classes_by_nodes": '
+    )
+    yield from _by_nodes_chunks(census.classes_by_nodes, _graph_writer("      "))
+    yield "\n}\n"
+
+
 def census_to_doc(census: StratumCensus) -> dict:
-    return {
-        "format": CENSUS_FORMAT,
-        "g": census.g,
-        "m": census.m,
-        "total": census.total,
-        "classes_by_nodes": {
-            str(i): [graph_to_doc(gr) for gr in census.classes_by_nodes[i]]
-            for i in sorted(census.classes_by_nodes)
-        },
-    }
+    """The census document as a JSON value, read back from ``census_chunks``."""
+    return json.loads("".join(census_chunks(census)))

@@ -162,6 +162,16 @@ CASES.update(
         "gamma-enumerate 2 2 S2": ["gamma-enumerate", "2", "2", "--group", "(1 2)"],
     }
 )
+# The two census runs of the benchmark's legs-census workload, whose
+# ``perfbench/golden.json`` digests tests/test_golden.py cross-checks.
+CASES.update(
+    {
+        "enumerate 0 8": ["enumerate", "0", "8"],
+        "gamma-enumerate 0 7 (1 2),(3 4)": [
+            "gamma-enumerate", "0", "7", "--group", "(1 2),(3 4)",
+        ],
+    }
+)
 
 
 def resolve(args: list[str]) -> list[str]:

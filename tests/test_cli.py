@@ -557,6 +557,28 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert json.loads(first)["total"] == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "1", "2"), ("gamma-enumerate", "0", "5", "--group", "(1 2 3 4 5)")],
+)
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    _, printed, _ = run(capsys, *argv)
+    target = tmp_path / "doc.json"
+    code, out, _ = run(capsys, *argv, "-o", str(target))
+    assert (code, out) == (0, "")
+    assert target.read_bytes() == printed.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv", [("enumerate", "0", "4"), ("gamma-enumerate", "0", "4", "--group", "(1 2)")]
+)
+@pytest.mark.parametrize("where", ["missing-dir/doc.json", "."])
+def test_unwritable_output_path_is_input_error(capsys, tmp_path, argv, where):
+    code, out, err = run(capsys, *argv, "-o", str(tmp_path / where))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "not-a-command")
     assert code == 2 and err != ""

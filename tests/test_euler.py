@@ -162,6 +162,12 @@ def test_forgetful_map_fibers_are_the_curves(g, m):
         (0, 4, "(1 2)(3 4),(1 3)(2 4)"),
         (0, 5, "(1 2 3 4 5)"),
         (0, 5, "(1 2),(2 3),(4 5)"),
+        # the groups of the fusion golden runs
+        (0, 6, "(1 2 3 4 5 6)"),
+        (0, 7, "(1 2 3 4 5 6 7)"),
+        (0, 6, "(1 2),(2 3),(4 5),(5 6)"),
+        (1, 4, "(1 2),(2 3),(3 4)"),
+        (2, 2, "(1 2)"),
     ],
 )
 def test_quotient_by_the_label_group(g, m, generators):

@@ -61,6 +61,23 @@ def test_relabel_identity():
     assert relabel_legs(SPLIT_12_34, parse_permutation("()", 4)) == SPLIT_12_34
 
 
+def test_relabel_legs_agrees_with_the_definition():
+    # The leg labeled i moves to label gamma(i), for every element of S4.
+    for graph in (SPLIT_12_34, SPLIT_13_24):
+        for gamma in symmetric_group(4):
+            legs = [None] * 4
+            for i, v in enumerate(graph.legs, 1):
+                legs[gamma(i) - 1] = v
+            assert relabel_legs(graph, gamma).legs == tuple(legs)
+
+
+def test_relabel_legs_of_one_leg():
+    graph = StableGraph((1,), (), (0,))
+    assert relabel_legs(graph, parse_permutation("()", 1)) == graph
+    with pytest.raises(ValueError, match="permutation degree 1 != m = 2"):
+        relabel_legs(StableGraph((0,), ((0, 0),), (0, 0)), parse_permutation("()", 1))
+
+
 def test_gamma_equivalent_examples():
     # {1,3}|{2,4} vs {2,3}|{1,4}: swapping labels 1 and 2 suffices
     a = StableGraph((0, 0), ((0, 1),), (0, 1, 0, 1))

@@ -10,6 +10,7 @@ from graphstrata.stablegraph import GRAPH_FORMAT, graph_from_doc, graph_to_doc
 from record_golden import CASES, FIXTURES, GOLDEN_PATH, digest, output
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+BENCH_GOLDEN_PATH = GOLDEN_PATH.parent.parent / "perfbench" / "golden.json"
 
 
 @pytest.fixture(autouse=True)
@@ -40,6 +41,21 @@ def test_genus_5_census_class_count():
     # published table, which is not transcribed into this repository.
     code, text = _output("enumerate 5 0 --max-size 12")
     assert (code, json.loads(text)["total"]) == (0, 4555)
+
+
+def test_genus_5_census_is_written_as_json_writes_it():
+    # Node counts run to 12 here, so two-digit keys must follow 9.
+    _, text = _output("enumerate 5 0 --max-size 12")
+    doc = json.loads(text)
+    assert list(doc["classes_by_nodes"]) == [str(i) for i in range(13)]
+    assert text == json.dumps(doc, indent=2) + "\n"
+
+
+def test_legs_census_digests_match_the_benchmark():
+    # perfbench/golden.json pins the same two runs as "<exit>:<16 hex digits>".
+    bench = json.loads(BENCH_GOLDEN_PATH.read_text(encoding="utf-8"))["legs-census"]
+    ours = [GOLDEN[name].split() for name in ("enumerate 0 8", "gamma-enumerate 0 7 (1 2),(3 4)")]
+    assert [f"{code}:{sha[:16]}" for code, sha in ours] == bench[:2]
 
 
 def _graph_docs(node):

@@ -160,6 +160,25 @@ def test_group_elements_sorted_and_identity_first():
     assert group.elements[0].is_identity()
 
 
+@pytest.mark.parametrize(
+    "m,gens",
+    [(3, "")]
+    + [(n, ",".join(f"({i} {i + 1})" for i in range(1, n))) for n in range(1, 7)]
+    + [(5, "(1 2 3 4 5)"), (5, "(1 2),(2 3),(4 5)")],
+)
+def test_group_elements_are_the_sorted_members(m, gens):
+    # ``elements`` builds its members past the bijection check; they must
+    # equal what the checking constructor builds from the same tuples.
+    group = group_from_generators(m, parse_generators(gens, m))
+    assert group.elements == tuple(Permutation(c) for c in sorted(group.members))
+    assert all(type(p) is Permutation for p in group.elements)
+
+
+def test_permutation_constructor_still_checks_bijections():
+    with pytest.raises(ValueError, match="not a bijection"):
+        Permutation((1, 1))
+
+
 def test_group_is_closed():
     group = group_from_generators(4, parse_generators("(1 2),(2 3)", 4))
     for a in group:
