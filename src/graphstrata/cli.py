@@ -15,14 +15,15 @@ Integer arguments and GS_MAX_SIZE are read as descent documents read
 
 ``main(argv)`` is the in-process entry point: it returns the exit code
 instead of exiting, can be called any number of times, and builds its
-argument parser once per process, on the first call.
+argument parser once per process, on the first call.  ``json`` is loaded
+only by the commands that read or write graph documents (``check-stability``,
+``canon``, ``split``), on first use, so the other commands never pay for it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Iterable, Sequence
@@ -115,6 +116,8 @@ def _read_document(arg: str) -> tuple[str, str]:
 
 
 def _load_graph(arg: str) -> StableGraph:
+    import json
+
     text, name = _read_document(arg)
     try:
         doc = json.loads(text)

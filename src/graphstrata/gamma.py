@@ -8,7 +8,6 @@ such classes is the orbit fusion of the labeled census.
 
 from __future__ import annotations
 
-import json
 from itertools import repeat
 from operator import attrgetter
 from typing import Iterator
@@ -268,4 +267,6 @@ def gamma_census_chunks(fused: GammaCensus) -> Iterator[str]:
 
 def gamma_census_to_doc(fused: GammaCensus) -> dict:
     """The fused census document as a JSON value, read back from ``gamma_census_chunks``."""
+    import json
+
     return json.loads("".join(gamma_census_chunks(fused)))

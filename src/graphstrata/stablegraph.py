@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import re
 from collections import Counter
 from operator import lt
@@ -695,6 +694,8 @@ def hilbert_numerology(g: int, n: int, m: int) -> HilbertNumerology:
 
 def dumps(doc: dict) -> str:
     """Serialize with fixed key order and a trailing newline."""
+    import json
+
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -723,12 +724,10 @@ def graph_to_doc(graph: StableGraph) -> dict:
     }
 
 
-_VERTEX_RE = re.compile(r"v(0|[1-9][0-9]*)")
-_HALF_EDGE_RE = re.compile(r"v(0|[1-9][0-9]*)\.h(0|[1-9][0-9]*)")
-
-
 def _parse_half_edge(text: object, nv: int, where: str) -> tuple[int, int]:
-    match = _HALF_EDGE_RE.fullmatch(text) if isinstance(text, str) else None
+    match = (
+        re.fullmatch(r"v(0|[1-9][0-9]*)\.h(0|[1-9][0-9]*)", text) if isinstance(text, str) else None
+    )
     try:
         v, h = int(match[1]), int(match[2])
     except (TypeError, ValueError):  # no match, or more digits than int() converts
@@ -786,7 +785,7 @@ def graph_from_doc(doc: object) -> StableGraph:
             raise ValueError(f"legs[{j}]: 'label' must be a positive integer")
         if label in by_label:
             raise ValueError(f"legs[{j}]: label {label} repeated")
-        match = _VERTEX_RE.fullmatch(vtx) if isinstance(vtx, str) else None
+        match = re.fullmatch(r"v(0|[1-9][0-9]*)", vtx) if isinstance(vtx, str) else None
         try:
             v = int(match[1])
         except (TypeError, ValueError):
@@ -889,4 +888,6 @@ def census_chunks(census: StratumCensus) -> Iterator[str]:
 
 def census_to_doc(census: StratumCensus) -> dict:
     """The census document as a JSON value, read back from ``census_chunks``."""
+    import json
+
     return json.loads("".join(census_chunks(census)))

@@ -7,8 +7,11 @@ from the class's ``__match_args__``, with the class's own
 ``PermGroup`` twin leaves ``generators`` out of comparison.  On field
 values taken from real results, the record and its twin must agree on
 equality, hash, repr, order, immutability, argument errors, copying and
-pickling.  A last test checks that importing the package and its CLI
-loads neither ``dataclasses`` nor ``inspect``.
+pickling.  The last tests check, each in a fresh interpreter, that
+importing the package and its CLI loads neither ``dataclasses`` nor
+``inspect`` nor ``json``, that commands which read no JSON never load it,
+and that the graph-document commands load it on first use with the same
+errors and bytes as in a process that already holds it.
 """
 
 import copy
@@ -23,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from graphstrata import descent, gamma, perm, stablegraph, strata
+from graphstrata.cli import main
 from graphstrata.descent import (
     dominates,
     equivalent,
@@ -49,6 +53,7 @@ from graphstrata.stablegraph import (
     split_component,
 )
 from graphstrata.strata import build_quotient_table
+from record_golden import inline_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -309,3 +314,86 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
     assert done.stdout.strip() == "[]"
+
+
+# Runs ``main`` on the arguments read from stdin, one a line, in an
+# interpreter that has not loaded ``json``.
+FIRST_JSON_USE = (
+    "import sys\n"
+    f"sys.path.insert(0, {str(SRC)!r})\n"
+    "from graphstrata.cli import main\n"
+    "assert 'json' not in sys.modules\n"
+    "sys.exit(main(sys.stdin.read().split('\\n')))\n"
+)
+
+
+def _first_json_use(*argv):
+    # Through stdin: one argument of the nesting case is longer than the
+    # operating system takes on a command line.
+    return subprocess.run(
+        [sys.executable, "-I", "-c", FIRST_JSON_USE],
+        input="\n".join(argv),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_commands_without_json_never_load_it():
+    marking = (FIXTURES / "intro-example.desc").read_text(encoding="utf-8")
+    inline_marking = marking[marking.index("[marking]") :]
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import graphstrata, graphstrata.cli\n"
+        "loaded = ['json' in sys.modules]\n"
+        "for argv in (\n"
+        "    ['enumerate', '0', '4'],\n"
+        "    ['quotient-table', '0', '4', '--group', '(1 2)'],\n"
+        f"    ['verify-descent', {inline_marking!r}],\n"
+        "):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert graphstrata.cli.main(argv) == 0\n"
+        "    loaded.append('json' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert done.stdout.strip() == "[False, False, False, False]"
+
+
+def test_malformed_inline_json_on_first_use_is_input_error():
+    done = _first_json_use("canon", "{not json")
+    assert (done.returncode, done.stdout) == (2, "")
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: <inline>: ")
+
+
+def test_deeply_nested_json_on_first_use_is_input_error():
+    done = _first_json_use("canon", "[" * 100000 + "]" * 100000)
+    assert (done.returncode, done.stdout) == (2, "")
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "nested" in lines[0]
+
+
+TWO_PAIRS = inline_graph([0, 0], [(0, 1)], [1, 1, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["canon", TWO_PAIRS],
+        ["canon", TWO_PAIRS, "--group", "(1 3)(2 4)"],
+        ["check-stability", TWO_PAIRS],
+        ["split", TWO_PAIRS, "--vertex", "0"],
+    ],
+    ids=["canon", "canon-group", "check-stability", "split"],
+)
+def test_valid_document_on_first_use_prints_the_in_process_bytes(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    done = _first_json_use(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+    assert code == 0 and captured.out
