@@ -14,19 +14,24 @@ Integer arguments and GS_MAX_SIZE are read as descent documents read
 ``m``: ASCII digits after an optional minus sign.
 
 ``main(argv)`` is the in-process entry point: it returns the exit code
-instead of exiting, can be called any number of times, and builds its
-argument parser once per process, on the first call.  ``json`` is loaded
+instead of exiting and can be called any number of times.  The subcommands
+and their arguments are declared once, in ``_COMMANDS``, from which the
+first call compiles one reader per subcommand; a plain command line
+(exact flags, no value starting with "-") never loads ``argparse``.  Help,
+usage errors and argparse's other forms (abbreviations, ``--flag=value``,
+``--``, negative numbers) go to an argparse parser built from the same
+table when first needed, so they print as before.  ``json`` is loaded
 only by the commands that read or write graph documents (``check-stability``,
 ``canon``, ``split``), on first use, so the other commands never pay for it.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
-from typing import Iterable, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, Sequence
 
 from .descent import (
     _parse_marking_documents,
@@ -71,7 +76,7 @@ def _positive(value: int, name: str) -> int:
     return value
 
 
-def _max_size(args: argparse.Namespace) -> int:
+def _max_size(args: SimpleNamespace) -> int:
     if args.max_size is not None:
         return _positive(args.max_size, "--max-size")
     env = os.environ.get("GS_MAX_SIZE")
@@ -80,21 +85,13 @@ def _max_size(args: argparse.Namespace) -> int:
     return _positive(_read_int("GS_MAX_SIZE", env), "GS_MAX_SIZE")
 
 
-def _integer(text: str) -> int:
-    """An integer argument, in the grammar of descent documents."""
-    try:
-        return _read_int("argument", text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
-def _option(args: argparse.Namespace, name: str, default: int) -> int:
+def _option(args: SimpleNamespace, name: str, default: int) -> int:
     """Bound option ``--name``, or ``default`` when it is not given."""
     value = getattr(args, name.replace("-", "_"))
     return default if value is None else _positive(value, f"--{name}")
 
 
-def _bounds(m: int, args: argparse.Namespace) -> tuple[int, int]:
+def _bounds(m: int, args: SimpleNamespace) -> tuple[int, int]:
     """``--max-m`` and ``--max-group-order``, with ``m`` held to the first."""
     max_degree = _option(args, "max-m", MAX_PERM_DEGREE)
     max_order = _option(args, "max-group-order", MAX_GROUP_ORDER)
@@ -102,7 +99,7 @@ def _bounds(m: int, args: argparse.Namespace) -> tuple[int, int]:
     return max_degree, max_order
 
 
-def _resolve_group(text: str | None, m: int, args: argparse.Namespace) -> PermGroup:
+def _resolve_group(text: str | None, m: int, args: SimpleNamespace) -> PermGroup:
     max_degree, max_order = _bounds(m, args)  # before parsing builds anything of size m
     generators = parse_generators(text, m) if text else ()
     return group_from_generators(m, generators, max_degree=max_degree, max_order=max_order)
@@ -143,20 +140,20 @@ def _load_connected_graph(arg: str) -> StableGraph:
 # first chunk, so every bound and input error comes before any output.
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+def _cmd_enumerate(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     census = enumerate_stable_graphs(
         args.g, args.m, max_dim=_max_size(args), max_legs=_option(args, "max-m", MAX_PERM_DEGREE)
     )
     return 0, census_chunks(census)
 
 
-def _cmd_gamma_enumerate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+def _cmd_gamma_enumerate(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     group = _resolve_group(args.group, args.m, args)
     fused = enumerate_gamma_strata(args.g, args.m, group, max_dim=_max_size(args))
     return 0, gamma_census_chunks(fused)
 
 
-def _cmd_check_stability(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+def _cmd_check_stability(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     graph = _load_graph(args.graph)
     report = check_stability(graph)
     lines = [
@@ -175,7 +172,7 @@ def _cmd_check_stability(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     return (0 if report.valid else 1), ["\n".join(lines) + "\n"]
 
 
-def _cmd_canon(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+def _cmd_canon(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     graph = _load_connected_graph(args.graph)
     if args.group is None:
         _bounds(graph.m, args)
@@ -186,7 +183,7 @@ def _cmd_canon(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     return 0, [dumps(graph_to_doc(result))]
 
 
-def _cmd_split(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+def _cmd_split(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     graph = _load_connected_graph(args.graph)
     piece = split_component(graph, args.vertex)
     gens = ",".join(g.cycle_string() for g in piece.generators) or "()"
@@ -204,14 +201,14 @@ def _cmd_split(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     return (0 if piece.stable else 1), [dumps(doc)]
 
 
-def _cmd_verify_descent(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+def _cmd_verify_descent(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     text, name = _read_document(args.file)
     marking = parse_marking_document(text, name)
     report = verify_star(marking)
     return (0 if report.valid else 1), [render_star_report(marking, report)]
 
 
-def _cmd_equiv_descent(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+def _cmd_equiv_descent(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     first, second = _parse_marking_documents(
         _read_document(args.file1), _read_document(args.file2)
     )
@@ -219,7 +216,7 @@ def _cmd_equiv_descent(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     return (0 if witness is not None else 1), [render_equivalence(first, second, witness)]
 
 
-def _cmd_verify_morphism(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+def _cmd_verify_morphism(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     text, name = _read_document(args.file)
     morphism, source, target = parse_morphism_document(text, name)
     report = verify_morphism(morphism, source, target)
@@ -228,71 +225,168 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     ]
 
 
-def _cmd_quotient_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+def _cmd_quotient_table(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     group = _resolve_group(args.group, args.m, args)
     table = build_quotient_table(args.g, args.m, group, max_dim=_max_size(args))
     return 0, [render_quotient_table(table)]
 
 
-def _cmd_numerology(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+def _cmd_numerology(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     data = hilbert_numerology(args.g, args.n, args.m)
     return 0, [f"P(t)={data.polynomial_str()} N={data.ambient_dim} rank={data.rank}\n"]
 
 
-_HANDLERS = {
-    "enumerate": _cmd_enumerate,
-    "gamma-enumerate": _cmd_gamma_enumerate,
-    "check-stability": _cmd_check_stability,
-    "canon": _cmd_canon,
-    "split": _cmd_split,
-    "verify-descent": _cmd_verify_descent,
-    "equiv-descent": _cmd_equiv_descent,
-    "verify-morphism": _cmd_verify_morphism,
-    "quotient-table": _cmd_quotient_table,
-    "numerology": _cmd_numerology,
+def _arg(dest, *flags, integer=False, metavar=None, help=None, required=False):
+    """One argument of a subcommand; a positional when it has no flags."""
+    return dest, flags, integer, metavar, help, required
+
+
+_OUTPUT = _arg(
+    "output", "-o", "--output", metavar="PATH",
+    help="write the output document to this file instead of stdout",
+)
+# Each bound option goes only to the subcommands that read it.
+_MAX_SIZE = _arg(
+    "max_size", "--max-size", integer=True, metavar="N",
+    help="bound on 3g-3+m for enumeration (default: GS_MAX_SIZE or 6)",
+)
+_MAX_M = _arg(
+    "max_m", "--max-m", integer=True, metavar="N",
+    help="bound on the number of leg labels (default 10)",
+)
+_MAX_ORDER = _arg(
+    "max_group_order", "--max-group-order", integer=True, metavar="N",
+    help="bound on the order of label groups (default 10!)",
+)
+_GROUP = _arg(
+    "group", "--group", metavar="GENS",
+    help='group generators in cycle notation, e.g. "(1 2),(3 4)";'
+    " omitted means the trivial group",
+)
+_G, _N, _M = _arg("g", integer=True), _arg("n", integer=True), _arg("m", integer=True)
+_GRAPH = _arg("graph", help="graph document (path or inline JSON)")
+_MARKING = "marking document (path or inline text)"
+
+# The command line, declared once: per subcommand its handler, its help
+# line and its arguments in the order argparse lists them.
+_COMMANDS = {
+    "enumerate": (
+        _cmd_enumerate,
+        "list all stable graph classes for (g, m)",
+        (_OUTPUT, _MAX_SIZE, _MAX_M, _G, _M),
+    ),
+    "gamma-enumerate": (
+        _cmd_gamma_enumerate,
+        "list graph classes for (g, m) fused under a label group",
+        (_OUTPUT, _MAX_SIZE, _MAX_M, _MAX_ORDER, _G, _M, _GROUP),
+    ),
+    "check-stability": (
+        _cmd_check_stability,
+        "check a graph document for stability",
+        (_OUTPUT, _GRAPH),
+    ),
+    "canon": (
+        _cmd_canon,
+        "canonical form of a graph, optionally up to a label group",
+        (_OUTPUT, _MAX_M, _MAX_ORDER, _GRAPH, _GROUP),
+    ),
+    "split": (
+        _cmd_split,
+        "detach one vertex as a marked curve of its own",
+        (_OUTPUT, _GRAPH, _arg("vertex", "--vertex", integer=True, metavar="V", required=True)),
+    ),
+    "verify-descent": (
+        _cmd_verify_descent,
+        "check chart compatibility of a marking document",
+        (_OUTPUT, _arg("file", help=_MARKING)),
+    ),
+    "equiv-descent": (
+        _cmd_equiv_descent,
+        "decide whether two marking documents describe the same class",
+        (_OUTPUT, _arg("file1", help=_MARKING), _arg("file2", help=_MARKING)),
+    ),
+    "verify-morphism": (
+        _cmd_verify_morphism,
+        "check a fiberwise map between two marking documents",
+        (_OUTPUT, _arg("file", help="morphism document (path or inline text)")),
+    ),
+    "quotient-table": (
+        _cmd_quotient_table,
+        "labeled versus group-fused class counts per node count",
+        (_OUTPUT, _MAX_SIZE, _MAX_M, _MAX_ORDER, _G, _M, _GROUP),
+    ),
+    "numerology": (
+        _cmd_numerology,
+        "Hilbert polynomial data of the n-canonical embedding",
+        (_OUTPUT, _G, _N, _M),
+    ),
 }
 
-_GROUP_HELP = (
-    'group generators in cycle notation, e.g. "(1 2),(3 4)";'
-    " omitted means the trivial group"
-)
+
+def _reader(command: str, arguments: tuple) -> Callable[[Sequence[str]], SimpleNamespace | None]:
+    """Read ``command``'s plain command lines into argparse's namespace.
+
+    Plain means the subcommand, its positionals in order, then pairs of an
+    exact flag and its value, where no positional or value starts with "-",
+    every required option is given and every integer reads.  Any other
+    command line gives None and is left to argparse.
+    """
+    positionals, options, defaults, required = [], {}, {"command": command}, []
+    for dest, flags, integer, _, _, needed in arguments:
+        if not flags:
+            positionals.append((dest, integer))
+            continue
+        defaults[dest] = None
+        options.update(dict.fromkeys(flags, (dest, integer)))
+        if needed:
+            required.append(dest)
+    count = 1 + len(positionals)
+
+    def read(argv: Sequence[str]) -> SimpleNamespace | None:
+        if len(argv) < count or (len(argv) - count) % 2:
+            return None
+        pairs = list(zip(positionals, argv[1:count]))
+        for i in range(count, len(argv), 2):
+            option = options.get(argv[i])
+            if option is None:
+                return None
+            pairs.append((option, argv[i + 1]))
+        values = dict(defaults)
+        for (dest, integer), text in pairs:
+            if text.startswith("-"):
+                return None
+            if integer:
+                try:
+                    text = _read_int(dest, text)
+                except ValueError:
+                    return None
+            values[dest] = text
+        if any(values[dest] is None for dest in required):
+            return None
+        return SimpleNamespace(**values)
+
+    return read
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # A constant of the program.  argparse reads sys.stdout, sys.stderr and
-    # the terminal width when it prints, not here, so one parser serves
-    # every call of main.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "-o",
-        "--output",
-        metavar="PATH",
-        help="write the output document to this file instead of stdout",
-    )
-    # Each bound option goes only to the subcommands that read it.
-    max_size = argparse.ArgumentParser(add_help=False)
-    max_size.add_argument(
-        "--max-size",
-        type=_integer,
-        metavar="N",
-        help="bound on 3g-3+m for enumeration (default: GS_MAX_SIZE or 6)",
-    )
-    max_m = argparse.ArgumentParser(add_help=False)
-    max_m.add_argument(
-        "--max-m",
-        type=_integer,
-        metavar="N",
-        help="bound on the number of leg labels (default 10)",
-    )
-    max_order = argparse.ArgumentParser(add_help=False)
-    max_order.add_argument(
-        "--max-group-order",
-        type=_integer,
-        metavar="N",
-        help="bound on the order of label groups (default 10!)",
-    )
-    census = [common, max_size, max_m]
+def _build_parser() -> dict[str, Callable[[Sequence[str]], SimpleNamespace | None]]:
+    # A constant of the program, compiled from the table once per process.
+    return {command: _reader(command, spec[2]) for command, spec in _COMMANDS.items()}
+
+
+@functools.cache
+def _usage_parser():
+    """argparse's reading of the table, for help, usage errors and the rest."""
+    import argparse
+
+    # argparse reads sys.stdout, sys.stderr and the terminal width when it
+    # prints, not here, so one parser serves every call of main.
+    def integer(text: str) -> int:
+        """An integer argument, in the grammar of descent documents."""
+        try:
+            return _read_int("argument", text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
     parser = argparse.ArgumentParser(
         prog="graphstrata",
@@ -303,98 +397,29 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-
-    p = sub.add_parser(
-        "enumerate",
-        parents=census,
-        help="list all stable graph classes for (g, m)",
-    )
-    p.add_argument("g", type=_integer)
-    p.add_argument("m", type=_integer)
-
-    p = sub.add_parser(
-        "gamma-enumerate",
-        parents=census + [max_order],
-        help="list graph classes for (g, m) fused under a label group",
-    )
-    p.add_argument("g", type=_integer)
-    p.add_argument("m", type=_integer)
-    p.add_argument("--group", metavar="GENS", help=_GROUP_HELP)
-
-    p = sub.add_parser(
-        "check-stability",
-        parents=[common],
-        help="check a graph document for stability",
-    )
-    p.add_argument("graph", help="graph document (path or inline JSON)")
-
-    p = sub.add_parser(
-        "canon",
-        parents=[common, max_m, max_order],
-        help="canonical form of a graph, optionally up to a label group",
-    )
-    p.add_argument("graph", help="graph document (path or inline JSON)")
-    p.add_argument("--group", metavar="GENS", help=_GROUP_HELP)
-
-    p = sub.add_parser(
-        "split",
-        parents=[common],
-        help="detach one vertex as a marked curve of its own",
-    )
-    p.add_argument("graph", help="graph document (path or inline JSON)")
-    p.add_argument("--vertex", type=_integer, required=True, metavar="V")
-
-    p = sub.add_parser(
-        "verify-descent",
-        parents=[common],
-        help="check chart compatibility of a marking document",
-    )
-    p.add_argument("file", help="marking document (path or inline text)")
-
-    p = sub.add_parser(
-        "equiv-descent",
-        parents=[common],
-        help="decide whether two marking documents describe the same class",
-    )
-    p.add_argument("file1", help="marking document (path or inline text)")
-    p.add_argument("file2", help="marking document (path or inline text)")
-
-    p = sub.add_parser(
-        "verify-morphism",
-        parents=[common],
-        help="check a fiberwise map between two marking documents",
-    )
-    p.add_argument("file", help="morphism document (path or inline text)")
-
-    p = sub.add_parser(
-        "quotient-table",
-        parents=census + [max_order],
-        help="labeled versus group-fused class counts per node count",
-    )
-    p.add_argument("g", type=_integer)
-    p.add_argument("m", type=_integer)
-    p.add_argument("--group", metavar="GENS", help=_GROUP_HELP)
-
-    p = sub.add_parser(
-        "numerology",
-        parents=[common],
-        help="Hilbert polynomial data of the n-canonical embedding",
-    )
-    p.add_argument("g", type=_integer)
-    p.add_argument("n", type=_integer)
-    p.add_argument("m", type=_integer)
-
+    for command, (_, help_line, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for dest, flags, is_int, metavar, help_text, required in arguments:
+            shared = {"type": integer if is_int else None, "metavar": metavar, "help": help_text}
+            if flags:
+                p.add_argument(*flags, dest=dest, required=required, **shared)
+            else:
+                p.add_argument(dest, **shared)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    read = _build_parser().get(argv[0]) if argv else None
+    args = read(argv) if read else None
+    if args is None:
+        try:
+            args = _usage_parser().parse_args(argv, SimpleNamespace())
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        status, chunks = _HANDLERS[args.command](args)
+        status, chunks = _COMMANDS[args.command][0](args)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)

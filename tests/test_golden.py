@@ -13,13 +13,6 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 BENCH_GOLDEN_PATH = GOLDEN_PATH.parent.parent / "perfbench" / "golden.json"
 
 
-@pytest.fixture(autouse=True)
-def _default_size_bound(monkeypatch):
-    # The runs were pinned with the default census bound, which GS_MAX_SIZE
-    # in the caller's environment would override.
-    monkeypatch.delenv("GS_MAX_SIZE", raising=False)
-
-
 @functools.cache
 def _output(name):
     """One run per case, shared by the digest check and any test reading the output."""

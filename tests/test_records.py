@@ -10,8 +10,9 @@ equality, hash, repr, order, immutability, argument errors, copying and
 pickling.  The last tests check, each in a fresh interpreter, that
 importing the package and its CLI loads neither ``dataclasses`` nor
 ``inspect`` nor ``json``, that commands which read no JSON never load it,
-and that the graph-document commands load it on first use with the same
-errors and bytes as in a process that already holds it.
+that the graph-document commands load it on first use with the same errors
+and bytes as in a process that already holds it, and that valid commands
+never load ``argparse`` while help and usage errors do.
 """
 
 import copy
@@ -361,6 +362,45 @@ def test_commands_without_json_never_load_it():
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
     assert done.stdout.strip() == "[False, False, False, False]"
+
+
+@pytest.mark.parametrize("last", [["--help"], ["enumerate", "0"]], ids=["help", "usage-error"])
+def test_valid_commands_never_load_argparse(tmp_path, last):
+    graph = str(FIXTURES / "loop-and-bridge.json")
+    marking = str(FIXTURES / "intro-example.desc")
+    valid = [
+        ["enumerate", "0", "4", "--max-size", "6"],
+        ["gamma-enumerate", "0", "4", "--group", "(1 2)"],
+        ["check-stability", graph],
+        ["canon", graph, "--max-m", "5"],
+        ["split", graph, "--vertex", "0"],
+        ["verify-descent", marking],
+        ["equiv-descent", marking, marking],
+        ["verify-morphism", str(FIXTURES / "twist-endomorphism.desc")],
+        ["quotient-table", "0", "4", "-o", str(tmp_path / "table.txt")],
+        ["numerology", "2", "3", "0"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import graphstrata, graphstrata.cli\n"
+        "def loaded():\n"
+        "    return sorted({'argparse', 'gettext'} & set(sys.modules))\n"
+        "seen = [loaded()]\n"
+        f"for argv in {valid!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert graphstrata.cli.main(argv) == 0, argv\n"
+        "seen.append(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    graphstrata.cli.main({last!r})\n"
+        "seen.append(loaded())\n"
+        "print(seen)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[[], [], ['argparse', 'gettext']]"
 
 
 def test_malformed_inline_json_on_first_use_is_input_error():
