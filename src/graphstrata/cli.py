@@ -8,10 +8,8 @@ invocations produce byte-identical output documents.
 
 Graph arguments name JSON documents; descent arguments name sectioned
 text documents.  An argument starting with "{" or "[" is read as an
-inline document instead of a path.  The environment variable GS_MAX_SIZE
-overrides the default bound on 3g-3+m for the enumeration commands.
-Integer arguments and GS_MAX_SIZE are read as descent documents read
-``m``: ASCII digits after an optional minus sign.
+inline document instead of a path.  Integer arguments are read as descent
+documents read ``m``: ASCII digits after an optional minus sign.
 
 ``main(argv)`` is the in-process entry point: it returns the exit code
 instead of exiting and can be called any number of times.  The subcommands
@@ -28,7 +26,6 @@ only by the commands that read or write graph documents (``check-stability``,
 from __future__ import annotations
 
 import functools
-import os
 import sys
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
@@ -70,25 +67,14 @@ __all__ = ["main"]
 SPLIT_FORMAT = "split-component/1"
 
 
-def _positive(value: int, name: str) -> int:
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
-
-
-def _max_size(args: SimpleNamespace) -> int:
-    if args.max_size is not None:
-        return _positive(args.max_size, "--max-size")
-    env = os.environ.get("GS_MAX_SIZE")
-    if env is None:
-        return DEFAULT_MAX_DIM
-    return _positive(_read_int("GS_MAX_SIZE", env), "GS_MAX_SIZE")
-
-
 def _option(args: SimpleNamespace, name: str, default: int) -> int:
     """Bound option ``--name``, or ``default`` when it is not given."""
     value = getattr(args, name.replace("-", "_"))
-    return default if value is None else _positive(value, f"--{name}")
+    if value is None:
+        return default
+    if value <= 0:
+        raise ValueError(f"--{name} must be positive, got {value}")
+    return value
 
 
 def _bounds(m: int, args: SimpleNamespace) -> tuple[int, int]:
@@ -118,7 +104,7 @@ def _load_graph(arg: str) -> StableGraph:
     text, name = _read_document(arg)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise ValueError(f"{name}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{name}: JSON nested too deeply") from None
@@ -141,15 +127,16 @@ def _load_connected_graph(arg: str) -> StableGraph:
 
 
 def _cmd_enumerate(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    census = enumerate_stable_graphs(
-        args.g, args.m, max_dim=_max_size(args), max_legs=_option(args, "max-m", MAX_PERM_DEGREE)
-    )
+    max_dim = _option(args, "max-size", DEFAULT_MAX_DIM)
+    max_legs = _option(args, "max-m", MAX_PERM_DEGREE)
+    census = enumerate_stable_graphs(args.g, args.m, max_dim=max_dim, max_legs=max_legs)
     return 0, census_chunks(census)
 
 
 def _cmd_gamma_enumerate(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     group = _resolve_group(args.group, args.m, args)
-    fused = enumerate_gamma_strata(args.g, args.m, group, max_dim=_max_size(args))
+    max_dim = _option(args, "max-size", DEFAULT_MAX_DIM)
+    fused = enumerate_gamma_strata(args.g, args.m, group, max_dim=max_dim)
     return 0, gamma_census_chunks(fused)
 
 
@@ -227,7 +214,8 @@ def _cmd_verify_morphism(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
 
 def _cmd_quotient_table(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     group = _resolve_group(args.group, args.m, args)
-    table = build_quotient_table(args.g, args.m, group, max_dim=_max_size(args))
+    max_dim = _option(args, "max-size", DEFAULT_MAX_DIM)
+    table = build_quotient_table(args.g, args.m, group, max_dim=max_dim)
     return 0, [render_quotient_table(table)]
 
 
@@ -248,7 +236,7 @@ _OUTPUT = _arg(
 # Each bound option goes only to the subcommands that read it.
 _MAX_SIZE = _arg(
     "max_size", "--max-size", integer=True, metavar="N",
-    help="bound on 3g-3+m for enumeration (default: GS_MAX_SIZE or 6)",
+    help="bound on 3g-3+m for enumeration (default 6)",
 )
 _MAX_M = _arg(
     "max_m", "--max-m", integer=True, metavar="N",

@@ -48,7 +48,8 @@ class Permutation:
         m = len(self.images)
         if m == 0:
             raise ValueError("permutation degree must be positive")
-        if sorted(self.images) != list(range(1, m + 1)):
+        # ``type(i) is int``, not isinstance: bool is a subclass of int.
+        if {*map(type, self.images)} != {int} or sorted(self.images) != list(range(1, m + 1)):
             raise ValueError(f"not a bijection of 1..{m}: {self.images!r}")
 
     @classmethod
@@ -57,8 +58,8 @@ class Permutation:
         seen: set[int] = set()
         for cycle in cycles:
             for a in cycle:
-                if not 1 <= a <= m:
-                    raise ValueError(f"label {a} outside 1..{m}")
+                if type(a) is not int or not 1 <= a <= m:
+                    raise ValueError(f"label {a!r} outside 1..{m}")
                 if a in seen:
                     raise ValueError(f"label {a} repeated across cycles")
                 seen.add(a)

@@ -568,9 +568,7 @@ def enumerate_stable_graphs(
     dim = 3 * g - 3 + m
     if dim > bound:
         raise SizeLimitError(f"3g-3+m = {dim} exceeds bound {bound}")
-    legs_bound = MAX_PERM_DEGREE if max_legs is None else max_legs
-    if m > legs_bound:
-        raise SizeLimitError(f"m = {m} exceeds bound {legs_bound}")
+    check_degree(m, MAX_PERM_DEGREE if max_legs is None else max_legs)
     classes: dict[int, tuple[StableGraph, ...]] = {}
     for e, shapes in enumerate(_shapes_by_edges(g, m, dim)):
         bucket: list[StableGraph] = []

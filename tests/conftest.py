@@ -8,13 +8,6 @@ from graphstrata.stablegraph import enumerate_stable_graphs
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-@pytest.fixture(autouse=True)
-def _default_size_bound(monkeypatch):
-    # Expected outputs assume the default census bound, which GS_MAX_SIZE in
-    # the caller's environment would override; tests of the variable set it.
-    monkeypatch.delenv("GS_MAX_SIZE", raising=False)
-
-
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return FIXTURES

@@ -86,18 +86,14 @@ def test_enumerate_respects_max_size(capsys):
     assert code == 0
 
 
-def test_enumerate_env_bound(capsys, monkeypatch):
-    monkeypatch.setenv("GS_MAX_SIZE", "3")
-    code, _, _ = run(capsys, "enumerate", "2", "0")
-    assert code == 0
-    code, _, err = run(capsys, "enumerate", "2", "1")
-    assert code == 2 and "exceeds" in err
-    # explicit flag overrides the environment
-    code, _, _ = run(capsys, "enumerate", "2", "1", "--max-size", "4")
-    assert code == 0
-    monkeypatch.setenv("GS_MAX_SIZE", "zero")
-    code, _, err = run(capsys, "enumerate", "0", "4")
-    assert code == 2 and "GS_MAX_SIZE" in err
+@pytest.mark.parametrize("value", ["3", "zero", "\u0663"])
+def test_census_bound_is_not_read_from_the_environment(capsys, monkeypatch, value):
+    # --max-size is the one way to set the bound on 3g-3+m.
+    cases = [("enumerate", "2", "1"), ("enumerate", "0", "4")]
+    monkeypatch.delenv("GS_MAX_SIZE", raising=False)
+    unset = [run(capsys, *argv) for argv in cases]
+    monkeypatch.setenv("GS_MAX_SIZE", value)
+    assert [run(capsys, *argv) for argv in cases] == unset
 
 
 def test_nonpositive_bound_rejected(capsys, fixtures_dir):
@@ -134,6 +130,20 @@ def test_canon_holds_leg_count_to_max_m(capsys, fixtures_dir, group):
     code, out, err = run(capsys, "canon", graph, "--max-m", "4", *group)
     assert (code, err) == (0, "")
     assert out == run(capsys, "canon", graph, *group)[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "0", "5", "--max-m", "4"),
+        ("gamma-enumerate", "0", "5", "--max-m", "4", "--group", "(1 2)"),
+        ("quotient-table", "0", "5", "--max-m", "4"),
+    ],
+)
+def test_max_m_refusals_name_the_degree(capsys, argv):
+    # Every subcommand that takes --max-m refuses in check_degree's words.
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: degree 5 exceeds bound 4\n")
 
 
 def test_gamma_enumerate(capsys):
@@ -239,6 +249,15 @@ def test_graph_document_ids_are_ascii_digits(capsys, parts, message):
     assert err.splitlines() == [f"error: <inline>: {message}"]
 
 
+def test_integer_past_the_digit_limit_names_the_document(capsys):
+    # json.loads raises a plain ValueError here, not a JSONDecodeError.
+    doc = '{"format": "stable-graph/1", "vertices": [{"genus": %s}]}' % ("1" * 5000)
+    code, out, err = run(capsys, "check-stability", doc)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: <inline>: Exceeds the limit (4300 digits)")
+    assert len(err.splitlines()) == 1
+
+
 def test_group_labels_are_ascii_digits(capsys):
     doc = inline_graph([0], [], [0, 0, 0])
     code, out, err = run(capsys, "canon", doc, "--group", "(\u0661 \u0662)")
@@ -290,13 +309,6 @@ def test_integer_arguments_keep_signs_and_leading_zeros(capsys):
     assert run(capsys, "enumerate", "0", "04") == run(capsys, "enumerate", "0", "4")
     code, out, err = run(capsys, "enumerate", "-1", "4")
     assert (code, out, err) == (2, "", "error: g and m must be nonnegative\n")
-
-
-def test_size_bound_from_the_environment_is_ascii_digits(capsys, monkeypatch):
-    monkeypatch.setenv("GS_MAX_SIZE", "\u0663")
-    code, out, err = run(capsys, "enumerate", "0", "4")
-    assert (code, out) == (2, "")
-    assert err == "error: GS_MAX_SIZE must be an integer, got '\u0663'\n"
 
 
 @pytest.mark.parametrize(
@@ -672,7 +684,6 @@ REUSE_CASES = {
 
 def _fresh_env():
     env = dict(os.environ, COLUMNS="80")
-    env.pop("GS_MAX_SIZE", None)
     src = str(Path(graphstrata.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
@@ -687,7 +698,6 @@ def _fresh_python(*args):
 @pytest.mark.parametrize("argv", REUSE_CASES.values(), ids=REUSE_CASES.keys())
 def test_repeated_main_matches_fresh_process(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("GS_MAX_SIZE", raising=False)
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert second == first

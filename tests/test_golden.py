@@ -1,7 +1,13 @@
-"""Replay the pinned CLI runs of ``record_golden.py`` against ``golden_cli.json``."""
+"""Replay the pinned CLI runs of ``record_golden.py`` against ``golden_cli.json``.
+
+Each case runs once.  Its digest, the round trip of its graph documents and
+the facts the case-specific tests read are taken from that one output, and
+then the text is dropped, so no two large outputs are held at once.
+"""
 
 import functools
 import json
+from typing import NamedTuple
 
 import pytest
 
@@ -11,12 +17,67 @@ from record_golden import CASES, FIXTURES, GOLDEN_PATH, digest, output
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 BENCH_GOLDEN_PATH = GOLDEN_PATH.parent.parent / "perfbench" / "golden.json"
+GENUS_5 = "enumerate 5 0 --max-size 12"
+
+
+def _census_facts(text):
+    doc = json.loads(text)
+    return {
+        "total": doc["total"],
+        "node_keys": list(doc["classes_by_nodes"]),
+        "written_as_json": text == json.dumps(doc, indent=2) + "\n",
+    }
+
+
+# What the tests below read of a case's output besides its digest; the short
+# verifier reports are kept whole.
+_KEEP = {
+    GENUS_5: _census_facts,
+    "verify-morphism cyclic-swap-morphism": str,
+    "verify-morphism class-violation-morphism": str,
+}
+
+
+class Replay(NamedTuple):
+    code: int
+    digest: str
+    documents: int  # graph documents in the output
+    unequal: list  # (document, its round trip) for each that differs
+    kept: object  # what _KEEP takes of the output, for a case listed there
+
+
+def _round_trip(text):
+    """Count the graph documents in JSON ``text``; list those a round trip changes.
+
+    Each document is checked as the parser builds it and then dropped, so a
+    census's documents are never all held at once.
+    """
+    count, unequal = 0, []
+
+    def check(node):
+        nonlocal count
+        if node.get("format") != GRAPH_FORMAT:
+            return node
+        count += 1
+        try:
+            back = graph_to_doc(graph_from_doc(node))
+        except ValueError as exc:
+            back = exc
+        if back != node:
+            unequal.append((node, back))
+        return None
+
+    json.loads(text, object_hook=check)
+    return count, unequal
 
 
 @functools.cache
-def _output(name):
-    """One run per case, shared by the digest check and any test reading the output."""
-    return output(main, CASES[name])
+def _replay(name):
+    """Run one case and keep what the tests read of it, not its text."""
+    code, text = output(main, CASES[name])
+    documents, unequal = _round_trip(text) if text.startswith("{") else (0, [])
+    kept = _KEEP[name](text) if name in _KEEP else None
+    return Replay(code, digest(code, text), documents, unequal, kept)
 
 
 def test_golden_covers_every_case():
@@ -25,23 +86,22 @@ def test_golden_covers_every_case():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
-    assert digest(*_output(name)) == GOLDEN[name]
+    assert _replay(name).digest == GOLDEN[name]
 
 
 def test_genus_5_census_class_count():
     # 4,555 is this code's count of stable graph classes of genus 5 without
     # legs, pinned with the digest above; it is not checked against a
     # published table, which is not transcribed into this repository.
-    code, text = _output("enumerate 5 0 --max-size 12")
-    assert (code, json.loads(text)["total"]) == (0, 4555)
+    replay = _replay(GENUS_5)
+    assert (replay.code, replay.kept["total"]) == (0, 4555)
 
 
 def test_genus_5_census_is_written_as_json_writes_it():
     # Node counts run to 12 here, so two-digit keys must follow 9.
-    _, text = _output("enumerate 5 0 --max-size 12")
-    doc = json.loads(text)
-    assert list(doc["classes_by_nodes"]) == [str(i) for i in range(13)]
-    assert text == json.dumps(doc, indent=2) + "\n"
+    facts = _replay(GENUS_5).kept
+    assert facts["node_keys"] == [str(i) for i in range(13)]
+    assert facts["written_as_json"]
 
 
 def test_legs_census_digests_match_the_benchmark():
@@ -51,23 +111,13 @@ def test_legs_census_digests_match_the_benchmark():
     assert [f"{code}:{sha[:16]}" for code, sha in ours] == bench[:2]
 
 
-def _graph_docs(node):
-    """Every graph document nested in a JSON value."""
-    if isinstance(node, dict) and node.get("format") == GRAPH_FORMAT:
-        yield node
-    elif isinstance(node, (dict, list)):
-        for child in node.values() if isinstance(node, dict) else node:
-            yield from _graph_docs(child)
-
-
 def test_golden_graph_documents_round_trip():
     # The id grammar admits every document the pinned runs read or print.
-    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.json"))]
-    texts += [text for _, text in map(_output, sorted(CASES)) if text.startswith("{")]
-    docs = [doc for text in texts for doc in _graph_docs(json.loads(text))]
-    assert len(docs) > 4555
-    for doc in docs:
-        assert graph_to_doc(graph_from_doc(doc)) == doc
+    paths = sorted(FIXTURES.glob("*.json"))
+    results = [_round_trip(path.read_text(encoding="utf-8")) for path in paths]
+    results += [(r.documents, r.unequal) for r in map(_replay, sorted(CASES))]
+    assert sum(count for count, _ in results) > 4555
+    assert [pair for _, unequal in results for pair in unequal] == []
 
 
 @pytest.mark.parametrize(
@@ -80,9 +130,9 @@ def test_golden_graph_documents_round_trip():
     ],
 )
 def test_failing_morphisms_render_their_verdict_lines(name, lines):
-    code, text = _output(name)
-    assert code == 1 and text.endswith("INVALID\n")
-    assert set(lines) <= set(text.splitlines())
+    replay = _replay(name)
+    assert replay.code == 1 and replay.kept.endswith("INVALID\n")
+    assert set(lines) <= set(replay.kept.splitlines())
 
 
 def test_recorder_adds_missing_cases_and_keeps_recorded_ones(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 every private top-level name it defines is read somewhere in the package.
 ``StableGraph`` is built past its checks in one private helper only, and
 only the two functions that carry a validated graph by a bijection call it.
+No library module reads the process environment: every bound is a flag.
 
 Names listed in the module's ``__all__`` (re-exports) and ``from
 __future__`` imports are exempt.  Only the standard ``ast`` module is used.
@@ -205,3 +206,47 @@ def test_check_finds_an_unchecked_construction_elsewhere():
     assert "appears 2 times" in unchecked_constructions(
         {"stablegraph.py": stablegraph, "gamma.py": second}
     )[0]
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source):
+    """(line, name) of every read of the process environment in ``source``."""
+    tree = ast.parse(source)
+    modules = {"os"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "os" and alias.asname
+    }
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [(node.lineno, f"os.{a.name}") for a in node.names if a.name in ENVIRONMENT]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENVIRONMENT
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            reads.append((node.lineno, f"os.{node.attr}"))
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_an_environment_read():
+    source = (
+        "import os\n"
+        "import os as system\n"
+        "from os import getenv, path\n"
+        "bound = os.environ.get('BOUND')\n"
+        "home = system.getenv('HOME')\n"
+        "here = os.path.join(path.curdir, 'x')\n"
+    )
+    assert environment_reads(source) == [(3, "os.getenv"), (4, "os.environ"), (5, "os.getenv")]

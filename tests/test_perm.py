@@ -179,6 +179,20 @@ def test_permutation_constructor_still_checks_bijections():
         Permutation((1, 1))
 
 
+@pytest.mark.parametrize(
+    "images", [(2.0, 1.0), (True,), (2, True), (1, "2"), ("1",)], ids=repr
+)
+def test_permutation_images_are_ints(images):
+    with pytest.raises(ValueError, match="not a bijection"):
+        Permutation(images)
+
+
+@pytest.mark.parametrize("label", [True, 1.0, "1"], ids=repr)
+def test_cycle_labels_are_ints(label):
+    with pytest.raises(ValueError, match=f"label {label!r} outside 1..3"):
+        Permutation.from_cycles(3, [(label, 2)])
+
+
 def test_group_is_closed():
     group = group_from_generators(4, parse_generators("(1 2),(2 3)", 4))
     for a in group:
