@@ -103,15 +103,11 @@ def _load_graph(arg: str) -> StableGraph:
 
     text, name = _read_document(arg)
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
+        return graph_from_doc(json.loads(text))
+    except ValueError as exc:  # JSONDecodeError, an integer past int()'s digit limit, or a bad graph
         raise ValueError(f"{name}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{name}: JSON nested too deeply") from None
-    try:
-        return graph_from_doc(doc)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
 
 
 def _load_connected_graph(arg: str) -> StableGraph:

@@ -51,7 +51,7 @@ import re
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._record import record
-from .perm import PermGroup, Permutation, check_degree, cycle_notation
+from .perm import PermGroup, Permutation, check_degree, check_group_degree, cycle_notation
 from .perm import group_from_generators, label_orbits, parse_generators
 
 __all__ = [
@@ -122,10 +122,7 @@ class ChartedMarking:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("m must be positive")
-        if self.group.degree != self.m:
-            raise ValueError(
-                f"group degree {self.group.degree} does not match m = {self.m}"
-            )
+        check_group_degree(self.group, self.m)
         if set(self.fiber_points) != set(self.cover.base):
             raise ValueError("fiber_points must cover exactly the base points")
         seen: dict[str, str] = {}

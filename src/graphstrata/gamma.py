@@ -13,7 +13,7 @@ from operator import attrgetter
 from typing import Iterator
 
 from ._record import record
-from .perm import PermGroup, Permutation, label_orbits
+from .perm import PermGroup, Permutation, check_group_degree, label_orbits
 from .stablegraph import (
     GraphIsomorphism,
     StableGraph,
@@ -22,6 +22,7 @@ from .stablegraph import (
     _carried,
     _graph_writer,
     _json_list,
+    _read_back,
     canonical_form,
     enumerate_stable_graphs,
     iter_graph_isomorphisms,
@@ -44,13 +45,6 @@ __all__ = [
 ]
 
 GAMMA_CENSUS_FORMAT = "gamma-census/1"
-
-
-def _check_degree(graph: StableGraph, group: PermGroup) -> None:
-    if graph.m != group.degree:
-        raise ValueError(
-            f"group degree {group.degree} does not match m = {graph.m}"
-        )
 
 
 def relabel_legs(graph: StableGraph, gamma: Permutation) -> StableGraph:
@@ -83,7 +77,7 @@ def gamma_equivalent(
     Searches group elements in their lexicographic order, so the witness is
     deterministic.
     """
-    _check_degree(a, group)
+    check_group_degree(group, a.m)
     if b.m != a.m:
         raise ValueError(f"marks differ: {a.m} vs {b.m}")
     for gamma in group:
@@ -100,7 +94,7 @@ _fields = attrgetter("genera", "edges", "legs")
 
 def gamma_canonical_form(graph: StableGraph, group: PermGroup) -> StableGraph:
     """Least canonical form over all relabelings in the group."""
-    _check_degree(graph, group)
+    check_group_degree(group, graph.m)
     images = map(relabel_legs, repeat(graph), group)
     return min(map(canonical_form, images), key=_fields)
 
@@ -124,7 +118,7 @@ class GammaMarkedGraph:
 
     def class_labels(self) -> tuple[frozenset[int], ...]:
         """Per leg label, the set of labels it is interchangeable with."""
-        _check_degree(self.graph, self.group)
+        check_group_degree(self.group, self.graph.m)
         return label_orbits(self.group)
 
 
@@ -135,7 +129,7 @@ def gamma_automorphisms(
 
     The pairs form a group under componentwise composition.
     """
-    _check_degree(graph, group)
+    check_group_degree(group, graph.m)
     out = []
     for gamma in group:
         for iso in iter_graph_isomorphisms(relabel_legs(graph, gamma), graph, True):
@@ -190,11 +184,14 @@ def enumerate_gamma_strata(
 
     Representatives are the least canonical forms of their orbits; orbit
     sizes and stabilizer orders satisfy |orbit| * |stabilizer| = |group|.
+    A given ``census`` must be the (g, m) census, and ``max_dim`` is not
+    read then.
     """
-    if group.degree != m:
-        raise ValueError(f"group degree {group.degree} does not match m = {m}")
+    check_group_degree(group, m)
     if census is None:
         census = enumerate_stable_graphs(g, m, max_dim=max_dim)
+    elif (census.g, census.m) != (g, m):
+        raise ValueError(f"census is for (g, m) = ({census.g}, {census.m}), not ({g}, {m})")
     classes: dict[int, tuple[GammaClass, ...]] = {}
     for i in sorted(census.classes_by_nodes):
         orbits: dict[tuple, list[StableGraph]] = {}
@@ -267,6 +264,4 @@ def gamma_census_chunks(fused: GammaCensus) -> Iterator[str]:
 
 def gamma_census_to_doc(fused: GammaCensus) -> dict:
     """The fused census document as a JSON value, read back from ``gamma_census_chunks``."""
-    import json
-
-    return json.loads("".join(gamma_census_chunks(fused)))
+    return _read_back(gamma_census_chunks(fused))

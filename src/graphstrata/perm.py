@@ -63,7 +63,8 @@ class Permutation:
                 if a in seen:
                     raise ValueError(f"label {a} repeated across cycles")
                 seen.add(a)
-            for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
+            # An empty cycle, the identity's "()", moves nothing.
+            for a, b in zip(cycle, tuple(cycle[1:]) + tuple(cycle[:1])):
                 images[a - 1] = b
         return cls(tuple(images))
 
@@ -83,10 +84,7 @@ class Permutation:
         return Permutation(tuple(self.images[j - 1] for j in other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images, start=1):
-            inv[j - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation(self._pull(tuple(range(1, self.degree + 1))))
 
     def is_identity(self) -> bool:
         return all(j == i for i, j in enumerate(self.images, start=1))
@@ -219,6 +217,12 @@ def _member(images: tuple[int, ...]) -> Permutation:
 def check_degree(m: int, bound: int = MAX_PERM_DEGREE) -> None:
     if m > bound:
         raise SizeLimitError(f"degree {m} exceeds bound {bound}")
+
+
+def check_group_degree(group: PermGroup, m: int) -> None:
+    """Refuse a group that does not act on the labels 1..m."""
+    if group.degree != m:
+        raise ValueError(f"group degree {group.degree} does not match m = {m}")
 
 
 def group_from_generators(

@@ -32,7 +32,7 @@ import itertools
 import re
 from collections import Counter
 from operator import lt
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._record import record
 from .limits import DEFAULT_MAX_DIM, MAX_PERM_DEGREE, SizeLimitError
@@ -697,29 +697,16 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _read_back(chunks: Iterable[str]):
+    """The JSON value of a writer's text, given as its chunks."""
+    import json
+
+    return json.loads("".join(chunks))
+
+
 def graph_to_doc(graph: StableGraph) -> dict:
-    """Graph document with explicit half-edge ids ``v<i>.h<k>``.
-
-    Half-edge indices count up per vertex in edge order, so the document
-    is a pure function of the graph.
-    """
-    counters = [0] * graph.num_vertices
-
-    def half(v: int) -> str:
-        k = counters[v]
-        counters[v] += 1
-        return f"v{v}.h{k}"
-
-    edges = [[half(u), half(v)] for u, v in graph.edges]
-    return {
-        "format": GRAPH_FORMAT,
-        "vertices": [{"genus": g} for g in graph.genera],
-        "edges": edges,
-        "legs": [
-            {"label": k + 1, "vertex": f"v{v}"}
-            for k, v in enumerate(graph.legs)
-        ],
-    }
+    """The graph document as a JSON value, read back from ``_graph_writer``."""
+    return _read_back([_graph_writer("")(graph)])
 
 
 def _parse_half_edge(text: object, nv: int, where: str) -> tuple[int, int]:
@@ -806,10 +793,12 @@ def _json_list(items: list[str], pad: str) -> str:
 
 
 def _graph_writer(pad: str):
-    """A function giving ``graph_to_doc(graph)`` as ``dumps`` writes it at nesting ``pad``.
+    """A function writing a graph's ``stable-graph/1`` text as ``dumps`` would, at nesting ``pad``.
 
-    ``pad`` is the indent of the line each object opens on; its closing
-    brace gets the same indent and no newline follows it.  The text up to
+    Half-edge ids are ``v<i>.h<k>``, with k counting up per vertex in edge
+    order, so the document is a pure function of the graph.  ``pad`` is
+    the indent of the line each object opens on; its closing brace gets
+    the same indent and no newline follows it.  The text up to
     the legs depends only on the genera and edges, and a census lists the
     graphs of one shape in a row, so that text is rendered again only when
     the shape changes.  Each leg is rendered once per (label, vertex).
@@ -886,6 +875,4 @@ def census_chunks(census: StratumCensus) -> Iterator[str]:
 
 def census_to_doc(census: StratumCensus) -> dict:
     """The census document as a JSON value, read back from ``census_chunks``."""
-    import json
-
-    return json.loads("".join(census_chunks(census)))
+    return _read_back(census_chunks(census))

@@ -178,21 +178,31 @@ def resolve(args: list[str]) -> list[str]:
     return [str(FIXTURES / a[1:]) if a.startswith("@") else a for a in args]
 
 
-def output(main, args: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of one in-process ``main`` call."""
-    out = io.StringIO()
+class _Stdout(io.TextIOBase):
+    """A stdout that hashes each chunk written to it and hands it to ``each``."""
+
+    def __init__(self, each=None):
+        super().__init__()
+        self.sha = hashlib.sha256()
+        self.each = each
+
+    def write(self, text: str) -> int:
+        self.sha.update(text.encode("utf-8"))
+        if self.each is not None:
+            self.each(text)
+        return len(text)
+
+
+def run(main, args: list[str], each=None) -> str:
+    """``"<exit> <stdout sha256>"``, the form in which a run is pinned, of one ``main`` call.
+
+    stdout is hashed chunk by chunk as ``main`` writes it and never held
+    whole; ``each``, when given, is called with every chunk too.
+    """
+    out = _Stdout(each)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(resolve(args))
-    return code, out.getvalue()
-
-
-def digest(code: int, text: str) -> str:
-    """``"<exit> <stdout sha256>"``, the form in which a run is pinned."""
-    return f"{code} {hashlib.sha256(text.encode('utf-8')).hexdigest()}"
-
-
-def run(main, args: list[str]) -> str:
-    return digest(*output(main, args))
+    return f"{code} {out.sha.hexdigest()}"
 
 
 def main() -> int:

@@ -1,8 +1,8 @@
 """Replay the pinned CLI runs of ``record_golden.py`` against ``golden_cli.json``.
 
-Each case runs once.  Its digest, the round trip of its graph documents and
-the facts the case-specific tests read are taken from that one output, and
-then the text is dropped, so no two large outputs are held at once.
+Each case runs once.  Its digest and the round trip of its graph documents
+are taken chunk by chunk as the output is written, so no large output is
+held whole; only the cases the case-specific tests read are kept as text.
 """
 
 import functools
@@ -13,7 +13,7 @@ import pytest
 
 from graphstrata.cli import main
 from graphstrata.stablegraph import GRAPH_FORMAT, graph_from_doc, graph_to_doc
-from record_golden import CASES, FIXTURES, GOLDEN_PATH, digest, output
+from record_golden import CASES, FIXTURES, GOLDEN_PATH, run
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 BENCH_GOLDEN_PATH = GOLDEN_PATH.parent.parent / "perfbench" / "golden.json"
@@ -71,13 +71,42 @@ def _round_trip(text):
     return count, unequal
 
 
+def _documents_text(chunk):
+    """The JSON text of the graph documents in one chunk of a JSON output, or None.
+
+    A document written whole (``canon``, ``split``) is one chunk.  The
+    census writers yield one chunk per class, whose object opens after a
+    newline at a six-space indent; their other chunks hold no graph.
+    """
+    if chunk.startswith("{") and chunk.endswith("}\n"):
+        return chunk
+    start = chunk.find("\n      {")
+    return chunk[start + 7 :] if start >= 0 else None
+
+
 @functools.cache
 def _replay(name):
     """Run one case and keep what the tests read of it, not its text."""
-    code, text = output(main, CASES[name])
-    documents, unequal = _round_trip(text) if text.startswith("{") else (0, [])
-    kept = _KEEP[name](text) if name in _KEEP else None
-    return Replay(code, digest(code, text), documents, unequal, kept)
+    documents, unequal, kept, is_json = 0, [], [], None
+
+    def each(chunk):
+        nonlocal documents, is_json
+        if is_json is None:
+            is_json = chunk.startswith("{")
+        text = _documents_text(chunk) if is_json else None
+        if text is not None:
+            try:
+                count, bad = _round_trip(text)
+            except ValueError as exc:  # a chunk this reading does not split into documents
+                count, bad = 0, [(text[:80], exc)]
+            documents += count
+            unequal.extend(bad)
+        if name in _KEEP:
+            kept.append(chunk)
+
+    pinned = run(main, CASES[name], each)
+    kept = _KEEP[name]("".join(kept)) if name in _KEEP else None
+    return Replay(int(pinned.split()[0]), pinned, documents, unequal, kept)
 
 
 def test_golden_covers_every_case():

@@ -3,6 +3,8 @@ every private top-level name it defines is read somewhere in the package.
 ``StableGraph`` is built past its checks in one private helper only, and
 only the two functions that carry a validated graph by a bijection call it.
 No library module reads the process environment: every bound is a flag.
+The private names that modules import from each other are listed here, so
+a new one shows as an edit of this file.
 
 Names listed in the module's ``__all__`` (re-exports) and ``from
 __future__`` imports are exempt.  Only the standard ``ast`` module is used.
@@ -250,3 +252,45 @@ def test_check_finds_an_environment_read():
         "here = os.path.join(path.curdir, 'x')\n"
     )
     assert environment_reads(source) == [(3, "os.getenv"), (4, "os.environ"), (5, "os.getenv")]
+
+
+# Every ``from .module import _name`` in the package: (importer, module, name).
+PRIVATE_IMPORTS = {
+    ("cli.py", "descent", "_parse_marking_documents"),
+    ("cli.py", "descent", "_read_int"),
+    ("gamma.py", "stablegraph", "_by_nodes_chunks"),
+    ("gamma.py", "stablegraph", "_carried"),
+    ("gamma.py", "stablegraph", "_graph_writer"),
+    ("gamma.py", "stablegraph", "_json_list"),
+    ("gamma.py", "stablegraph", "_read_back"),
+}
+
+
+def private_imports(sources):
+    """(importer, module, name) of each private name imported within the package."""
+    return {
+        (importer, node.module, alias.name)
+        for importer, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    }
+
+
+def test_private_imports_are_the_listed_ones():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert private_imports(sources) == PRIVATE_IMPORTS
+
+
+def test_check_finds_a_private_import():
+    sources = {
+        "a.py": (
+            "from __future__ import annotations\n"
+            "from os import _exit\n"
+            "from ._record import record\n"
+            "from .b import __doc__, _helper as helper, shown\n"
+        ),
+        "b.py": "def f():\n    from .a import _late\n",
+    }
+    assert private_imports(sources) == {("a.py", "b", "_helper"), ("b.py", "a", "_late")}

@@ -193,6 +193,14 @@ def test_cycle_labels_are_ints(label):
         Permutation.from_cycles(3, [(label, 2)])
 
 
+@pytest.mark.parametrize(
+    "cycles, images", [([()], (1, 2, 3)), ([(), (1, 2)], (2, 1, 3))], ids=["()", "(),(1 2)"]
+)
+def test_empty_cycle_moves_nothing(cycles, images):
+    # Cycle notation writes the identity as "()", as parse_permutation reads it.
+    assert Permutation.from_cycles(3, cycles).images == images
+
+
 def test_group_is_closed():
     group = group_from_generators(4, parse_generators("(1 2),(2 3)", 4))
     for a in group:

@@ -20,7 +20,8 @@ from graphstrata.descent import (
 )
 from graphstrata.gamma import enumerate_gamma_strata, gamma_equivalent
 from graphstrata.perm import Permutation, group_from_generators, symmetric_group
-from graphstrata.stablegraph import StableGraph, graph_from_doc
+from graphstrata.stablegraph import StableGraph, enumerate_stable_graphs, graph_from_doc
+from graphstrata.strata import build_quotient_table
 
 POINTS = ("p1", "p2", "p3", "p4")
 
@@ -196,6 +197,14 @@ GAMMA_CASES = {
     "census group degree": (
         lambda: enumerate_gamma_strata(0, 4, symmetric_group(3)),
         "group degree 3 does not match m = 4",
+    ),
+    "census of another genus": (
+        lambda: enumerate_gamma_strata(1, 4, symmetric_group(4), census=enumerate_stable_graphs(0, 4)),
+        "census is for (g, m) = (0, 4), not (1, 4)",
+    ),
+    "quotient table of another census": (
+        lambda: build_quotient_table(0, 5, symmetric_group(5), census=enumerate_stable_graphs(0, 4)),
+        "census is for (g, m) = (0, 4), not (0, 5)",
     ),
 }
 
