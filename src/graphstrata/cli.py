@@ -44,7 +44,7 @@ from .descent import (
 )
 from .gamma import enumerate_gamma_strata, gamma_canonical_form, gamma_census_chunks
 from .limits import DEFAULT_MAX_DIM, MAX_GROUP_ORDER, MAX_PERM_DEGREE
-from .perm import PermGroup, check_degree, group_from_generators, parse_generators
+from .perm import PermGroup, check_degree, generator_text, group_from_generators, parse_generators
 from .stablegraph import (
     DisconnectedGraphError,
     StableGraph,
@@ -169,7 +169,6 @@ def _cmd_canon(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
 def _cmd_split(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     graph = _load_connected_graph(args.graph)
     piece = split_component(graph, args.vertex)
-    gens = ",".join(g.cycle_string() for g in piece.generators) or "()"
     doc = {
         "format": SPLIT_FORMAT,
         "vertex": piece.vertex,
@@ -177,7 +176,7 @@ def _cmd_split(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
         "marks": piece.marks,
         "kept_labels": piece.marks - len(piece.interchangeable),
         "interchangeable": list(piece.interchangeable),
-        "group": gens if piece.marks else None,
+        "group": generator_text(piece.generators) if piece.marks else None,
         "stable": piece.stable,
         "graph": graph_to_doc(piece.graph),
     }

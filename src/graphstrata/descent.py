@@ -48,10 +48,11 @@ visible rather than hiding it.
 from __future__ import annotations
 
 import re
+from itertools import product
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._record import record
-from .perm import PermGroup, Permutation, check_degree, check_group_degree, cycle_notation
+from .perm import PermGroup, Permutation, check_acts_on, check_degree, cycle_notation
 from .perm import group_from_generators, label_orbits, parse_generators
 
 __all__ = [
@@ -94,19 +95,22 @@ class FiniteCover:
             raise ValueError("base points must be distinct")
         if len(set(self.cover)) != len(self.cover):
             raise ValueError("cover points must be distinct")
-        base_set = set(self.base)
+        fibers: dict[str, list[str]] = {s: [] for s in self.base}
         for c in self.cover:
             if c not in self.down:
                 raise ValueError(f"cover point {c} has no image")
-            if self.down[c] not in base_set:
+            if self.down[c] not in fibers:
                 raise ValueError(f"cover point {c} maps outside the base")
+            fibers[self.down[c]].append(c)
         if set(self.down) != set(self.cover):
             raise ValueError("down map keys must be exactly the cover points")
-        if set(self.down.values()) != base_set:
+        if not all(fibers.values()):
             raise ValueError("cover must surject onto the base")
+        # Each fiber in cover order, kept off the fields: equality, hash and repr ignore it.
+        object.__setattr__(self, "_fibers", {s: tuple(f) for s, f in fibers.items()})
 
     def fiber(self, s: str) -> tuple[str, ...]:
-        return tuple(c for c in self.cover if self.down[c] == s)
+        return self._fibers.get(s, ())
 
 
 @record
@@ -122,7 +126,7 @@ class ChartedMarking:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("m must be positive")
-        check_group_degree(self.group, self.m)
+        check_acts_on(self.group, self.m)
         if set(self.fiber_points) != set(self.cover.base):
             raise ValueError("fiber_points must cover exactly the base points")
         seen: dict[str, str] = {}
@@ -189,12 +193,10 @@ def _match_all(triples: Iterable[tuple], members: frozenset[Images]) -> tuple[di
 def _compatible(marking: ChartedMarking) -> bool:
     """The compatibility condition, by one match per chart (module docstring)."""
     members = marking.group.members
-    first: dict[str, dict[str, int]] = {}
-    for c in marking.cover.cover:
-        s = marking.cover.down[c]
-        if s not in first:
-            first[s] = _positions(marking.sigma[c])
-        elif _match(marking.sigma[c], first[s], members) is None:
+    for s in marking.cover.base:
+        first, *rest = marking.cover.fiber(s)
+        positions = _positions(marking.sigma[first])
+        if any(_match(marking.sigma[c], positions, members) is None for c in rest):
             return False
     return all(len(points) == marking.m for points in marking.fiber_points.values())
 
@@ -226,10 +228,7 @@ class StarReport(_Witnessed):
 def _star_pairs(marking: ChartedMarking) -> Iterator[tuple[str, str]]:
     """Every ordered same-fiber pair of cover points, in report order."""
     for s in marking.cover.base:
-        fiber = marking.cover.fiber(s)
-        for a in fiber:
-            for b in fiber:
-                yield a, b
+        yield from product(marking.cover.fiber(s), repeat=2)
 
 
 def verify_star(marking: ChartedMarking) -> StarReport:
@@ -296,13 +295,17 @@ class DominationReport(_Witnessed):
     missing: tuple[str, ...]
 
 
-def _require_same_setting(a: ChartedMarking, b: ChartedMarking) -> None:
-    if set(a.cover.base) != set(b.cover.base):
-        raise ValueError("markings live over different bases")
+def _require_same_group(a: ChartedMarking, b: ChartedMarking) -> None:
     if a.m != b.m:
         raise ValueError("markings have different m")
     if a.group != b.group:
         raise ValueError("markings carry different groups")
+
+
+def _require_same_setting(a: ChartedMarking, b: ChartedMarking) -> None:
+    if set(a.cover.base) != set(b.cover.base):
+        raise ValueError("markings live over different bases")
+    _require_same_group(a, b)
     for s in a.cover.base:
         if set(a.fiber_points[s]) != set(b.fiber_points[s]):
             raise ValueError(f"markings disagree on the fiber over {s}")
@@ -344,10 +347,8 @@ def _refinement_points(
 ) -> Iterator[tuple[str, str]]:
     """The common refinement over ``base_map``: each (a, b) with b over a's image, in order."""
     for a in c1.cover.cover:
-        t = base_map[c1.cover.down[a]]
-        for b in c2.cover.cover:
-            if c2.cover.down[b] == t:
-                yield a, b
+        for b in c2.cover.fiber(base_map[c1.cover.down[a]]):
+            yield a, b
 
 
 def equivalent(
@@ -362,10 +363,12 @@ def equivalent(
     match(sigma1(a), sigma1(a')) = j(a', b)^-1 * j(a, b).
     """
     _require_same_setting(c1, c2)
-    pairs = list(_refinement_points(c1, c2, {s: s for s in c1.cover.base}))
-    to_first = {f"{a}*{b}": a for a, b in pairs}
-    to_second = {f"{a}*{b}": b for a, b in pairs}
-    assert len(to_first) == len(pairs), "cover point names collide"
+    to_first, to_second = {}, {}
+    for a, b in _refinement_points(c1, c2, {s: s for s in c1.cover.base}):
+        name = f"{a}*{b}"
+        if name in to_first:
+            raise ValueError(f"refinement point {name} names two pairs of cover points")
+        to_first[name], to_second[name] = a, b
     if not _compatible(c1):
         return None
     refinement = ChartedMarking(
@@ -420,10 +423,7 @@ class MorphismReport(_Witnessed):
 def verify_morphism(
     hm: FiberMorphism, c1: ChartedMarking, c2: ChartedMarking
 ) -> MorphismReport:
-    if c1.m != c2.m:
-        raise ValueError("markings have different m")
-    if c1.group != c2.group:
-        raise ValueError("markings carry different groups")
+    _require_same_group(c1, c2)
     try:
         classes1 = class_function(c1)
         classes2 = class_function(c2)
@@ -477,13 +477,9 @@ def globalize_trivial_group(marking: ChartedMarking) -> ChartedMarking:
         raise ValueError("globalization needs the trivial group")
     if not _compatible(marking):
         raise ValueError("charts are incompatible; nothing globalizes")
-    sigma: dict[str, tuple[str, ...]] = {}
-    for s in marking.cover.base:
-        fiber = marking.cover.fiber(s)
-        sigma[s] = marking.sigma[fiber[0]]
-        for c in fiber[1:]:
-            assert marking.sigma[c] == sigma[s]
     base = marking.cover.base
+    sigma = {s: marking.sigma[marking.cover.fiber(s)[0]] for s in base}
+    assert all(marking.sigma[c] == sigma[marking.cover.down[c]] for c in marking.cover.cover)
     return ChartedMarking(
         cover=FiniteCover(base, base, {s: s for s in base}),
         m=marking.m,

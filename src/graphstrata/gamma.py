@@ -13,7 +13,7 @@ from operator import attrgetter
 from typing import Iterator
 
 from ._record import record
-from .perm import PermGroup, Permutation, check_group_degree, label_orbits
+from .perm import PermGroup, Permutation, check_acts_on, label_orbits
 from .stablegraph import (
     GraphIsomorphism,
     StableGraph,
@@ -55,7 +55,7 @@ def relabel_legs(graph: StableGraph, gamma: Permutation) -> StableGraph:
     """
     old = graph.legs
     if len(gamma.images) != len(old):
-        raise ValueError(f"permutation degree {len(gamma.images)} != m = {len(old)}")
+        check_acts_on(gamma, len(old))
     # gamma was checked to be a bijection of 1..m when it was built.
     legs = gamma._pull(old)
     return graph if legs == old else _carried(graph.genera, graph.edges, legs)
@@ -77,14 +77,20 @@ def gamma_equivalent(
     Searches group elements in their lexicographic order, so the witness is
     deterministic.
     """
-    check_group_degree(group, a.m)
+    check_acts_on(group, a.m)
     if b.m != a.m:
         raise ValueError(f"marks differ: {a.m} vs {b.m}")
+    first = next(_gamma_isomorphisms(a, b, group), None)
+    return None if first is None else GammaWitness(*first)
+
+
+def _gamma_isomorphisms(
+    a: StableGraph, b: StableGraph, group: PermGroup
+) -> Iterator[tuple[Permutation, GraphIsomorphism]]:
+    """Each (gamma, iso) with iso carrying ``relabel_legs(a, gamma)`` onto b, gamma in order."""
     for gamma in group:
-        iso = next(iter_graph_isomorphisms(relabel_legs(a, gamma), b, True), None)
-        if iso is not None:
-            return GammaWitness(gamma, iso)
-    return None
+        for iso in iter_graph_isomorphisms(relabel_legs(a, gamma), b, True):
+            yield gamma, iso
 
 
 # Relabelings keep the vertex and leg counts, so images of one graph order
@@ -94,7 +100,7 @@ _fields = attrgetter("genera", "edges", "legs")
 
 def gamma_canonical_form(graph: StableGraph, group: PermGroup) -> StableGraph:
     """Least canonical form over all relabelings in the group."""
-    check_group_degree(group, graph.m)
+    check_acts_on(group, graph.m)
     images = map(relabel_legs, repeat(graph), group)
     return min(map(canonical_form, images), key=_fields)
 
@@ -118,7 +124,7 @@ class GammaMarkedGraph:
 
     def class_labels(self) -> tuple[frozenset[int], ...]:
         """Per leg label, the set of labels it is interchangeable with."""
-        check_group_degree(self.group, self.graph.m)
+        check_acts_on(self.group, self.graph.m)
         return label_orbits(self.group)
 
 
@@ -129,12 +135,8 @@ def gamma_automorphisms(
 
     The pairs form a group under componentwise composition.
     """
-    check_group_degree(group, graph.m)
-    out = []
-    for gamma in group:
-        for iso in iter_graph_isomorphisms(relabel_legs(graph, gamma), graph, True):
-            out.append((gamma, iso))
-    return tuple(out)
+    check_acts_on(group, graph.m)
+    return tuple(_gamma_isomorphisms(graph, graph, group))
 
 
 @record
@@ -187,7 +189,7 @@ def enumerate_gamma_strata(
     A given ``census`` must be the (g, m) census, and ``max_dim`` is not
     read then.
     """
-    check_group_degree(group, m)
+    check_acts_on(group, m)
     if census is None:
         census = enumerate_stable_graphs(g, m, max_dim=max_dim)
     elif (census.g, census.m) != (g, m):

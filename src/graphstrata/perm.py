@@ -58,8 +58,7 @@ class Permutation:
         seen: set[int] = set()
         for cycle in cycles:
             for a in cycle:
-                if type(a) is not int or not 1 <= a <= m:
-                    raise ValueError(f"label {a!r} outside 1..{m}")
+                _check_label(a, m)
                 if a in seen:
                     raise ValueError(f"label {a} repeated across cycles")
                 seen.add(a)
@@ -73,14 +72,12 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
-        if not 1 <= i <= self.degree:
-            raise ValueError(f"label {i} outside 1..{self.degree}")
+        _check_label(i, self.degree)
         return self.images[i - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # (a * b)(i) = a(b(i))
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in composition")
+        check_acts_on(other, self.degree)
         return Permutation(tuple(self.images[j - 1] for j in other.images))
 
     def inverse(self) -> "Permutation":
@@ -96,8 +93,7 @@ class Permutation:
     def cycle_string(self) -> str:
         return cycle_notation(self.images)
 
-    def __str__(self) -> str:
-        return self.cycle_string()
+    __str__ = cycle_string
 
     @functools.cached_property
     def _pull(self):
@@ -113,6 +109,12 @@ class Permutation:
         for i, j in enumerate(self.images):
             inv[j - 1] = i
         return itemgetter(*inv) if len(inv) > 1 else tuple
+
+
+def _check_label(a: object, m: int) -> None:
+    """Refuse anything but an int label in 1..m; ``bool`` is not a label."""
+    if type(a) is not int or not 1 <= a <= m:
+        raise ValueError(f"label {a!r} outside 1..{m}")
 
 
 def _cycles(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -133,6 +135,11 @@ def _cycles(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 def cycle_notation(images: Sequence[int]) -> str:
     """Cycle notation of the bijection with image sequence ``images``."""
     return "".join(["(" + " ".join(map(str, c)) + ")" for c in _cycles(images)]) or "()"
+
+
+def generator_text(generators: Iterable[Permutation]) -> str:
+    """Generators in cycle notation, comma separated; ``"()"`` if none."""
+    return ",".join([g.cycle_string() for g in generators]) or "()"
 
 
 _CYCLE_RE = re.compile(r"\(\s*((?:[0-9]+)(?:\s+[0-9]+)*)?\s*\)")
@@ -198,10 +205,8 @@ class PermGroup:
         return isinstance(p, Permutation) and p.images in self.members
 
     def generator_string(self) -> str:
-        """Generators in cycle notation, comma separated; ``"()"`` if none."""
-        if not self.generators:
-            return "()"
-        return ",".join(g.cycle_string() for g in self.generators)
+        """The generators as ``generator_text`` writes them."""
+        return generator_text(self.generators)
 
 
 def _member(images: tuple[int, ...]) -> Permutation:
@@ -219,10 +224,10 @@ def check_degree(m: int, bound: int = MAX_PERM_DEGREE) -> None:
         raise SizeLimitError(f"degree {m} exceeds bound {bound}")
 
 
-def check_group_degree(group: PermGroup, m: int) -> None:
-    """Refuse a group that does not act on the labels 1..m."""
-    if group.degree != m:
-        raise ValueError(f"group degree {group.degree} does not match m = {m}")
+def check_acts_on(x: Permutation | PermGroup, m: int) -> None:
+    """Refuse a permutation or group that does not act on the labels 1..m."""
+    if x.degree != m:
+        raise ValueError(f"degree {x.degree} does not match m = {m}")
 
 
 def group_from_generators(
@@ -244,8 +249,7 @@ def group_from_generators(
     check_degree(m, max_degree)
     gens = tuple(generators)
     for g in gens:
-        if g.degree != m:
-            raise ValueError(f"generator degree {g.degree} != {m}")
+        check_acts_on(g, m)
     # A tuple x padded with a leading 0 maps label j to x(j) by plain
     # indexing, so the product x∘a has image tuple ``itemgetter(*a)(padded_x)``
     # (a tuple: the loop body runs only for m > 1, where a generator can
@@ -279,15 +283,15 @@ def symmetric_group_on(labels: Iterable[int], degree: int) -> PermGroup:
     if degree < 1:
         raise ValueError("degree must be positive")
     check_degree(degree)
+    return group_from_generators(degree, adjacent_transpositions(labels, degree))
+
+
+def adjacent_transpositions(labels: Iterable[int], degree: int) -> tuple[Permutation, ...]:
+    """The transpositions of neighbours in sorted ``labels``; no group is closed."""
     moved = sorted(labels)
     for a in moved:
-        if not 1 <= a <= degree:
-            raise ValueError(f"label {a} outside 1..{degree}")
-    gens = tuple(
-        Permutation.from_cycles(degree, [(a, b)])
-        for a, b in zip(moved, moved[1:])
-    )
-    return group_from_generators(degree, gens)
+        _check_label(a, degree)
+    return tuple(Permutation.from_cycles(degree, [ab]) for ab in zip(moved, moved[1:]))
 
 
 def label_orbits(group: PermGroup) -> tuple[frozenset[int], ...]:

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ._record import record
 from .limits import DEFAULT_MAX_DIM, MAX_PERM_DEGREE, SizeLimitError
-from .perm import PermGroup, Permutation, check_degree, symmetric_group_on
+from .perm import PermGroup, Permutation, adjacent_transpositions, check_degree, symmetric_group_on
 
 __all__ = [
     "StableGraph",
@@ -618,8 +618,7 @@ class SplitComponent:
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
-        fresh = self.interchangeable
-        return tuple(Permutation.from_cycles(self.marks, [ab]) for ab in zip(fresh, fresh[1:]))
+        return adjacent_transpositions(self.interchangeable, self.marks)
 
     @functools.cached_property
     def group(self) -> PermGroup | None:

@@ -7,6 +7,7 @@ randomized check finds a counterexample.
 """
 
 import itertools
+import math
 import random
 import time
 from pathlib import Path
@@ -301,6 +302,93 @@ def test_criterion_5_morphism_verdicts_agree_on_random_fixtures():
     if reproducer is not None:
         message += "\nfirst disagreeing fixture:\n" + reproducer
     assert ok, message
+
+
+# The tested boundary of criterion 5: the chart and class verdicts agree
+# exactly when the group is a Young subgroup, the full product of symmetric
+# groups on its label orbits.
+
+
+def _young_group(rng, m):
+    """The full symmetric group on each block of a random set partition of 1..m."""
+    blocks = {}
+    for label in range(1, m + 1):
+        blocks.setdefault(rng.randrange(m), []).append(label)
+    gens = [
+        Permutation.from_cycles(m, [(a, b)])
+        for block in blocks.values()
+        for a, b in zip(block, block[1:])
+    ]
+    group = group_from_generators(m, gens)
+    assert group.order == math.prod(math.factorial(len(b)) for b in blocks.values())
+    return group
+
+
+def test_verdicts_agree_for_young_groups():
+    rng = random.Random(6021)
+    verdicts = []
+    while len(verdicts) < 200:
+        m = rng.randint(1, 6)
+        group = _young_group(rng, m)
+        source = _random_marking(rng, m, group, [f"x{i}" for i in range(rng.randint(1, 3))], "p")
+        target_base = [f"y{i}" for i in range(rng.randint(1, 3))]
+        target = _random_marking(rng, m, group, target_base, "q")
+        base_map = {s: rng.choice(target_base) for s in source.cover.base}
+        fiber_maps = _class_preserving_maps(rng, source, target, base_map)
+        if fiber_maps is None:
+            continue
+        if rng.random() < 0.5:
+            s = rng.choice(source.cover.base)
+            fm = fiber_maps[s]
+            keys = list(fm)
+            fm.update(zip(keys, rng.sample([fm[p] for p in keys], len(keys))))
+        report = verify_morphism(FiberMorphism(base_map, fiber_maps), source, target)
+        assert report.verdicts_agree, _describe_morphism(
+            source, target, FiberMorphism(base_map, fiber_maps), report
+        )
+        verdicts.append(report.valid)
+    # Both verdicts occur, so agreement is not the trivial one.
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_young_groups_are_the_groups_without_disagreement():
+    # Every subgroup of S_m (m <= 4), as the closure of a generator pair, acts
+    # on one chart; the fixtures are the fiber self-maps of that chart.
+    kinds = set()
+    for m in range(1, 5):
+        points = tuple(f"p{i}" for i in range(1, m + 1))
+        groups = {}
+        for a, b in itertools.product(itertools.permutations(range(1, m + 1)), repeat=2):
+            group = group_from_generators(m, [Permutation(a), Permutation(b)])
+            groups.setdefault(group.members, group)
+        for members, group in groups.items():
+            orbits = [frozenset(g[i - 1] for g in members) for i in range(1, m + 1)]
+            young = len(members) == math.prod(
+                math.factorial(len(o)) for o in set(orbits)
+            )
+            marking = ChartedMarking(
+                cover=FiniteCover(("x",), ("s",), {"s": "x"}),
+                m=m,
+                group=group,
+                fiber_points={"x": points},
+                sigma={"s": points},
+            )
+            disagreeing = set()
+            for images in itertools.permutations(range(1, m + 1)):
+                hm = FiberMorphism(
+                    {"x": "x"}, {"x": {p: points[j - 1] for p, j in zip(points, images)}}
+                )
+                if not verify_morphism(hm, marking, marking).verdicts_agree:
+                    disagreeing.add(images)
+            outside = {
+                images
+                for images in itertools.permutations(range(1, m + 1))
+                if all(j in orbits[i] for i, j in enumerate(images)) and images not in members
+            }
+            assert disagreeing == outside, (m, group.generator_string())
+            assert young == (not disagreeing), (m, group.generator_string())
+            kinds.add(young)
+    assert kinds == {True, False}
 
 
 def test_criterion_6_equivalence_laws():

@@ -54,7 +54,7 @@ def test_relabel_is_a_left_action():
 def test_relabel_legs_refuses_other_degree():
     with pytest.raises(ValueError) as excinfo:
         relabel_legs(SPLIT_12_34, parse_permutation("(1 2)", 3))
-    assert str(excinfo.value) == "permutation degree 3 != m = 4"
+    assert str(excinfo.value) == "degree 3 does not match m = 4"
 
 
 def test_relabel_identity():
@@ -74,7 +74,7 @@ def test_relabel_legs_agrees_with_the_definition():
 def test_relabel_legs_of_one_leg():
     graph = StableGraph((1,), (), (0,))
     assert relabel_legs(graph, parse_permutation("()", 1)) == graph
-    with pytest.raises(ValueError, match="permutation degree 1 != m = 2"):
+    with pytest.raises(ValueError, match="degree 1 does not match m = 2"):
         relabel_legs(StableGraph((0,), ((0, 0),), (0, 0)), parse_permutation("()", 1))
 
 

@@ -3,14 +3,16 @@ every private top-level name it defines is read somewhere in the package.
 ``StableGraph`` is built past its checks in one private helper only, and
 only the two functions that carry a validated graph by a bijection call it.
 No library module reads the process environment: every bound is a flag.
-The private names that modules import from each other are listed here, so
-a new one shows as an edit of this file.
+The private names that modules import from each other, and the refusal
+messages raised from more than one place, are listed here, so a new one
+shows as an edit of this file.
 
 Names listed in the module's ``__all__`` (re-exports) and ``from
 __future__`` imports are exempt.  Only the standard ``ast`` module is used.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -294,3 +296,74 @@ def test_check_finds_a_private_import():
         "b.py": "def f():\n    from .a import _late\n",
     }
     assert private_imports(sources) == {("a.py", "b", "_helper"), ("b.py", "a", "_late")}
+
+
+# Refusal message templates raised from two or more sites, each for a reason.
+REPEATED_REFUSALS = {
+    # enumerate_stable_graphs and hilbert_numerology each refuse their own
+    # (g, m); sharing one check would reorder the refusals of numerology,
+    # which checks n between the two.
+    "g and m must be nonnegative",
+    "no stable curves with g={}, m={}",
+    # One is about a marking's m (ChartedMarking), the other about a group's
+    # degree (group_from_generators).
+    "m must be positive",
+}
+
+
+def _message_template(call):
+    """The last string literal or f-string argument of ``call``, fields as ``{}``.
+
+    The last, because ``FormatError(filename, line, message)`` puts its
+    message there.
+    """
+    for arg in reversed(call.args):
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            return arg.value
+        if isinstance(arg, ast.JoinedStr):
+            return "".join(
+                part.value if isinstance(part, ast.Constant) else "{}" for part in arg.values
+            )
+    return None
+
+
+def repeated_refusals(sources):
+    """Message templates that two or more ``raise`` sites in ``sources`` raise.
+
+    A ``raise`` whose exception is built from no literal message, such as
+    ``raise ValueError(message)`` or a bare ``raise``, has no template.
+    """
+    sites = Counter(
+        _message_template(node.exc)
+        for source in sources.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+    )
+    return {template for template, n in sites.items() if template is not None and n > 1}
+
+
+def test_repeated_refusals_are_the_listed_ones():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert repeated_refusals(sources) == REPEATED_REFUSALS
+
+
+def test_check_finds_a_repeated_refusal():
+    sources = {
+        "a.py": (
+            "def f(m, message):\n"
+            "    if m < 0:\n"
+            "        raise ValueError(f'm = {m!r} is negative')\n"
+            "    if m > 9:\n"
+            "        raise ValueError(message)\n"
+            "    raise ValueError('m is odd')\n"
+        ),
+        "b.py": (
+            "def g(n, exc):\n"
+            "    if n:\n"
+            "        raise FormatError('b', 1, f'm = {n + 1:>3} is negative')\n"
+            "    if exc:\n"
+            "        raise exc\n"
+            "    raise ValueError(n)\n"
+        ),
+    }
+    assert repeated_refusals(sources) == {"m = {} is negative"}

@@ -16,6 +16,7 @@ from graphstrata.descent import (
     FiberMorphism,
     FiniteCover,
     dominates,
+    equivalent,
     verify_morphism,
 )
 from graphstrata.gamma import enumerate_gamma_strata, gamma_equivalent
@@ -79,7 +80,7 @@ DESCENT_CASES = {
     ),
     "group degree": (
         lambda: raw_marking(group=group_from_generators(3, ())),
-        "group degree 3 does not match m = 4",
+        "degree 3 does not match m = 4",
     ),
     "fiber_points keys": (
         lambda: raw_marking(fiber_points={"y": POINTS}),
@@ -124,6 +125,10 @@ DESCENT_CASES = {
     "verify_morphism: fiber map on its fiber": (
         lambda: morphism({"x": "x"}, {"x": {"xp1": "xp1"}}),
         "fiber map over x must be defined on its fiber",
+    ),
+    "equivalent: refinement point names collide": (
+        lambda: equivalent(marking(cover={"p*q": "x", "p": "x"}), marking(cover={"r": "x", "q*r": "x"})),
+        "refinement point p*q*r names two pairs of cover points",
     ),
 }
 
@@ -178,13 +183,16 @@ GRAPH_DOC_CASES = {
 
 PERM_CASES = {
     "label outside the degree": (lambda: Permutation((2, 1))(3), "label 3 outside 1..2"),
+    "label a bool": (lambda: Permutation((2, 1))(True), "label True outside 1..2"),
+    "label a string": (lambda: Permutation((2, 1))("1"), "label '1' outside 1..2"),
+    "label a float": (lambda: Permutation((2, 1))(1.0), "label 1.0 outside 1..2"),
     "composition degrees": (
         lambda: Permutation((2, 1)) * Permutation((1, 2, 3)),
-        "degree mismatch in composition",
+        "degree 3 does not match m = 2",
     ),
     "generator degree": (
         lambda: group_from_generators(3, [Permutation((2, 1))]),
-        "generator degree 2 != 3",
+        "degree 2 does not match m = 3",
     ),
 }
 
@@ -196,7 +204,7 @@ GAMMA_CASES = {
     ),
     "census group degree": (
         lambda: enumerate_gamma_strata(0, 4, symmetric_group(3)),
-        "group degree 3 does not match m = 4",
+        "degree 3 does not match m = 4",
     ),
     "census of another genus": (
         lambda: enumerate_gamma_strata(1, 4, symmetric_group(4), census=enumerate_stable_graphs(0, 4)),
