@@ -323,6 +323,11 @@ def dominates(
     for c in fine.cover.cover:
         if coarse.cover.down[down[c]] != fine.cover.down[c]:
             raise ValueError(f"down map does not commute over {c}")
+    return _domination(fine, coarse, down)
+
+
+def _domination(fine: ChartedMarking, coarse: ChartedMarking, down: Mapping) -> DominationReport:
+    """``dominates`` for markings of one setting and a ``down`` map already known to fit."""
     positions = {c: _positions(seq) for c, seq in coarse.sigma.items()}
     witnesses, missing = _match_all(
         ((c, fine.sigma[c], positions[down[c]]) for c in fine.cover.cover),
@@ -382,16 +387,12 @@ def equivalent(
         fiber_points=dict(c1.fiber_points),
         sigma={name: c1.sigma[a] for name, a in to_first.items()},
     )
-    dom_second = dominates(refinement, c2, to_second)
+    # c2 shares c1's setting, and the down maps fit by construction.
+    dom_second = _domination(refinement, c2, to_second)
     if not dom_second.valid:
         return None
-    return EquivalenceWitness(
-        refinement=refinement,
-        to_first=to_first,
-        to_second=to_second,
-        dom_first=dominates(refinement, c1, to_first),
-        dom_second=dom_second,
-    )
+    dom_first = DominationReport(True, dict.fromkeys(to_first, tuple(range(1, c1.m + 1))), ())
+    return EquivalenceWitness(refinement, to_first, to_second, dom_first, dom_second)
 
 
 @record
@@ -432,7 +433,7 @@ def verify_morphism(
     if set(hm.base_map) != set(c1.cover.base):
         raise ValueError("base map must be defined on exactly the source base")
     for s, t in hm.base_map.items():
-        if t not in set(c2.cover.base):
+        if t not in c2.fiber_points:  # keyed by exactly the target base
             raise ValueError(f"base map sends {s} outside the target base")
     if set(hm.fiber_maps) != set(c1.cover.base):
         raise ValueError("fiber maps must be defined on exactly the source base")

@@ -19,13 +19,13 @@ from .stablegraph import (
     StableGraph,
     StratumCensus,
     _by_nodes_chunks,
-    _carried,
     _graph_writer,
     _json_list,
     _read_back,
     canonical_form,
     enumerate_stable_graphs,
     iter_graph_isomorphisms,
+    relabel_legs,
 )
 
 __all__ = [
@@ -45,20 +45,6 @@ __all__ = [
 ]
 
 GAMMA_CENSUS_FORMAT = "gamma-census/1"
-
-
-def relabel_legs(graph: StableGraph, gamma: Permutation) -> StableGraph:
-    """Send the leg labeled i to the label gamma(i), leaving vertices put.
-
-    When gamma only permutes labels on the same vertices, the result equals
-    the graph, which is returned itself.
-    """
-    old = graph.legs
-    if len(gamma.images) != len(old):
-        check_acts_on(gamma, len(old))
-    # gamma was checked to be a bijection of 1..m when it was built.
-    legs = gamma._pull(old)
-    return graph if legs == old else _carried(graph.genera, graph.edges, legs)
 
 
 @record

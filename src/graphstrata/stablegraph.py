@@ -36,7 +36,8 @@ from typing import Iterable, Iterator, Sequence
 
 from ._record import record
 from .limits import DEFAULT_MAX_DIM, MAX_PERM_DEGREE, SizeLimitError
-from .perm import PermGroup, Permutation, adjacent_transpositions, check_degree, symmetric_group_on
+from .perm import PermGroup, Permutation, adjacent_transpositions, check_acts_on, check_degree
+from .perm import symmetric_group_on
 
 __all__ = [
     "StableGraph",
@@ -53,6 +54,7 @@ __all__ = [
     "graph_isomorphism",
     "iter_graph_isomorphisms",
     "canonical_form",
+    "relabel_legs",
     "enumerate_stable_graphs",
     "split_component",
     "hilbert_numerology",
@@ -141,10 +143,10 @@ class StableGraph:
 
 
 def _carried(genera: tuple, edges: tuple, legs: tuple) -> StableGraph:
-    """A graph carried from a validated one by a bijection, not checked again.
+    """A graph built from a validated one's fields, not checked again.
 
-    The fields must be as ``__post_init__`` leaves them: tuples of ints,
-    each edge with ``u <= v``, edges sorted.
+    The fields must be as ``__post_init__`` leaves them: tuples of ints in
+    range, each edge with ``u <= v``, edges sorted.
     """
     graph = object.__new__(StableGraph)
     graph.__dict__.update(genera=genera, edges=edges, legs=legs)
@@ -430,6 +432,16 @@ def canonical_form(graph: StableGraph) -> StableGraph:
                     tuple(map(pos.__getitem__, legs)))
 
 
+def relabel_legs(graph: StableGraph, gamma: Permutation) -> StableGraph:
+    """Send the leg labeled i to the label gamma(i); an unchanged graph is returned itself."""
+    old = graph.legs
+    if len(gamma.images) != len(old):
+        check_acts_on(gamma, len(old))
+    # gamma was checked to be a bijection of 1..m when it was built.
+    legs = gamma._pull(old)
+    return graph if legs == old else _carried(graph.genera, graph.edges, legs)
+
+
 # ---------------------------------------------------------------------------
 # census enumeration
 
@@ -579,10 +591,13 @@ def enumerate_stable_graphs(
             moves = []
             if len(set(sig)) < len(sig):
                 moves = [phi.__getitem__ for phi in _iter_vertex_maps(sig, edges, sig, edges)][1:]
-            for legs in _iter_label_assignments(counts, m):
+            placements = _iter_label_assignments(counts, m)
+            first = StableGraph(genera, edges, next(placements))  # sorted: no map moves it lower
+            bucket.append(canonical_form(first))
+            for legs in placements:
                 if any(tuple(map(move, legs)) < legs for move in moves):
                     continue
-                bucket.append(canonical_form(StableGraph(genera, edges, legs)))
+                bucket.append(canonical_form(_carried(first.genera, first.edges, legs)))
         bucket.sort(key=StableGraph.encoding)
         seen = {gr.encoding() for gr in bucket}
         assert len(seen) == len(bucket), "census produced duplicate classes"

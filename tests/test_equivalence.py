@@ -4,12 +4,13 @@ The library decides equivalence by a reduced test (the first marking
 passes the star check and its pull-back dominates the second).
 ``fiber_product.py`` keeps the older search over both pull-backs.  On
 seeded random marking pairs the two must give the same verdict and the
-same ``render_equivalence`` bytes.
+same ``render_equivalence`` bytes, and an equivalent pair the same witness.
 """
 
 import itertools
 import random
 
+from graphstrata import descent
 from graphstrata.descent import (
     ChartedMarking,
     FiniteCover,
@@ -136,6 +137,7 @@ def test_reduced_equivalence_agrees_with_fiber_product_search():
                 if new is not None:
                     seen["equivalent"] += 1
                     assert candidate == 0
+                    assert new == old
                     assert verify_star(new.refinement).valid
                     assert new.refinement == old.refinement
                     assert new.to_first == old.to_first
@@ -146,3 +148,24 @@ def test_reduced_equivalence_agrees_with_fiber_product_search():
                     seen["both valid, not equivalent"] += 1
     assert pairs >= 1000
     assert min(seen.values()) >= 100, seen
+
+
+def test_equivalent_checks_the_setting_once_and_never_searches_dominations(
+    intro_marking, monkeypatch
+):
+    calls = {"_require_same_setting": 0, "dominates": 0}
+
+    def counted(name):
+        original = getattr(descent, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(descent, name, wrapper)
+
+    counted("_require_same_setting")
+    counted("dominates")
+    witness = equivalent(intro_marking, intro_marking)
+    assert witness is not None and witness.dom_first.valid and witness.dom_second.valid
+    assert calls == {"_require_same_setting": 1, "dominates": 0}

@@ -3,14 +3,19 @@
 Each case runs once.  Its digest and the round trip of its graph documents
 are taken chunk by chunk as the output is written, so no large output is
 held whole; only the cases the case-specific tests read are kept as text.
+The genus-0 census and quotient-table runs are also counted per node count
+as they stream, and the counts are checked against the cycle-index oracle.
 """
 
 import functools
 import json
+import re
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
 
+from cycle_index import class_counts
 from graphstrata.cli import main
 from graphstrata.stablegraph import GRAPH_FORMAT, graph_from_doc, graph_to_doc
 from record_golden import CASES, FIXTURES, GOLDEN_PATH, run
@@ -38,12 +43,62 @@ _KEEP = {
 }
 
 
+# The genus-0 runs whose class counts the cycle-index oracle gives.
+GENUS_0 = sorted(
+    name
+    for name, args in CASES.items()
+    if args[0] in ("enumerate", "gamma-enumerate", "quotient-table") and args[1] == "0"
+)
+
+
 class Replay(NamedTuple):
     code: int
     digest: str
     documents: int  # graph documents in the output
     unequal: list  # (document, its round trip) for each that differs
     kept: object  # what _KEEP takes of the output, for a case listed there
+    node_counts: dict | None  # what _NodeCounts reads, for a case in GENUS_0
+
+
+# A node count's key in a census document, or a quotient-table row, each
+# after the newline that opens its line.
+_NODE = re.compile(r'\n(?:    "(\d+)": \[|i=(\d+): labeled=(\d+) gamma=(\d+) )')
+# A class opening: in both census formats a class opens on a line of its own
+# at a six-space indent.
+_CLASS = "\n      {\n"
+
+
+class _NodeCounts:
+    """Classes per node count of a census, or (labeled, gamma) per row of a
+    quotient table, read from the output a chunk at a time.
+
+    Each scan ends at the last newline read so far, which the next scan
+    starts from, so every line is read whole and once.
+    """
+
+    def __init__(self):
+        self.counts, self.node, self.rest = {}, None, "\n"
+
+    def _classes(self, text, start, end):
+        found = text.count(_CLASS, start, end)
+        if found:
+            self.counts[self.node] += found
+
+    def __call__(self, chunk):
+        text = self.rest + chunk
+        end = text.rfind("\n") + 1
+        self.rest = text[end - 1 :]
+        start = 0
+        for match in _NODE.finditer(text, 0, end):
+            self._classes(text, start, match.start() + 1)
+            key, row, labeled, gamma = match.groups()
+            if key is None:
+                self.counts[int(row)] = (int(labeled), int(gamma))
+            else:
+                self.node = int(key)
+                self.counts[self.node] = 0
+            start = match.end()
+        self._classes(text, start, end)
 
 
 def _round_trip(text):
@@ -88,6 +143,7 @@ def _documents_text(chunk):
 def _replay(name):
     """Run one case and keep what the tests read of it, not its text."""
     documents, unequal, kept, is_json = 0, [], [], None
+    tally = _NodeCounts() if name in GENUS_0 else None
 
     def each(chunk):
         nonlocal documents, is_json
@@ -103,10 +159,13 @@ def _replay(name):
             unequal.extend(bad)
         if name in _KEEP:
             kept.append(chunk)
+        if tally is not None:
+            tally(chunk)
 
     pinned = run(main, CASES[name], each)
     kept = _KEEP[name]("".join(kept)) if name in _KEEP else None
-    return Replay(int(pinned.split()[0]), pinned, documents, unequal, kept)
+    counts = None if tally is None else tally.counts
+    return Replay(int(pinned.split()[0]), pinned, documents, unequal, kept, counts)
 
 
 def test_golden_covers_every_case():
@@ -131,6 +190,23 @@ def test_genus_5_census_is_written_as_json_writes_it():
     facts = _replay(GENUS_5).kept
     assert facts["node_keys"] == [str(i) for i in range(13)]
     assert facts["written_as_json"]
+
+
+def test_genus_0_cases_are_the_census_and_table_runs():
+    assert Counter(CASES[name][0] for name in GENUS_0) == {
+        "enumerate": 6, "gamma-enumerate": 7, "quotient-table": 5,
+    }
+
+
+@pytest.mark.parametrize("name", GENUS_0)
+def test_genus_0_class_counts_match_the_cycle_index(name):
+    command, _, m, *rest = CASES[name]
+    group = rest[rest.index("--group") + 1] if "--group" in rest else ""
+    expected = class_counts(int(m), group)
+    if command == "quotient-table":
+        labeled = class_counts(int(m))
+        expected = {i: (labeled[i], n) for i, n in expected.items()}
+    assert _replay(name).node_counts == expected
 
 
 def test_legs_census_digests_match_the_benchmark():

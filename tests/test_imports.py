@@ -1,8 +1,10 @@
 """Every name a library module imports is referenced in that module, and
 every private top-level name it defines is read somewhere in the package.
 ``StableGraph`` is built past its checks in one private helper only, and
-only the two functions that carry a validated graph by a bijection call it.
+only three functions of ``stablegraph`` call it, each building from the
+fields of a validated graph.
 No library module reads the process environment: every bound is a flag.
+The cycle-index oracle of the tests imports no library module.
 The private names that modules import from each other, and the refusal
 messages raised from more than one place, are listed here, so a new one
 shows as an edit of this file.
@@ -124,9 +126,14 @@ def test_check_finds_an_unread_private_name():
     assert unread_private_names(sources) == [("a.py", 2, "_edge_map")]
 
 
-# The only functions allowed to build a StableGraph past its checks: each
-# carries an already validated graph by a bijection.
-UNCHECKED_CALLERS = {("stablegraph.py", "canonical_form"), ("gamma.py", "relabel_legs")}
+# The only functions allowed to build a StableGraph past its checks: two
+# carry an already validated graph by a bijection, and the census carries
+# each shape's placements after checking its first.
+UNCHECKED_CALLERS = {
+    ("stablegraph.py", "canonical_form"),
+    ("stablegraph.py", "relabel_legs"),
+    ("stablegraph.py", "enumerate_stable_graphs"),
+}
 
 
 def _top_level_owners(tree):
@@ -195,16 +202,22 @@ def test_check_finds_an_unchecked_construction_elsewhere():
         "    return object.__new__(StableGraph)\n"
         "def canonical_form(graph):\n"
         "    return _carried(graph.genera, graph.edges, graph.legs)\n"
+        "def relabel_legs(graph, gamma):\n"
+        "    return _carried(graph.genera, graph.edges, graph.legs)\n"
     )
-    gamma = (
+    gamma = "from .stablegraph import relabel_legs\n"
+    assert unchecked_constructions({"stablegraph.py": stablegraph, "gamma.py": gamma}) == []
+    from_doc = stablegraph + "def graph_from_doc(doc):\n    return _carried((0,), (), ())\n"
+    assert unchecked_constructions({"stablegraph.py": from_doc, "gamma.py": gamma}) == [
+        "stablegraph.py:10 graph_from_doc uses _carried"
+    ]
+    reaching = (
         "from .stablegraph import _carried\n"
         "def relabel_legs(graph, gamma):\n"
         "    return _carried(graph.genera, graph.edges, graph.legs)\n"
     )
-    assert unchecked_constructions({"stablegraph.py": stablegraph, "gamma.py": gamma}) == []
-    from_doc = stablegraph + "def graph_from_doc(doc):\n    return _carried((0,), (), ())\n"
-    assert unchecked_constructions({"stablegraph.py": from_doc, "gamma.py": gamma}) == [
-        "stablegraph.py:8 graph_from_doc uses _carried"
+    assert unchecked_constructions({"stablegraph.py": stablegraph, "gamma.py": reaching}) == [
+        "gamma.py:3 relabel_legs uses _carried"
     ]
     second = gamma + "def f():\n    return object.__new__(StableGraph)\n"
     assert "appears 2 times" in unchecked_constructions(
@@ -261,7 +274,6 @@ PRIVATE_IMPORTS = {
     ("cli.py", "descent", "_parse_marking_documents"),
     ("cli.py", "descent", "_read_int"),
     ("gamma.py", "stablegraph", "_by_nodes_chunks"),
-    ("gamma.py", "stablegraph", "_carried"),
     ("gamma.py", "stablegraph", "_graph_writer"),
     ("gamma.py", "stablegraph", "_json_list"),
     ("gamma.py", "stablegraph", "_read_back"),
@@ -367,3 +379,32 @@ def test_check_finds_a_repeated_refusal():
         ),
     }
     assert repeated_refusals(sources) == {"m = {} is negative"}
+
+
+def imported_packages(source):
+    """The top-level package of every import in ``source``; "." for a relative one."""
+    packages = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            packages |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            packages.add("." if node.level else node.module.split(".")[0])
+    return packages
+
+
+def test_cycle_index_oracle_imports_no_library_module():
+    source = (Path(__file__).resolve().parent / "cycle_index.py").read_text(encoding="utf-8")
+    # Standard modules only, so no library module is reached through a test
+    # helper either.
+    assert imported_packages(source) <= {"functools", "collections", "fractions", "math"}
+
+
+def test_check_finds_a_library_import():
+    source = (
+        "import os.path\n"
+        "from fractions import Fraction\n"
+        "def f():\n"
+        "    from graphstrata.perm import PermGroup\n"
+        "    from . import oracle\n"
+    )
+    assert imported_packages(source) == {"os", "fractions", "graphstrata", "."}
