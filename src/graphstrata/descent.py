@@ -540,7 +540,8 @@ def _read_ids(key: str, value: str) -> tuple[str, ...]:
     return _ids(value.split())
 
 
-def _read_arrows(key: str, value: str) -> list[tuple[str, str]]:
+def _read_arrows(key: str, value: str) -> dict[str, str]:
+    """The map the arrows write, in their order; a source with two arrows is refused."""
     parts = [part.strip() for part in value.split(",")]
     pairs = [part.split("->") for part in parts]
     # Entries before the first malformed one are checked first, in order.
@@ -549,7 +550,12 @@ def _read_arrows(key: str, value: str) -> list[tuple[str, str]]:
     if k < len(parts):
         message = f"expected 'a -> b', got {parts[k]!r}" if parts[k] else "empty entry in list"
         raise ValueError(message)
-    return list(zip(ends[::2], ends[1::2]))
+    arrows: dict[str, str] = {}
+    for a, b in zip(ends[::2], ends[1::2]):
+        if a in arrows:
+            raise ValueError(f"two arrows from {a}")
+        arrows[a] = b
+    return arrows
 
 
 # Per section kind, each key's value reader and, for a required key, the
@@ -642,9 +648,7 @@ def _read_marking(
     if (m, text) not in groups:
         generators = _anchored(filename, group_line, parse_generators, text, m)
         groups[(m, text)] = _anchored(filename, line, group_from_generators, m, generators)
-    cover = _anchored(
-        filename, line, FiniteCover, base, tuple(c for c, _ in arrows), dict(arrows)
-    )
+    cover = _anchored(filename, line, FiniteCover, base, tuple(arrows), arrows)
     fibers, sigma = _named(values, "fiber"), _named(values, "sigma")
     return _anchored(filename, line, ChartedMarking, cover, m, groups[(m, text)], fibers, sigma)
 
@@ -677,8 +681,7 @@ def parse_morphism_document(
     source = _read_marking(sections["marking source"], filename, groups)
     target = _read_marking(sections["marking target"], filename, groups)
     values = _read_section(sections["morphism"], _MORPHISM_KEYS, filename)
-    fiber_maps = {s: dict(arrows) for s, arrows in _named(values, "map").items()}
-    morphism = FiberMorphism(base_map=dict(values[("h",)][1]), fiber_maps=fiber_maps)
+    morphism = FiberMorphism(base_map=values[("h",)][1], fiber_maps=_named(values, "map"))
     return morphism, source, target
 
 

@@ -190,11 +190,8 @@ def check_stability(graph: StableGraph) -> StabilityReport:
     """Check the three-special-points rule and 2g - 2 + m > 0."""
     g = genus(graph)
     m = graph.m
-    bad = tuple(
-        v
-        for v in range(graph.num_vertices)
-        if graph.genera[v] == 0 and graph.degree(v) + len(graph.legs_at(v)) < 3
-    )
+    sig = _signature(graph.genera, graph.edges, _leg_extras(graph, False))
+    bad = tuple(v for v, (h, deg, (legs,)) in enumerate(sig) if h == 0 and deg + legs < 3)
     stable_range = 2 * g - 2 + m > 0
     return StabilityReport(
         valid=not bad and stable_range,
@@ -227,10 +224,6 @@ def _signature(
         deg[u] += 1
         deg[v] += 1
     return list(zip(genera, deg, decoration))
-
-
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
 
 
 def _iter_vertex_maps(
@@ -341,8 +334,16 @@ def _refined_cells(
 _SEARCH_BUDGET = 500_000  # edge relabelings: each search node relabels every edge
 
 
-def _least_order(sig: Sequence[tuple], edges: Sequence[tuple[int, int]]) -> list[int]:
-    """The allowed vertex order whose relabeled, sorted edge list is least.
+def _relabeled(pos: Sequence[int], edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The sorted edge list with each end v renamed pos[v]."""
+    return sorted([(pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u]) for u, v in edges])
+
+
+def _least_order(
+    sig: Sequence[tuple], edges: Sequence[tuple[int, int]]
+) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The allowed vertex order whose relabeled, sorted edge list is least,
+    with each vertex's position in it and that edge list.
 
     ``sig[v]`` is (genus, degree, decoration) of v, the decoration being the
     least leg label (0 if none), or a shape's leg count.  Allowed orders
@@ -359,7 +360,11 @@ def _least_order(sig: Sequence[tuple], edges: Sequence[tuple[int, int]]) -> list
     """
     nv = len(sig)
     if len(set(sig)) == nv:
-        return sorted(range(nv), key=sig.__getitem__)
+        order = sorted(range(nv), key=sig.__getitem__)
+        pos = [0] * nv
+        for new, old in enumerate(order):
+            pos[old] = new
+        return order, pos, _relabeled(pos, edges)
     nbr: list[dict[int, int]] = [{} for _ in range(nv)]
     for u, v in edges:
         if u != v:
@@ -373,7 +378,7 @@ def _least_order(sig: Sequence[tuple], edges: Sequence[tuple[int, int]]) -> list
         prev.append(max(joined, default=last.get(key, -1)))
         last[key] = u
     slots = [cell for cell in _refined_cells(sig, edges) for _ in cell]
-    best, result, work = [(nv, nv)], (), 0  # above every bound
+    best, result, work = [(nv, nv)], ((), ()), 0  # above every bound
     stack: list[tuple[int, ...]] = [()]
     while stack:
         order = stack.pop()
@@ -381,10 +386,9 @@ def _least_order(sig: Sequence[tuple], edges: Sequence[tuple[int, int]]) -> list
         pos = [k] * nv
         for i, v in enumerate(order):
             pos[v] = i
-        bound = sorted([(pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u])
-                        for u, v in edges])
+        bound = _relabeled(pos, edges)
         if k == nv and bound < best:
-            best, result = bound, order
+            best, result = bound, (order, pos)
         if bound >= best:  # cut, or a leaf just taken as the best
             continue
         candidates = [w for w in slots[k] if pos[w] == k and (prev[w] < 0 or pos[prev[w]] < k)]
@@ -394,7 +398,7 @@ def _least_order(sig: Sequence[tuple], edges: Sequence[tuple[int, int]]) -> list
                 f"canonical form search exceeds its budget of {_SEARCH_BUDGET} edge relabelings"
             )
         stack += [order + (w,) for w in reversed(candidates)]
-    return list(result)
+    return list(result[0]), result[1], best
 
 
 def canonical_form(graph: StableGraph) -> StableGraph:
@@ -417,17 +421,9 @@ def canonical_form(graph: StableGraph) -> StableGraph:
     sig = _signature(genera, edges, least)
     if all(map(lt, sig, sig[1:])):
         return graph
-    order = _least_order(sig, edges)
+    order, pos, moved = _least_order(sig, edges)
     if order == list(range(nv)):
         return graph
-    pos = [0] * nv
-    for new, old in enumerate(order):
-        pos[old] = new
-    moved = []
-    for u, v in edges:
-        u, v = pos[u], pos[v]
-        moved.append((u, v) if u <= v else (v, u))
-    moved.sort()
     return _carried(tuple(map(genera.__getitem__, order)), tuple(moved),
                     tuple(map(pos.__getitem__, legs)))
 
@@ -449,10 +445,8 @@ def relabel_legs(graph: StableGraph, gamma: Permutation) -> StableGraph:
 def _shape_key(shape: tuple) -> tuple:
     """The least (genera, leg counts, edges) of the shape's class."""
     genera, counts, edges = shape
-    order = _least_order(_signature(genera, edges, counts), edges)
-    pos = {old: new for new, old in enumerate(order)}
-    relabeled = tuple(sorted(_norm(pos[u], pos[v]) for u, v in edges))
-    return tuple(genera[v] for v in order), tuple(counts[v] for v in order), relabeled
+    order, _, relabeled = _least_order(_signature(genera, edges, counts), edges)
+    return tuple(genera[v] for v in order), tuple(counts[v] for v in order), tuple(relabeled)
 
 
 def _degenerations(shape: tuple, v: int) -> Iterator[tuple]:
@@ -490,7 +484,7 @@ def _degenerations(shape: tuple, v: int) -> Iterator[tuple]:
                 continue
             moved = list(rest)
             for (u, k), j in zip(away, kept):
-                moved += [_norm(u, v)] * j + [(u, w)] * (k - j)
+                moved += [(min(u, v), max(u, v))] * j + [(u, w)] * (k - j)
             for a, b in shares:
                 yield new_genera, new_counts, tuple(
                     moved + [(v, v)] * a + [(w, w)] * b + [(v, w)] * (loops - a - b + 1)

@@ -69,6 +69,11 @@ def loops(n, genus=0):
     return inline_graph([genus], [(0, 0)] * n)
 
 
+def legged_path(n, genus=0):
+    """A path of n vertices carrying one leg each."""
+    return inline_graph([genus] * n, [(v, v + 1) for v in range(n - 1)], range(n))
+
+
 CASES: dict[str, list[str]] = {
     "verify-descent intro-example": ["verify-descent", "@intro-example.desc"],
     "verify-descent intro-small-group": ["verify-descent", "@intro-small-group.desc"],
@@ -160,6 +165,18 @@ CASES.update(
         ],
         "gamma-enumerate 1 4 S4": ["gamma-enumerate", "1", "4", "--group", "(1 2),(2 3),(3 4)"],
         "gamma-enumerate 2 2 S2": ["gamma-enumerate", "2", "2", "--group", "(1 2)"],
+    }
+)
+CASES.update(
+    {
+        "check-stability loop-and-bridge": ["check-stability", "@loop-and-bridge.json"],
+        "check-stability two violating vertices": [
+            "check-stability", inline_graph([0, 0, 1], [(0, 1), (1, 2)], [0]),
+        ],
+        "check-stability smooth genus 1": ["check-stability", inline_graph([1], [])],
+        "check-stability disconnected": ["check-stability", inline_graph([1, 1], [])],
+        "check-stability 200-vertex legged path": ["check-stability", legged_path(200)],
+        "numerology 3 4 2": ["numerology", "3", "4", "2"],
     }
 )
 # The two census runs of the benchmark's legs-census workload, whose

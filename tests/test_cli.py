@@ -19,7 +19,7 @@ from graphstrata.stablegraph import (
     graph_to_doc,
     split_component,
 )
-from record_golden import cycle, inline_graph, loops, petals
+from record_golden import cycle, inline_graph, legged_path, loops, petals
 
 SPLIT_12_34 = StableGraph((0, 0), ((0, 1),), (0, 0, 1, 1))
 
@@ -181,6 +181,17 @@ def test_check_stability_inline_document(capsys):
     code, out, _ = run(capsys, "check-stability", doc)
     assert code == 0
     assert out.endswith("STABLE\n")
+
+
+def test_check_stability_of_a_long_legged_path_is_linear(capsys):
+    # Its two ends have one edge and one leg each.  Reading each vertex's
+    # valence with a scan of every edge and leg took 47 s on a 2-vCPU VM.
+    doc = legged_path(20_000)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check-stability", doc)
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out.splitlines()[1:] == ["violating vertices: v0 v19999", "UNSTABLE"]
 
 
 def test_check_stability_disconnected_is_input_error(capsys, tmp_path):

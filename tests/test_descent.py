@@ -32,6 +32,7 @@ from graphstrata.perm import (
     symmetric_group,
 )
 
+from graphstrata.cli import main
 from star_audit import audit_coherent, audit_unique
 
 
@@ -735,6 +736,10 @@ MORPHISM_DOC = (
         ),
         (MORPHISM_DOC + "k = x -> x\n", "doc.desc:16: unknown key 'k'"),
         (MORPHISM_DOC + "map x = p -> p\n", "doc.desc:16: duplicate 'map x'"),
+        (
+            "[marking]\nm = 1\nbase = x\ncover = s -> x, s -> x\nfiber x = p\n",
+            "doc.desc:4: two arrows from s",
+        ),
     ],
 )
 def test_parse_failures(text, needle):
@@ -743,6 +748,26 @@ def test_parse_failures(text, needle):
         parse(text, "doc.desc")
     assert needle in str(err.value)
     assert str(err.value).startswith("doc.desc:")
+
+
+@pytest.mark.parametrize(
+    "old,new,line,point",
+    [
+        ("h = x -> x", "h = x -> y, x -> x", 22, "x"),
+        ("map x = p1 -> p2,", "map x = p1 -> p3, p1 -> p2,", 23, "p1"),
+    ],
+)
+def test_repeated_arrow_source_is_refused(fixtures_dir, tmp_path, capsys, old, new, line, point):
+    # A map keeping only the last arrow from a point would make both documents valid.
+    text = (fixtures_dir / "twist-endomorphism.desc").read_text().replace(old, new)
+    assert new in text
+    with pytest.raises(FormatError) as err:
+        parse_morphism_document(text, "doc.desc")
+    assert str(err.value) == f"doc.desc:{line}: two arrows from {point}"
+    path = tmp_path / "doc.desc"
+    path.write_text(text)
+    assert main(["verify-morphism", str(path)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_morphism_document_requires_all_sections():

@@ -136,6 +136,34 @@ def test_stability_needs_positive_degree_sum():
     assert not check_stability(smooth_elliptic).stable_range
 
 
+def random_connected_multigraph(rng):
+    """A connected graph with loops, multi-edges, legs and genera 0 or 1."""
+    nv = rng.randint(1, 12)
+    edges = [(rng.randrange(v), v) for v in range(1, nv)]  # a spanning tree
+    edges += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, nv))]
+    edges += [edges[rng.randrange(len(edges))] for _ in range(rng.randint(0, 2)) if edges]
+    legs = [rng.randrange(nv) for _ in range(rng.randint(0, 2 * nv))]
+    return StableGraph(tuple(rng.choice((0, 0, 1)) for _ in range(nv)), edges, legs)
+
+
+def test_stability_counts_half_edges_and_legs_per_vertex():
+    rng = random.Random(20261019)
+    seen = Counter()
+    for _ in range(400):
+        graph = random_connected_multigraph(rng)
+        special = Counter(graph.legs)
+        for u, v in graph.edges:  # a loop meets its vertex twice
+            special[u] += 1
+            special[v] += 1
+        bad = tuple(v for v, h in enumerate(graph.genera) if h == 0 and special[v] < 3)
+        report = check_stability(graph)
+        assert report.violating_vertices == bad
+        in_range = 2 * genus(graph) - 2 + graph.m > 0
+        assert report.valid == (not bad and in_range)
+        seen[report.valid, bool(bad)] += 1
+    assert len(seen) == 3  # valid, invalid by a vertex, invalid by range alone
+
+
 def test_nodes_and_dim():
     assert num_nodes(SMOOTH_G2) == 0 and stratum_dim(SMOOTH_G2) == 3
     four_legs = StableGraph((0,), (), (0, 0, 0, 0))
