@@ -524,11 +524,12 @@ def _ids(tokens: Sequence[str]) -> tuple[str, ...]:
 
 def _read_int(key: str, value: str) -> int:
     """``value`` as ASCII digits after an optional minus; the CLI's integers too."""
-    try:
-        if re.fullmatch(r"-?[0-9]+", value):
+    digits = value[1:] if value.startswith("-") else value
+    if digits.isascii() and digits.isdigit():
+        try:
             return int(value)
-    except ValueError:  # more digits than int() converts
-        pass
+        except ValueError:  # more digits than int() converts
+            pass
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 

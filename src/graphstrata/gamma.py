@@ -170,10 +170,11 @@ def enumerate_gamma_strata(
 ) -> GammaCensus:
     """Fuse the labeled census into group orbits, node count by node count.
 
-    Representatives are the least canonical forms of their orbits; orbit
-    sizes and stabilizer orders satisfy |orbit| * |stabilizer| = |group|.
-    A given ``census`` must be the (g, m) census, and ``max_dim`` is not
-    read then.
+    Classes come in census order, each keyed by its least member, which is
+    its ``gamma_canonical_form``: a census level is sorted by encoding, and
+    one orbit's members share vertex and leg counts.  |orbit| * |stabilizer|
+    = |group| for each.  A given ``census`` must be the (g, m) census, and
+    ``max_dim`` is not read then.
     """
     check_acts_on(group, m)
     if census is None:
@@ -181,15 +182,12 @@ def enumerate_gamma_strata(
     elif (census.g, census.m) != (g, m):
         raise ValueError(f"census is for (g, m) = ({census.g}, {census.m}), not ({g}, {m})")
     classes: dict[int, tuple[GammaClass, ...]] = {}
-    for i in sorted(census.classes_by_nodes):
-        orbits: dict[tuple, list[StableGraph]] = {}
-        for labeled in census.classes_by_nodes[i]:
-            key = gamma_canonical_form(labeled, group)
-            orbits.setdefault(key.encoding(), []).append(labeled)
+    for i, level in census.classes_by_nodes.items():
+        orbits: dict[StableGraph, list[StableGraph]] = {}
+        for labeled in level:
+            orbits.setdefault(gamma_canonical_form(labeled, group), []).append(labeled)
         bucket = []
-        for enc in sorted(orbits):
-            members = sorted(orbits[enc], key=_fields)
-            rep = members[0]
+        for rep, members in orbits.items():
             fields = _fields(rep)
             stab = tuple(
                 gamma

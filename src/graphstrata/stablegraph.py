@@ -717,10 +717,8 @@ def graph_to_doc(graph: StableGraph) -> dict:
     return _read_back([_graph_writer("")(graph)])
 
 
-def _parse_half_edge(text: object, nv: int, where: str) -> tuple[int, int]:
-    match = (
-        re.fullmatch(r"v(0|[1-9][0-9]*)\.h(0|[1-9][0-9]*)", text) if isinstance(text, str) else None
-    )
+def _parse_half_edge(text: object, nv: int, where: str, half_edge: re.Pattern) -> tuple[int, int]:
+    match = half_edge.fullmatch(text) if isinstance(text, str) else None
     try:
         v, h = int(match[1]), int(match[2])
     except (TypeError, ValueError):  # no match, or more digits than int() converts
@@ -752,6 +750,9 @@ def graph_from_doc(doc: object) -> StableGraph:
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ValueError("edges: expected a list")
+    # Compiled per call, not at import: most commands read no graph document.
+    half_edge = re.compile(r"v(0|[1-9][0-9]*)\.h(0|[1-9][0-9]*)")
+    vertex_id = re.compile(r"v(0|[1-9][0-9]*)")
     seen_halves: set[tuple[int, int]] = set()
     edges = []
     for j, pair in enumerate(raw_edges):
@@ -759,7 +760,7 @@ def graph_from_doc(doc: object) -> StableGraph:
             raise ValueError(f"edges[{j}]: expected a pair of half-edge ids")
         ends = []
         for part in pair:
-            v, h = _parse_half_edge(part, nv, f"edges[{j}]")
+            v, h = _parse_half_edge(part, nv, f"edges[{j}]", half_edge)
             if (v, h) in seen_halves:
                 raise ValueError(f"edges[{j}]: half-edge {part} used twice")
             seen_halves.add((v, h))
@@ -778,7 +779,7 @@ def graph_from_doc(doc: object) -> StableGraph:
             raise ValueError(f"legs[{j}]: 'label' must be a positive integer")
         if label in by_label:
             raise ValueError(f"legs[{j}]: label {label} repeated")
-        match = re.fullmatch(r"v(0|[1-9][0-9]*)", vtx) if isinstance(vtx, str) else None
+        match = vertex_id.fullmatch(vtx) if isinstance(vtx, str) else None
         try:
             v = int(match[1])
         except (TypeError, ValueError):

@@ -68,11 +68,11 @@ def build_quotient_table(
 ) -> QuotientTable:
     if census is None:
         census = enumerate_stable_graphs(g, m, max_dim=max_dim)
-    gamma_census = enumerate_gamma_strata(g, m, group, max_dim=max_dim, census=census)
+    gamma_census = enumerate_gamma_strata(g, m, group, census=census)
     rows = []
     for nodes in sorted(census.classes_by_nodes):
         labeled = len(census.classes_by_nodes[nodes])
-        classes = gamma_census.classes_by_nodes.get(nodes, ())
+        classes = gamma_census.classes_by_nodes[nodes]
         orbit_sizes = tuple(cls.orbit_size for cls in classes)
         assert sum(orbit_sizes) == labeled
         rows.append(

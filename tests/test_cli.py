@@ -284,6 +284,12 @@ def test_group_labels_are_ascii_digits(capsys):
         ("\u0662", "<inline>:2: m must be an integer, got '\u0662'"),
         ("-1", "<inline>:1: m must be positive"),
         ("1" * 5000, f"<inline>:2: m must be an integer, got {'1' * 5000!r}"),
+        # Not " 5": a document line is stripped around its value.
+        ("+5", "<inline>:2: m must be an integer, got '+5'"),
+        ("5_000", "<inline>:2: m must be an integer, got '5_000'"),
+        ("\u0663", "<inline>:2: m must be an integer, got '\u0663'"),
+        ("-", "<inline>:2: m must be an integer, got '-'"),
+        ("", "<inline>:2: m must be an integer, got ''"),
     ],
 )
 def test_descent_m_is_ascii_digits(capsys, m, message):
@@ -306,6 +312,12 @@ def test_descent_m_is_ascii_digits(capsys, m, message):
         (("gamma-enumerate", "0", "4", "--max-m", "1_0"), "--max-m", "1_0"),
         (("quotient-table", "0", "4", "--max-group-order", "2.4"), "--max-group-order", "2.4"),
         (("split", loops(2), "--vertex", "0x0"), "--vertex", "0x0"),
+        (("enumerate", "0", "+5"), "m", "+5"),
+        (("enumerate", "0", " 5"), "m", " 5"),
+        (("enumerate", "0", "5_000"), "m", "5_000"),
+        (("enumerate", "\u0663", "4"), "g", "\u0663"),
+        (("enumerate", "0", "4", "--max-size", "-"), "--max-size", "-"),
+        (("enumerate", "0", ""), "m", ""),
     ],
 )
 def test_integer_arguments_are_ascii_digits(capsys, argv, name, value):

@@ -18,7 +18,7 @@ from graphstrata.perm import (
     parse_permutation,
     symmetric_group,
 )
-from graphstrata.stablegraph import StableGraph, canonical_form
+from graphstrata.stablegraph import StableGraph, canonical_form, enumerate_stable_graphs
 
 SPLIT_12_34 = StableGraph((0, 0), ((0, 1),), (0, 0, 1, 1))
 SPLIT_13_24 = StableGraph((0, 0), ((0, 1),), (0, 1, 0, 1))
@@ -215,6 +215,37 @@ def test_enumerate_gamma_strata_trivial_matches_labeled(all_censuses):
         for i, classes in fused.classes_by_nodes.items():
             reps = [cls.representative for cls in classes]
             assert reps == list(census.classes_by_nodes[i])
+
+
+@pytest.mark.parametrize(
+    "g,m,gens",
+    [
+        (0, 4, "(1 2),(2 3),(3 4)"),
+        (0, 5, "(1 2),(2 3),(3 4)"),
+        (0, 5, "(1 2),(2 3),(4 5)"),
+        (1, 3, "(1 2),(2 3)"),
+        (1, 3, "(1 2 3)"),
+    ],
+)
+def test_fusion_keys_each_orbit_by_its_least_member_in_census_order(g, m, gens):
+    # Fusion takes the first member it meets as the orbit's key, which is
+    # the least only because each census level is sorted by encoding.
+    census = enumerate_stable_graphs(g, m)
+    grp = group(gens, m)
+    fused = enumerate_gamma_strata(g, m, grp, census=census)
+    for i, level in census.classes_by_nodes.items():
+        keys = [graph.encoding() for graph in level]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        position = {graph: n for n, graph in enumerate(level)}
+        firsts = []
+        for cls in fused.classes_by_nodes[i]:
+            for member in cls.orbit:
+                assert gamma_canonical_form(member, grp) == cls.representative
+            assert cls.representative == cls.orbit[0]
+            places = [position[member] for member in cls.orbit]
+            assert places == sorted(set(places))
+            firsts.append(places[0])
+        assert firsts == sorted(firsts)
 
 
 def test_orbit_stabilizer_products(census04):

@@ -4,6 +4,8 @@ every private top-level name it defines is read somewhere in the package.
 only three functions of ``stablegraph`` call it, each building from the
 fields of a validated graph.
 No library module reads the process environment: every bound is a flag.
+No library module calls a ``re`` function with a literal pattern: a
+pattern is compiled once and its own methods are called.
 The cycle-index oracle of the tests imports no library module.
 The private names that modules import from each other, and the refusal
 messages raised from more than one place, are listed here, so a new one
@@ -228,16 +230,21 @@ def test_check_finds_an_unchecked_construction_elsewhere():
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
-def environment_reads(source):
-    """(line, name) of every read of the process environment in ``source``."""
-    tree = ast.parse(source)
-    modules = {"os"} | {
+def _module_names(tree, module):
+    """The names ``tree`` binds ``module`` to: its own and each ``import module as x``."""
+    return {module} | {
         alias.asname
         for node in ast.walk(tree)
         if isinstance(node, ast.Import)
         for alias in node.names
-        if alias.name == "os" and alias.asname
+        if alias.name == module and alias.asname
     }
+
+
+def environment_reads(source):
+    """(line, name) of every read of the process environment in ``source``."""
+    tree = ast.parse(source)
+    modules = _module_names(tree, "os")
     reads = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "os":
@@ -267,6 +274,73 @@ def test_check_finds_an_environment_read():
         "here = os.path.join(path.curdir, 'x')\n"
     )
     assert environment_reads(source) == [(3, "os.getenv"), (4, "os.environ"), (5, "os.getenv")]
+
+
+RE_FUNCTIONS = {"match", "fullmatch", "search", "findall", "sub", "split"}
+
+
+def _literal_pattern(call):
+    pattern = call.args[0] if call.args else next(
+        (k.value for k in call.keywords if k.arg == "pattern"), None
+    )
+    return isinstance(pattern, ast.JoinedStr) or (
+        isinstance(pattern, ast.Constant) and isinstance(pattern.value, (str, bytes))
+    )
+
+
+def literal_pattern_calls(source):
+    """(line, name) of every ``re`` function called with a literal pattern in ``source``.
+
+    Each such call looks its pattern up in ``re``'s cache again.
+    """
+    tree = ast.parse(source)
+    modules = _module_names(tree, "re")
+    functions = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "re"
+        for alias in node.names
+        if alias.name in RE_FUNCTIONS
+    }
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not _literal_pattern(node):
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in RE_FUNCTIONS
+            and isinstance(func.value, ast.Name)
+            and func.value.id in modules
+        ):
+            calls.append((node.lineno, f"re.{func.attr}"))
+        elif isinstance(func, ast.Name) and func.id in functions:
+            calls.append((node.lineno, f"re.{functions[func.id]}"))
+    return sorted(calls)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_literal_pattern_calls(path):
+    assert literal_pattern_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_a_literal_pattern_call():
+    source = (
+        "import re\n"
+        "import re as regex\n"
+        "from re import split as cut, compile\n"
+        "WORD = compile(r'\\w+')\n"
+        "a = re.fullmatch(r'-?[0-9]+', text)\n"
+        "b = regex.sub('x', 'y', text)\n"
+        "c = cut(f'{sep}', text)\n"
+        "d = WORD.fullmatch(text)\n"
+        "e = re.search(pattern, text)\n"
+        "f = re.match(pattern=b'v', string=text)\n"
+        "g = text.split(',')\n"
+    )
+    assert literal_pattern_calls(source) == [
+        (5, "re.fullmatch"), (6, "re.sub"), (7, "re.split"), (10, "re.match")
+    ]
 
 
 # Every ``from .module import _name`` in the package: (importer, module, name).
