@@ -56,9 +56,7 @@ from .stablegraph import (
     graph_from_doc,
     graph_to_doc,
     hilbert_numerology,
-    num_nodes,
     split_component,
-    stratum_dim,
 )
 from .strata import build_quotient_table, render_quotient_table
 
@@ -137,11 +135,10 @@ def _cmd_gamma_enumerate(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_check_stability(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    graph = _load_graph(args.graph)
-    report = check_stability(graph)
+    report = check_stability(_load_graph(args.graph))
     lines = [
         f"genus={report.graph_genus} marks={report.marks}"
-        f" nodes={num_nodes(graph)} dim={stratum_dim(graph)}"
+        f" nodes={report.nodes} dim={report.dim}"
     ]
     if report.violating_vertices:
         lines.append(
@@ -149,8 +146,7 @@ def _cmd_check_stability(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
             + " ".join(f"v{v}" for v in report.violating_vertices)
         )
     if not report.stable_range:
-        slack = 2 * report.graph_genus - 2 + report.marks
-        lines.append(f"outside stable range: 2g-2+m = {slack}")
+        lines.append(f"outside stable range: 2g-2+m = {report.slack}")
     lines.append("STABLE" if report.valid else "UNSTABLE")
     return (0 if report.valid else 1), ["\n".join(lines) + "\n"]
 
@@ -195,7 +191,7 @@ def _cmd_equiv_descent(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
         _read_document(args.file1), _read_document(args.file2)
     )
     witness = equivalent(first, second)
-    return (0 if witness is not None else 1), [render_equivalence(first, second, witness)]
+    return (0 if witness is not None else 1), [render_equivalence(witness)]
 
 
 def _cmd_verify_morphism(args: SimpleNamespace) -> tuple[int, Iterable[str]]:

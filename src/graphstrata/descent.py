@@ -365,7 +365,9 @@ def equivalent(
     (module docstring), and its pull-back dominates ``c2``.  The
     pull-back's star is c1's, and it dominates c1 by identities.  Pulling
     back ``c2`` never decides otherwise, since cross matches compose:
-    match(sigma1(a), sigma1(a')) = j(a', b)^-1 * j(a, b).
+    match(sigma1(a), sigma1(a')) = j(a', b)^-1 * j(a, b).  Refinement
+    points are named ``a*b``; two pairs that would share a name are
+    refused, which no parsed document can cause, as its ids hold no ``*``.
     """
     _require_same_setting(c1, c2)
     to_first, to_second = {}, {}
@@ -523,7 +525,8 @@ def _ids(tokens: Sequence[str]) -> tuple[str, ...]:
 
 
 def _read_int(key: str, value: str) -> int:
-    """``value`` as ASCII digits after an optional minus; the CLI's integers too."""
+    """``value`` as ASCII digits after an optional minus; the CLI's integers too.
+    Read with ``str`` methods, so reading an integer compiles no pattern."""
     digits = value[1:] if value.startswith("-") else value
     if digits.isascii() and digits.isdigit():
         try:
@@ -542,7 +545,8 @@ def _read_ids(key: str, value: str) -> tuple[str, ...]:
 
 
 def _read_arrows(key: str, value: str) -> dict[str, str]:
-    """The map the arrows write, in their order; a source with two arrows is refused."""
+    """The map the arrows write, in their order; a source with two arrows is
+    refused, so no later arrow silently replaces an earlier one."""
     parts = [part.strip() for part in value.split(",")]
     pairs = [part.split("->") for part in parts]
     # Entries before the first malformed one are checked first, in order.
@@ -741,9 +745,7 @@ def render_star_report(marking: ChartedMarking, report: StarReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_equivalence(
-    c1: ChartedMarking, c2: ChartedMarking, witness: EquivalenceWitness | None
-) -> str:
+def render_equivalence(witness: EquivalenceWitness | None) -> str:
     if witness is None:
         return "NOT EQUIVALENT\n"
     lines = [f"refinement: {len(witness.refinement.cover.cover)} cover points"]

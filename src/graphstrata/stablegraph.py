@@ -177,29 +177,36 @@ def genus(graph: StableGraph) -> int:
 
 @record
 class StabilityReport:
-    """Stability verdict: unstable vertices, genus, mark count, and 2g - 2 + m > 0."""
+    """The unstable vertices, genus, and mark and node counts; the verdict derives from them."""
 
-    valid: bool
     violating_vertices: tuple[int, ...]
     graph_genus: int
     marks: int
-    stable_range: bool
+    nodes: int
+
+    @property
+    def slack(self) -> int:
+        return 2 * self.graph_genus - 2 + self.marks
+
+    @property
+    def stable_range(self) -> bool:
+        return self.slack > 0
+
+    @property
+    def valid(self) -> bool:
+        return not self.violating_vertices and self.stable_range
+
+    @property
+    def dim(self) -> int:
+        return 3 * self.graph_genus - 3 + self.marks - self.nodes
 
 
 def check_stability(graph: StableGraph) -> StabilityReport:
-    """Check the three-special-points rule and 2g - 2 + m > 0."""
-    g = genus(graph)
-    m = graph.m
+    """Check the three-special-points rule and 2g - 2 + m > 0, in time linear in
+    the graph: one pass over the edges and legs gives every degree and leg count."""
     sig = _signature(graph.genera, graph.edges, _leg_extras(graph, False))
     bad = tuple(v for v, (h, deg, (legs,)) in enumerate(sig) if h == 0 and deg + legs < 3)
-    stable_range = 2 * g - 2 + m > 0
-    return StabilityReport(
-        valid=not bad and stable_range,
-        violating_vertices=bad,
-        graph_genus=g,
-        marks=m,
-        stable_range=stable_range,
-    )
+    return StabilityReport(bad, genus(graph), graph.m, graph.num_edges)
 
 
 def num_nodes(graph: StableGraph) -> int:
@@ -208,7 +215,7 @@ def num_nodes(graph: StableGraph) -> int:
 
 
 def stratum_dim(graph: StableGraph) -> int:
-    return 3 * genus(graph) - 3 + graph.m - graph.num_edges
+    return check_stability(graph).dim
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +278,7 @@ def _iter_vertex_maps(
 
 @record
 class GraphIsomorphism:
-    """Witness of an isomorphism: where each vertex goes."""
+    """Where each vertex goes; parallel edges are interchangeable, so none is matched."""
 
     vertex_map: tuple[int, ...]
 
@@ -343,7 +350,8 @@ def _least_order(
     sig: Sequence[tuple], edges: Sequence[tuple[int, int]]
 ) -> tuple[list[int], list[int], list[tuple[int, int]]]:
     """The allowed vertex order whose relabeled, sorted edge list is least,
-    with each vertex's position in it and that edge list.
+    with each vertex's position in it and that edge list, which callers
+    take instead of relabeling again.
 
     ``sig[v]`` is (genus, degree, decoration) of v, the decoration being the
     least leg label (0 if none), or a shape's leg count.  Allowed orders
@@ -565,6 +573,8 @@ def enumerate_stable_graphs(
     Degenerates the shapes with one node fewer, places the labels on each
     shape, one placement per orbit of its automorphisms, and takes its
     ``canonical_form``.  Output order: by node count, then by encoding.
+    Each shape is checked once, with its first placement; the others are
+    carried from it, since a placement only puts legs on its vertices.
     """
     if g < 0 or m < 0:
         raise ValueError("g and m must be nonnegative")
@@ -811,6 +821,7 @@ def _graph_writer(pad: str):
     the legs depends only on the genera and edges, and a census lists the
     graphs of one shape in a row, so that text is rendered again only when
     the shape changes.  Each leg is rendered once per (label, vertex).
+    The text is built without ``json``, so a census command never loads it.
     """
     p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
     shape, start = None, ""

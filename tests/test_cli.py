@@ -201,6 +201,59 @@ def test_check_stability_disconnected_is_input_error(capsys, tmp_path):
     assert "disconnected" in err
 
 
+# Exit code and stdout of check-stability on the two graph fixtures, on
+# unstable graphs in and out of the stable range, and on a disconnected
+# graph (exit 2).
+_STABILITY_CASES = {
+    "loop-and-bridge.json": (0, "genus=2 marks=4 nodes=2 dim=5\nSTABLE\n"),
+    "three-vertex-chain.json": (0, "genus=0 marks=5 nodes=2 dim=0\nSTABLE\n"),
+    '{"format": "stable-graph/1", "vertices": [{"genus": 0}],'
+    ' "legs": [{"label": 1, "vertex": "v0"}, {"label": 2, "vertex": "v0"}]}': (
+        1,
+        "genus=0 marks=2 nodes=0 dim=-1\nviolating vertices: v0\n"
+        "outside stable range: 2g-2+m = 0\nUNSTABLE\n",
+    ),
+    '{"format": "stable-graph/1", "vertices": [{"genus": 1}]}': (
+        1,
+        "genus=1 marks=0 nodes=0 dim=0\noutside stable range: 2g-2+m = 0\nUNSTABLE\n",
+    ),
+    '{"format": "stable-graph/1", "vertices": [{"genus": 0}], "edges": [["v0.h0", "v0.h1"]]}': (
+        1,
+        "genus=1 marks=0 nodes=1 dim=-1\nviolating vertices: v0\n"
+        "outside stable range: 2g-2+m = 0\nUNSTABLE\n",
+    ),
+    '{"format": "stable-graph/1", "vertices": [{"genus": 0}, {"genus": 0}],'
+    ' "edges": [["v0.h0", "v1.h0"]], "legs": [{"label": 1, "vertex": "v0"}]}': (
+        1,
+        "genus=0 marks=1 nodes=1 dim=-3\nviolating vertices: v0 v1\n"
+        "outside stable range: 2g-2+m = -1\nUNSTABLE\n",
+    ),
+    '{"format": "stable-graph/1", "vertices": [{"genus": 0}, {"genus": 1}],'
+    ' "edges": [["v0.h0", "v1.h0"]], "legs": [{"label": 1, "vertex": "v0"}]}': (
+        1,
+        "genus=1 marks=1 nodes=1 dim=0\nviolating vertices: v0\nUNSTABLE\n",
+    ),
+    '{"format":"stable-graph/1","vertices":[{"genus":1},{"genus":1}]}': (2, ""),
+}
+
+
+@pytest.mark.parametrize("doc", _STABILITY_CASES, ids=range(len(_STABILITY_CASES)))
+def test_check_stability_walks_connectivity_once(capsys, monkeypatch, fixtures_dir, doc):
+    walks = []
+    connected = graphstrata.stablegraph._connected
+
+    def counted(*args):
+        walks.append(args)
+        return connected(*args)
+
+    monkeypatch.setattr(graphstrata.stablegraph, "_connected", counted)
+    arg = str(fixtures_dir / doc) if doc.endswith(".json") else doc
+    code, out, err = run(capsys, "check-stability", arg)
+    assert (code, out) == _STABILITY_CASES[doc]
+    assert err == ("error: genus is undefined for disconnected graphs\n" if code == 2 else "")
+    assert len(walks) == 1
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -4,8 +4,9 @@ every private top-level name it defines is read somewhere in the package.
 only three functions of ``stablegraph`` call it, each building from the
 fields of a validated graph.
 No library module reads the process environment: every bound is a flag.
-No library module calls a ``re`` function with a literal pattern: a
-pattern is compiled once and its own methods are called.
+No library module calls a ``re`` function with a literal pattern, which
+looks the pattern up in ``re``'s cache on every call: a pattern is
+compiled once and its own methods are called.
 The cycle-index oracle of the tests imports no library module.
 The private names that modules import from each other, and the refusal
 messages raised from more than one place, are listed here, so a new one
