@@ -47,7 +47,6 @@ visible rather than hiding it.
 
 from __future__ import annotations
 
-import re
 from itertools import product
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -506,27 +505,24 @@ class FormatError(ValueError):
         self.message = message
 
 
-_ID_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
-_SECTION_RE = re.compile(r"\[\s*([a-z]+(?:\s+[a-z]+)?)\s*\]\Z")
+_ID_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.+-"
 
 
 def _ids(tokens: Sequence[str]) -> tuple[str, ...]:
     """``tokens`` if all are identifiers; else a ``ValueError`` naming the first bad one.
 
-    No identifier is empty, so the tokens are all identifiers exactly when
-    none is empty and their concatenation is one; one match decides the
-    common case, and only a failure scans token by token.
+    An identifier is a nonempty run of ``_ID_CHARS``, so the tokens are all
+    identifiers exactly when none is empty and their concatenation strips to
+    nothing; only a failure looks at the tokens one by one.
     """
-    if not (all(tokens) and _ID_RE.match("".join(tokens))):
-        for tok in tokens:
-            if not _ID_RE.match(tok):
-                raise ValueError(f"bad identifier {tok!r}")
+    if not all(tokens) or "".join(tokens).strip(_ID_CHARS):
+        bad = next(tok for tok in tokens if not tok or tok.strip(_ID_CHARS))
+        raise ValueError(f"bad identifier {bad!r}")
     return tuple(tokens)
 
 
 def _read_int(key: str, value: str) -> int:
-    """``value`` as ASCII digits after an optional minus; the CLI's integers too.
-    Read with ``str`` methods, so reading an integer compiles no pattern."""
+    """``value`` as ASCII digits after an optional minus; the CLI's integers too."""
     digits = value[1:] if value.startswith("-") else value
     if digits.isascii() and digits.isdigit():
         try:
@@ -589,9 +585,10 @@ def _split_sections(
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        match = line[0] == "[" and _SECTION_RE.match(line)
-        if match:
-            sections.append((match.group(1), lineno, []))
+        # A header is one or two lowercase ASCII words in brackets.
+        words = line[1:-1].split() if line[0] == "[" and line[-1] == "]" else ()
+        if 0 < len(words) < 3 and not "".join(words).strip("abcdefghijklmnopqrstuvwxyz"):
+            sections.append((line[1:-1].strip(), lineno, []))
             continue
         if not sections:
             raise FormatError(filename, lineno, "content before any [section]")

@@ -18,7 +18,6 @@ sequence, with no ``Permutation`` built, and ``Permutation`` prints by it.
 from __future__ import annotations
 
 import functools
-import re
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -142,25 +141,23 @@ def generator_text(generators: Iterable[Permutation]) -> str:
     return ",".join([g.cycle_string() for g in generators]) or "()"
 
 
-_CYCLE_RE = re.compile(r"\(\s*((?:[0-9]+)(?:\s+[0-9]+)*)?\s*\)")
-
-
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse cycle notation like ``"(1 2)(3 4)"``; ``"()"`` is the identity."""
-    stripped = text.strip()
-    if not stripped:
+    rest = text.strip()
+    if not rest:
         raise ValueError("empty permutation literal")
-    pos = 0
     cycles: list[tuple[int, ...]] = []
-    while pos < len(stripped):
-        match = _CYCLE_RE.match(stripped, pos)
-        if match is None:
+    while rest:
+        body, closed, after = rest[1:].partition(")")
+        labels = body.split()
+        if rest[0] != "(" or not closed or "".join(labels).strip("0123456789"):
             raise ValueError(f"bad cycle notation: {text!r}")
-        if match.group(1):
-            cycles.append(tuple(int(tok) for tok in match.group(1).split()))
-        pos = match.end()
-        while pos < len(stripped) and stripped[pos].isspace():
-            pos += 1
+        try:
+            cycles.append(tuple(int(tok.lstrip("0") or "0") for tok in labels))
+        except ValueError:  # more digits than int() converts, so outside 1..degree
+            longest = max(len(tok.lstrip("0")) for tok in labels)
+            raise ValueError(f"label with {longest} digits outside 1..{degree}") from None
+        rest = after.lstrip()
     return Permutation.from_cycles(degree, cycles)
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
 from collections import Counter
 from operator import lt
 from typing import Iterable, Iterator, Sequence
@@ -727,12 +726,22 @@ def graph_to_doc(graph: StableGraph) -> dict:
     return _read_back([_graph_writer("")(graph)])
 
 
-def _parse_half_edge(text: object, nv: int, where: str, half_edge: re.Pattern) -> tuple[int, int]:
-    match = half_edge.fullmatch(text) if isinstance(text, str) else None
-    try:
-        v, h = int(match[1]), int(match[2])
-    except (TypeError, ValueError):  # no match, or more digits than int() converts
-        raise ValueError(f"{where}: expected 'v<i>.h<k>', got {text!r}") from None
+def _graph_id(text: object, prefix: str) -> int | None:
+    """``n`` of an id ``<prefix><n>``, ``n`` ASCII digits with no leading zero; else None."""
+    digits = text[len(prefix):] if isinstance(text, str) and text.startswith(prefix) else ""
+    if digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0"):
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
+def _parse_half_edge(text: object, nv: int, where: str) -> tuple[int, int]:
+    vertex, _, half = text.partition(".") if isinstance(text, str) else ("", "", "")
+    v, h = _graph_id(vertex, "v"), _graph_id(half, "h")
+    if v is None or h is None:
+        raise ValueError(f"{where}: expected 'v<i>.h<k>', got {text!r}")
     if not 0 <= v < nv:
         raise ValueError(f"{where}: vertex v{v} does not exist")
     return v, h
@@ -760,9 +769,6 @@ def graph_from_doc(doc: object) -> StableGraph:
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ValueError("edges: expected a list")
-    # Compiled per call, not at import: most commands read no graph document.
-    half_edge = re.compile(r"v(0|[1-9][0-9]*)\.h(0|[1-9][0-9]*)")
-    vertex_id = re.compile(r"v(0|[1-9][0-9]*)")
     seen_halves: set[tuple[int, int]] = set()
     edges = []
     for j, pair in enumerate(raw_edges):
@@ -770,7 +776,7 @@ def graph_from_doc(doc: object) -> StableGraph:
             raise ValueError(f"edges[{j}]: expected a pair of half-edge ids")
         ends = []
         for part in pair:
-            v, h = _parse_half_edge(part, nv, f"edges[{j}]", half_edge)
+            v, h = _parse_half_edge(part, nv, f"edges[{j}]")
             if (v, h) in seen_halves:
                 raise ValueError(f"edges[{j}]: half-edge {part} used twice")
             seen_halves.add((v, h))
@@ -789,11 +795,9 @@ def graph_from_doc(doc: object) -> StableGraph:
             raise ValueError(f"legs[{j}]: 'label' must be a positive integer")
         if label in by_label:
             raise ValueError(f"legs[{j}]: label {label} repeated")
-        match = vertex_id.fullmatch(vtx) if isinstance(vtx, str) else None
-        try:
-            v = int(match[1])
-        except (TypeError, ValueError):
-            raise ValueError(f"legs[{j}]: 'vertex' must look like 'v<i>'") from None
+        v = _graph_id(vtx, "v")
+        if v is None:
+            raise ValueError(f"legs[{j}]: 'vertex' must look like 'v<i>'")
         if not 0 <= v < nv:
             raise ValueError(f"legs[{j}]: vertex {vtx} does not exist")
         by_label[label] = v

@@ -7,6 +7,9 @@ No library module reads the process environment: every bound is a flag.
 No library module calls a ``re`` function with a literal pattern, which
 looks the pattern up in ``re``'s cache on every call: a pattern is
 compiled once and its own methods are called.
+No library module imports ``re`` at all: every grammar is read with
+``str`` methods, which decide the same strings without compiling a pattern
+at import or on a call, so one mechanism reads all of them.
 The cycle-index oracle of the tests imports no library module.
 The private names that modules import from each other, and the refusal
 messages raised from more than one place, are listed here, so a new one
@@ -341,6 +344,47 @@ def test_check_finds_a_literal_pattern_call():
     )
     assert literal_pattern_calls(source) == [
         (5, "re.fullmatch"), (6, "re.sub"), (7, "re.split"), (10, "re.match")
+    ]
+
+
+def re_imports(source):
+    """(line, statement) of every import of ``re`` or a submodule of it in ``source``."""
+    imports = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imports += [
+                (node.lineno, f"import {alias.name}")
+                for alias in node.names
+                if alias.name.split(".")[0] == "re"
+            ]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module.split(".")[0] == "re":
+                imports.append((node.lineno, f"from {node.module} import ..."))
+    return sorted(imports)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_re_imports(path):
+    assert re_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_a_re_import():
+    source = (
+        "import os, re as regex\n"
+        "from re import fullmatch\n"
+        "from . import re\n"
+        "from .re import x\n"
+        "import reprlib\n"
+        "from reprlib import repr\n"
+        "def f():\n"
+        "    import re._parser\n"
+        "    from re._parser import parse\n"
+    )
+    assert re_imports(source) == [
+        (1, "import re"),
+        (2, "from re import ..."),
+        (8, "import re._parser"),
+        (9, "from re._parser import ..."),
     ]
 
 

@@ -71,6 +71,12 @@ def test_parse_permutation(text, degree, images):
     assert parse_permutation(text, degree).images == images
 
 
+def test_zero_padded_labels_read_by_value_at_any_length():
+    # Padding past the digit count int() converts changes nothing either.
+    for zeros in (1, 5000):
+        assert parse_permutation(f"({'0' * zeros}1 2)", 3).images == (2, 1, 3)
+
+
 @pytest.mark.parametrize("text", ["", "1 2", "(1 2", "(1,2)", "(1 2)x"])
 def test_parse_permutation_rejects_garbage(text):
     with pytest.raises(ValueError):

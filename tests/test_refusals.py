@@ -11,6 +11,7 @@ import re
 
 import pytest
 
+from graphstrata.cli import main
 from graphstrata.descent import (
     ChartedMarking,
     FiberMorphism,
@@ -225,3 +226,25 @@ def test_refusal_message(name):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
         call()
     assert type(err.value) is ValueError
+
+
+# A cycle label too long for int() is refused in the reader's words, on the
+# command line and on a marking document's group line, with exit code 2.
+LONG_LABEL = "9" * 5000
+
+
+def test_oversized_cycle_label_on_the_command_line(capsys):
+    assert main(["quotient-table", "0", "4", "--group", f"(1 {LONG_LABEL})"]) == 2
+    assert capsys.readouterr() == ("", "error: label with 5000 digits outside 1..4\n")
+
+
+def test_oversized_cycle_label_in_a_marking_document(capsys, tmp_path):
+    path = tmp_path / "long-label.desc"
+    path.write_text(
+        "[marking]\nm = 4\n"
+        f"group = (1 {LONG_LABEL})\n"
+        "base = x\ncover = s -> x\nfiber x = p1 p2 p3 p4\nsigma s = p1 p2 p3 p4\n",
+        encoding="utf-8",
+    )
+    assert main(["verify-descent", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}:3: label with 5000 digits outside 1..4\n")
