@@ -89,6 +89,13 @@ def _resolve_group(text: str | None, m: int, args: SimpleNamespace) -> PermGroup
     return group_from_generators(m, generators, max_degree=max_degree, max_order=max_order)
 
 
+def _census_group(args: SimpleNamespace) -> PermGroup:
+    """The group of a fused census; m = 0 is refused before ``--group`` is read."""
+    if args.m < 1:
+        raise ValueError("m must be positive")
+    return _resolve_group(args.group, args.m, args)
+
+
 def _read_document(arg: str) -> tuple[str, str]:
     if arg.lstrip().startswith(("{", "[")):
         return arg, "<inline>"
@@ -128,7 +135,7 @@ def _cmd_enumerate(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_gamma_enumerate(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    group = _resolve_group(args.group, args.m, args)
+    group = _census_group(args)
     max_dim = _option(args, "max-size", DEFAULT_MAX_DIM)
     fused = enumerate_gamma_strata(args.g, args.m, group, max_dim=max_dim)
     return 0, gamma_census_chunks(fused)
@@ -204,7 +211,7 @@ def _cmd_verify_morphism(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_quotient_table(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    group = _resolve_group(args.group, args.m, args)
+    group = _census_group(args)
     max_dim = _option(args, "max-size", DEFAULT_MAX_DIM)
     table = build_quotient_table(args.g, args.m, group, max_dim=max_dim)
     return 0, [render_quotient_table(table)]

@@ -19,10 +19,11 @@ built by degeneration.  Every search keys a vertex by one signature,
 multiset, and (when asked) leg labels, and come in (signature, index)
 order of the first graph's vertices.  ``canonical_form`` picks a fixed
 representative of each class by minimizing an encoding over the vertex
-orderings that sort the signature decorated by the least leg label, and
-returns a graph already so ordered itself.  A discrete invariant fixes
-the ordering; otherwise it is refined by neighbor classes and a pruned
-depth-first search finds the least one.
+orderings that sort the signature decorated by the least leg label,
+packed into one integer per vertex, and returns a graph already so
+ordered itself.  A discrete invariant fixes the ordering; otherwise it is
+refined by neighbor classes and a pruned depth-first search finds the
+least one.
 """
 
 from __future__ import annotations
@@ -342,18 +343,36 @@ _SEARCH_BUDGET = 500_000  # edge relabelings: each search node relabels every ed
 
 def _relabeled(pos: Sequence[int], edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """The sorted edge list with each end v renamed pos[v]."""
-    return sorted([(pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u]) for u, v in edges])
+    moved = []
+    for u, v in edges:
+        u, v = pos[u], pos[v]
+        moved.append((u, v) if u <= v else (v, u))
+    moved.sort()
+    return moved
+
+
+def _sorted_order(
+    sig: Sequence, edges: Sequence[tuple[int, int]]
+) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """``_least_order``'s result when the signatures are pairwise distinct."""
+    nv = len(sig)
+    order = sorted(range(nv), key=sig.__getitem__)
+    pos = [0] * nv
+    for new, old in enumerate(order):
+        pos[old] = new
+    return order, pos, _relabeled(pos, edges)
 
 
 def _least_order(
-    sig: Sequence[tuple], edges: Sequence[tuple[int, int]]
+    sig: Sequence, edges: Sequence[tuple[int, int]]
 ) -> tuple[list[int], list[int], list[tuple[int, int]]]:
     """The allowed vertex order whose relabeled, sorted edge list is least,
     with each vertex's position in it and that edge list, which callers
     take instead of relabeling again.
 
     ``sig[v]`` is (genus, degree, decoration) of v, the decoration being the
-    least leg label (0 if none), or a shape's leg count.  Allowed orders
+    least leg label (0 if none), or a shape's leg count; or any key that
+    ties and orders the vertices as that signature does.  Allowed orders
     take the refined cells in turn, so each puts the same genus and
     decoration at each position.  A discrete invariant fixes the ordering:
     when the signatures are pairwise distinct, refinement would stop after
@@ -367,11 +386,7 @@ def _least_order(
     """
     nv = len(sig)
     if len(set(sig)) == nv:
-        order = sorted(range(nv), key=sig.__getitem__)
-        pos = [0] * nv
-        for new, old in enumerate(order):
-            pos[old] = new
-        return order, pos, _relabeled(pos, edges)
+        return _sorted_order(sig, edges)
     nbr: list[dict[int, int]] = [{} for _ in range(nv)]
     for u, v in edges:
         if u != v:
@@ -414,23 +429,35 @@ def canonical_form(graph: StableGraph) -> StableGraph:
     Idempotent, and equal for any two isomorphic presentations; a graph
     already in its least order is returned itself.  Label sets are disjoint,
     so a vertex's least label ties and orders it as all its labels would.
-    When the vertex signatures strictly increase along the vertices, they
-    are discrete and already sorted, so the graph is returned after that
-    one pass, with no search.
+    One pass over the edges and legs gives each vertex one integer key,
+    genus * (2E + 1) * (m + 1) + degree * (m + 1) + least label (0 if
+    none), for E edges and m legs.  A degree is at most 2E and a least
+    label at most m, so the key ties and orders vertices exactly as the
+    signature (genus, degree, least label) does.  Keys that strictly
+    increase along the vertices are discrete and already sorted, and the
+    graph is returned; distinct keys are sorted; only ties go to the search.
     """
     genera, edges, legs = graph.genera, graph.edges, graph.legs
     nv = len(genera)
-    least = [0] * nv
-    k = len(legs)
-    for v in reversed(legs):  # down from the last label, so the least stays
-        least[v] = k
-        k -= 1
-    sig = _signature(genera, edges, least)
-    if all(map(lt, sig, sig[1:])):
+    step = len(legs) + 1
+    top = (2 * len(edges) + 1) * step
+    key = [g * top for g in genera]
+    for u, v in edges:
+        key[u] += step
+        key[v] += step
+    label = 1
+    for v in legs:  # a key is a multiple of step until its vertex's first (least) label
+        if key[v] % step == 0:
+            key[v] += label
+        label += 1
+    if all(map(lt, key, key[1:])):
         return graph
-    order, pos, moved = _least_order(sig, edges)
-    if order == list(range(nv)):
-        return graph
+    if len(set(key)) == nv:
+        order, pos, moved = _sorted_order(key, edges)
+    else:
+        order, pos, moved = _least_order(key, edges)
+        if order == list(range(nv)):
+            return graph
     return _carried(tuple(map(genera.__getitem__, order)), tuple(moved),
                     tuple(map(pos.__getitem__, legs)))
 

@@ -7,10 +7,15 @@ neighbor classes and minimizes the encoding over every ordering the
 refined cells allow, with no shortcut for a discrete invariant.  The
 library must pick exactly the same least encoding.
 
-The library keys each vertex by (genus, degree, least leg label) where
-the reference keys it by all its labels; a test checks on random graphs
-that both keys tie and order vertices alike, and the fusion-traffic test
-compares every group image of the census with the reference.
+The library keys each vertex by one integer, genus * (2E + 1) * (m + 1)
++ degree * (m + 1) + least leg label, where the reference keys it by the
+tuple (genus, degree, all its labels).  A test checks on random graphs
+that the least label ties and orders vertices as all labels do; another
+compares with the reference on presentations at the edges of the integer
+packing (a degree of 2E, genera up to 3, m = 0, leg-free vertices); and
+the fusion-traffic test compares every group image of the census with the
+reference.  The reference form of each random input is computed once and
+read by every test that needs it.
 
 ``canonical_form`` returns a graph already in order itself, after one
 pass over its signatures; a test checks that it does so exactly when the
@@ -222,6 +227,15 @@ def symmetric_inputs():
     ]
 
 
+@pytest.fixture(scope="module")
+def reference_forms(random_pairs, symmetric_inputs):
+    """Each random and symmetric input with its reference form."""
+    return [
+        (graph, reference_canonical_form(*_triple(graph)))
+        for graph in itertools.chain(*random_pairs, symmetric_inputs)
+    ]
+
+
 def test_networkx_counts_loops_and_multi_edges():
     two_loops = StableGraph((0, 0), ((0, 0), (0, 1), (1, 1)), ())
     triple = StableGraph((0, 0), ((0, 1), (0, 1), (0, 1)), ())
@@ -246,9 +260,8 @@ def test_canonical_form_agrees_with_networkx(random_pairs):
         assert (graph_isomorphism(a, b) is not None) == same, (a, b)
 
 
-def test_canonical_form_matches_reference_on_random_graphs(random_pairs, symmetric_inputs):
-    for graph in itertools.chain(*random_pairs, symmetric_inputs):
-        expected = reference_canonical_form(*_triple(graph))
+def test_canonical_form_matches_reference_on_random_graphs(reference_forms):
+    for graph, expected in reference_forms:
         assert _triple(canonical_form(graph)) == expected, graph
 
 
@@ -262,13 +275,11 @@ def test_canonical_form_matches_reference_on_census(g, m):
         assert reference_canonical_form(*_triple(other)) == _triple(graph)
 
 
-def test_canonical_form_returns_its_input_exactly_when_it_is_canonical(
-    random_pairs, symmetric_inputs
-):
+def test_canonical_form_returns_its_input_exactly_when_it_is_canonical(reference_forms):
     # The exit for a graph already in order must not fire on tied
     # signatures: the symmetric inputs tie every vertex.
-    for graph in itertools.chain(*random_pairs, symmetric_inputs):
-        unchanged = reference_canonical_form(*_triple(graph)) == _triple(graph)
+    for graph, expected in reference_forms:
+        unchanged = expected == _triple(graph)
         assert (canonical_form(graph) is graph) == unchanged, graph
 
 
@@ -353,6 +364,48 @@ def test_least_label_keys_tie_and_order_like_label_tuples(random_pairs):
             assert (full[v] == full[w]) == (least[v] == least[w]), graph
         by_full = sorted(range(nv), key=full.__getitem__)
         assert by_full == sorted(range(nv), key=least.__getitem__), graph
+
+
+def _packing_edge(rng):
+    """A presentation at the edges of the integer key's fields, not
+    necessarily connected: often vertex 0 carries every edge as a loop, so
+    its degree is 2E; genera up to 3 differ by at most one, so the degree
+    field alone may order two vertices; m is often 0, and legs leave some
+    vertices bare."""
+    nv = rng.randint(1, 5)
+    if rng.random() < 0.5:
+        edges = [(0, 0)] * rng.randint(1, 3)
+    else:
+        edges = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 4))]
+    low = rng.randint(0, 2)
+    genera = [low + rng.randint(0, 1) for _ in range(nv)]
+    legs = [rng.randrange(nv) for _ in range(rng.choice((0, 0, 1, 2, 3, 5)))]
+    return StableGraph(tuple(genera), tuple(edges), tuple(legs))
+
+
+PACKING_EDGES = 500
+
+
+def test_canonical_form_matches_reference_at_the_edges_of_the_key():
+    rng = random.Random(3403)
+    seen = set()
+    for _ in range(PACKING_EDGES):
+        graph = _packing_edge(rng)
+        assert _triple(canonical_form(graph)) == reference_canonical_form(*_triple(graph)), graph
+        sig = _signatures(*_triple(graph))
+        for v, (g, d, labels) in enumerate(sig):
+            for w, (h, e, _) in enumerate(sig):
+                if d == 2 * graph.num_edges > 0 and h == g + 1:
+                    seen.add("degree 2E beside genus one higher")
+                if g == 3 and d == e and w != v:
+                    seen.add("genus 3 beside an equal degree")
+            if graph.m and not labels:
+                seen.add("leg-free vertex")
+        seen.add("m = 0" if graph.m == 0 else "m > 0")
+    assert seen == {
+        "degree 2E beside genus one higher", "genus 3 beside an equal degree",
+        "m = 0", "m > 0", "leg-free vertex",
+    }
 
 
 def _random_presentation(rng):

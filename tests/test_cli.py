@@ -696,6 +696,11 @@ def test_group_parse_error(capsys):
         (("gamma-enumerate", "2", "0"), "m must be positive"),
         (("quotient-table", "2", "0"), "m must be positive"),
         (("canon", inline_graph([2], []), "--group", "()"), "permutation degree must be positive"),
+        # m = 0 is refused before the group text is read
+        (("gamma-enumerate", "2", "0", "--group", "()"), "m must be positive"),
+        (("gamma-enumerate", "2", "0", "--group", "(1 2)"), "m must be positive"),
+        (("quotient-table", "2", "0", "--group", "()"), "m must be positive"),
+        (("quotient-table", "2", "0", "--group", "(1 2)"), "m must be positive"),
     ],
 )
 def test_group_commands_need_a_marked_point(capsys, argv, message):

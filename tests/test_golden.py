@@ -216,6 +216,26 @@ def test_legs_census_digests_match_the_benchmark():
     assert [f"{code}:{sha[:16]}" for code, sha in ours] == bench[:2]
 
 
+def test_fusion_runs_match_the_benchmark(monkeypatch):
+    # perfbench/golden.json pins the nine big-group-fusion jobs, most of them
+    # no golden case here, and quotient-table 0 6 under S6, of order 720.
+    # Each run must print those bytes and pass the benchmark's own check.
+    monkeypatch.syspath_prepend(str(BENCH_GOLDEN_PATH.parents[1]))
+    from perfbench import workloads
+
+    bench = workloads.load_golden()
+    jobs = workloads.jobs_for("big-group-fusion", 1)
+    jobs += workloads.jobs_for("large-group-fusion", 1)[:1]
+    pinned = bench["big-group-fusion"] + bench["large-group-fusion"][:1]
+    assert jobs[-1].argv == ("quotient-table", "0", "6", "--group", workloads.S6)
+    found = []
+    for job in jobs:
+        chunks = []
+        code, sha = run(main, list(job.argv), chunks.append).split()
+        found.append((job.argv, workloads.digest(int(code), sha), job.check("".join(chunks))))
+    assert found == [(job.argv, digest, None) for job, digest in zip(jobs, pinned)]
+
+
 def test_golden_graph_documents_round_trip():
     # The id grammar admits every document the pinned runs read or print.
     paths = sorted(FIXTURES.glob("*.json"))
