@@ -15,7 +15,9 @@ documents read ``m``: ASCII digits after an optional minus sign.
 instead of exiting and can be called any number of times.  The subcommands
 and their arguments are declared once, in ``_COMMANDS``, from which the
 first call compiles one reader per subcommand; a plain command line
-(exact flags, no value starting with "-") never loads ``argparse``.  Help,
+(exact flags, no value starting with "-") never loads ``argparse``.  A
+bound option's default is its ``bound`` there, and ``main`` refuses a bound
+below 1 before the handler reads any document or group text.  Help,
 usage errors and argparse's other forms (abbreviations, ``--flag=value``,
 ``--``, negative numbers) go to an argparse parser built from the same
 table when first needed, so they print as before.  ``json`` is loaded
@@ -44,7 +46,8 @@ from .descent import (
 )
 from .gamma import enumerate_gamma_strata, gamma_canonical_form, gamma_census_chunks
 from .limits import DEFAULT_MAX_DIM, MAX_GROUP_ORDER, MAX_PERM_DEGREE
-from .perm import PermGroup, check_degree, generator_text, group_from_generators, parse_generators
+from .perm import PermGroup, check_degree, check_label_count, generator_text
+from .perm import group_from_generators, parse_generators
 from .stablegraph import (
     DisconnectedGraphError,
     StableGraph,
@@ -65,35 +68,11 @@ __all__ = ["main"]
 SPLIT_FORMAT = "split-component/1"
 
 
-def _option(args: SimpleNamespace, name: str, default: int) -> int:
-    """Bound option ``--name``, or ``default`` when it is not given."""
-    value = getattr(args, name.replace("-", "_"))
-    if value is None:
-        return default
-    if value <= 0:
-        raise ValueError(f"--{name} must be positive, got {value}")
-    return value
-
-
-def _bounds(m: int, args: SimpleNamespace) -> tuple[int, int]:
-    """``--max-m`` and ``--max-group-order``, with ``m`` held to the first."""
-    max_degree = _option(args, "max-m", MAX_PERM_DEGREE)
-    max_order = _option(args, "max-group-order", MAX_GROUP_ORDER)
-    check_degree(m, max_degree)
-    return max_degree, max_order
-
-
-def _resolve_group(text: str | None, m: int, args: SimpleNamespace) -> PermGroup:
-    max_degree, max_order = _bounds(m, args)  # before parsing builds anything of size m
-    generators = parse_generators(text, m) if text else ()
-    return group_from_generators(m, generators, max_degree=max_degree, max_order=max_order)
-
-
-def _census_group(args: SimpleNamespace) -> PermGroup:
-    """The group of a fused census; m = 0 is refused before ``--group`` is read."""
-    if args.m < 1:
-        raise ValueError("m must be positive")
-    return _resolve_group(args.group, args.m, args)
+def _group(args: SimpleNamespace, m: int) -> PermGroup:
+    """The label group ``--group`` names on 1..m; the trivial group when it is not given."""
+    check_label_count(m, args.max_m)  # before parsing builds anything of size m
+    gens = parse_generators(args.group, m) if args.group else ()
+    return group_from_generators(m, gens, max_degree=args.max_m, max_order=args.max_group_order)
 
 
 def _read_document(arg: str) -> tuple[str, str]:
@@ -128,16 +107,12 @@ def _load_connected_graph(arg: str) -> StableGraph:
 
 
 def _cmd_enumerate(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    max_dim = _option(args, "max-size", DEFAULT_MAX_DIM)
-    max_legs = _option(args, "max-m", MAX_PERM_DEGREE)
-    census = enumerate_stable_graphs(args.g, args.m, max_dim=max_dim, max_legs=max_legs)
+    census = enumerate_stable_graphs(args.g, args.m, max_dim=args.max_size, max_legs=args.max_m)
     return 0, census_chunks(census)
 
 
 def _cmd_gamma_enumerate(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    group = _census_group(args)
-    max_dim = _option(args, "max-size", DEFAULT_MAX_DIM)
-    fused = enumerate_gamma_strata(args.g, args.m, group, max_dim=max_dim)
+    fused = enumerate_gamma_strata(args.g, args.m, _group(args, args.m), max_dim=args.max_size)
     return 0, gamma_census_chunks(fused)
 
 
@@ -161,11 +136,10 @@ def _cmd_check_stability(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
 def _cmd_canon(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     graph = _load_connected_graph(args.graph)
     if args.group is None:
-        _bounds(graph.m, args)
+        check_degree(graph.m, args.max_m)
         result = canonical_form(graph)
     else:
-        group = _resolve_group(args.group, graph.m, args)
-        result = gamma_canonical_form(graph, group)
+        result = gamma_canonical_form(graph, _group(args, graph.m))
     return 0, [dumps(graph_to_doc(result))]
 
 
@@ -211,9 +185,7 @@ def _cmd_verify_morphism(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_quotient_table(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    group = _census_group(args)
-    max_dim = _option(args, "max-size", DEFAULT_MAX_DIM)
-    table = build_quotient_table(args.g, args.m, group, max_dim=max_dim)
+    table = build_quotient_table(args.g, args.m, _group(args, args.m), max_dim=args.max_size)
     return 0, [render_quotient_table(table)]
 
 
@@ -222,9 +194,9 @@ def _cmd_numerology(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     return 0, [f"P(t)={data.polynomial_str()} N={data.ambient_dim} rank={data.rank}\n"]
 
 
-def _arg(dest, *flags, integer=False, metavar=None, help=None, required=False):
-    """One argument of a subcommand; a positional when it has no flags."""
-    return dest, flags, integer, metavar, help, required
+def _arg(dest, *flags, integer=False, metavar=None, help=None, required=False, bound=None):
+    """One argument of a subcommand: a positional without flags, a bound option with a bound."""
+    return dest, flags, integer, metavar, help, required, bound
 
 
 _OUTPUT = _arg(
@@ -233,16 +205,16 @@ _OUTPUT = _arg(
 )
 # Each bound option goes only to the subcommands that read it.
 _MAX_SIZE = _arg(
-    "max_size", "--max-size", integer=True, metavar="N",
-    help="bound on 3g-3+m for enumeration (default 6)",
+    "max_size", "--max-size", integer=True, metavar="N", bound=DEFAULT_MAX_DIM,
+    help=f"bound on 3g-3+m for enumeration (default {DEFAULT_MAX_DIM})",
 )
 _MAX_M = _arg(
-    "max_m", "--max-m", integer=True, metavar="N",
-    help="bound on the number of leg labels (default 10)",
+    "max_m", "--max-m", integer=True, metavar="N", bound=MAX_PERM_DEGREE,
+    help=f"bound on the number of leg labels (default {MAX_PERM_DEGREE})",
 )
 _MAX_ORDER = _arg(
-    "max_group_order", "--max-group-order", integer=True, metavar="N",
-    help="bound on the order of label groups (default 10!)",
+    "max_group_order", "--max-group-order", integer=True, metavar="N", bound=MAX_GROUP_ORDER,
+    help=f"bound on the order of label groups (default {MAX_PERM_DEGREE}!)",
 )
 _GROUP = _arg(
     "group", "--group", metavar="GENS",
@@ -318,11 +290,11 @@ def _reader(command: str, arguments: tuple) -> Callable[[Sequence[str]], SimpleN
     command line gives None and is left to argparse.
     """
     positionals, options, defaults, required = [], {}, {"command": command}, []
-    for dest, flags, integer, _, _, needed in arguments:
+    for dest, flags, integer, _, _, needed, bound in arguments:
         if not flags:
             positionals.append((dest, integer))
             continue
-        defaults[dest] = None
+        defaults[dest] = bound
         options.update(dict.fromkeys(flags, (dest, integer)))
         if needed:
             required.append(dest)
@@ -374,6 +346,13 @@ def _usage_parser():
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
+    class Store(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            if not isinstance(values, (str, int)):  # argparse reads "--flag=--" as []
+                name = "/".join(self.option_strings) or self.dest
+                parser.error(f"argument {name}: expected one argument")
+            setattr(namespace, self.dest, values)
+
     parser = argparse.ArgumentParser(
         prog="graphstrata",
         description=(
@@ -384,13 +363,13 @@ def _usage_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
     for command, (_, help_line, arguments) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
-        for dest, flags, is_int, metavar, help_text, required in arguments:
+        add = functools.partial(sub.add_parser(command, help=help_line).add_argument, action=Store)
+        for dest, flags, is_int, metavar, help_text, required, bound in arguments:
             shared = {"type": integer if is_int else None, "metavar": metavar, "help": help_text}
             if flags:
-                p.add_argument(*flags, dest=dest, required=required, **shared)
+                add(*flags, dest=dest, required=required, default=bound, **shared)
             else:
-                p.add_argument(dest, **shared)
+                add(dest, **shared)
     return parser
 
 
@@ -405,6 +384,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     try:
+        for dest, flags, *_, bound in _COMMANDS[args.command][2]:  # before any input is read
+            if bound and getattr(args, dest) < 1:
+                raise ValueError(f"{flags[0]} must be positive, got {getattr(args, dest)}")
         status, chunks = _COMMANDS[args.command][0](args)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:

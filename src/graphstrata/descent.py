@@ -51,7 +51,7 @@ from itertools import product
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._record import record
-from .perm import PermGroup, Permutation, check_acts_on, check_degree, cycle_notation
+from .perm import PermGroup, Permutation, check_acts_on, check_label_count, cycle_notation
 from .perm import group_from_generators, label_orbits, parse_generators
 
 __all__ = [
@@ -645,7 +645,7 @@ def _read_marking(
     line = section[0]
     values = _read_section(section, _MARKING_KEYS, filename)
     m, base, arrows = (values[(key,)][1] for key in ("m", "base", "cover"))
-    _anchored(filename, line, check_degree, m)  # before parsing builds anything of size m
+    _anchored(filename, line, check_label_count, m)  # before parsing builds anything of size m
     group_line, text = values.get(("group",), (line, ""))
     if (m, text) not in groups:
         generators = _anchored(filename, group_line, parse_generators, text, m)

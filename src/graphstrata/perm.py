@@ -221,6 +221,13 @@ def check_degree(m: int, bound: int = MAX_PERM_DEGREE) -> None:
         raise SizeLimitError(f"degree {m} exceeds bound {bound}")
 
 
+def check_label_count(m: int, bound: int = MAX_PERM_DEGREE) -> None:
+    """Refuse a label count outside 1..bound; a label group needs a label."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    check_degree(m, bound)
+
+
 def check_acts_on(x: Permutation | PermGroup, m: int) -> None:
     """Refuse a permutation or group that does not act on the labels 1..m."""
     if x.degree != m:
@@ -241,9 +248,7 @@ def group_from_generators(
     on the left by the generators so far.  The bound is checked after each
     coset, so at most one coset past it is ever held.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    check_degree(m, max_degree)
+    check_label_count(m, max_degree)
     gens = tuple(generators)
     for g in gens:
         check_acts_on(g, m)

@@ -4,6 +4,7 @@ Both are built from ``cli._COMMANDS``.  Whenever the reader accepts a
 command line, its namespace must equal argparse's; whenever argparse exits
 (help or a usage error), the reader must have declined.  The command lines
 the golden runs and the benchmark send must all take the reader's path.
+Random command lines, run through ``main``, keep its exit-code contract.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from graphstrata import cli
-from record_golden import CASES, resolve
+from record_golden import CASES, inline_graph, resolve
 
 COMMANDS = list(cli._COMMANDS)
 FLAGS = sorted({flag for _, _, args in cli._COMMANDS.values() for a in args for flag in a[1]})
@@ -41,10 +42,10 @@ def slow(argv):
             return None
 
 
-def _option_tokens(rng, command):
+def _option_tokens(rng, command, values):
     """One option of some form, as the tokens it takes on a command line."""
     own = [flag for a in cli._COMMANDS[command][2] for flag in a[1]]
-    value = rng.choice(VALUES)
+    value = rng.choice(values)
     kind = rng.randrange(10)
     if kind < 5:
         return [rng.choice(own), value]
@@ -60,17 +61,18 @@ def _option_tokens(rng, command):
     return [rng.choice(["--", "-h", "--help", "-o"])]
 
 
-def random_argv(rng):
+def random_argv(rng, values=VALUES):
+    """A command line drawn from ``values``; positionals favour its first four."""
     command = rng.choice(COMMANDS)
     if rng.random() < 0.05:
         command = rng.choice([command[:3], "-h", "--help", "", "nope"])
     args = cli._COMMANDS.get(command, (None, None, ()))[2]
     count = sum(not a[1] for a in args) + rng.choice([-1, 0, 0, 0, 0, 1])
     positionals = [
-        rng.choice(VALUES[:4] if rng.random() < 0.7 else VALUES) for _ in range(max(count, 0))
+        rng.choice(values[:4] if rng.random() < 0.7 else values) for _ in range(max(count, 0))
     ]
     if command in cli._COMMANDS:
-        options = [_option_tokens(rng, command) for _ in range(rng.choice([0, 0, 1, 2, 3]))]
+        options = [_option_tokens(rng, command, values) for _ in range(rng.choice([0, 0, 1, 2, 3]))]
     else:
         options = []
     if rng.random() < 0.8:
@@ -97,6 +99,33 @@ def test_the_two_readers_agree_on_random_command_lines():
             declined_valid += 1
     # The draw exercises all three outcomes, not just one.
     assert min(taken, declined_valid, usage) > 200, (taken, declined_valid, usage)
+
+
+# Small integers, so every census drawn is small; a valid graph and a valid
+# marking document, so the canon, split and descent handlers run; an
+# unstable graph; and text that argparse reads differently.
+RUN_VALUES = [
+    "1", "2", inline_graph([0, 0], [(0, 1)], [0, 0, 1, 1]),
+    "[marking]\nm = 2\nbase = x\ncover = s -> x\nfiber x = p1 p2\nsigma s = p1 p2\n",
+    inline_graph([0], [], [0, 0]), "0", "-1", "3", "", "x", "(1 2)", "()", "-", "--", "=",
+]
+
+
+def test_random_command_lines_keep_the_exit_code_contract(monkeypatch, tmp_path):
+    # -o values name files, so they land in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(20261020)
+    passed, codes = set(), set()
+    for _ in range(2000):
+        argv = random_argv(rng, RUN_VALUES)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), argv
+        codes.add(code)
+        if code == 0:
+            passed.add(argv[0])
+    assert codes == {0, 1, 2}
+    assert passed >= {"canon", "split", "verify-descent", "equiv-descent"}
 
 
 @pytest.mark.parametrize(

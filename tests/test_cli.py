@@ -11,7 +11,7 @@ import graphstrata
 import graphstrata.descent
 import graphstrata.perm
 import graphstrata.stablegraph
-from graphstrata.cli import main
+from graphstrata.cli import _COMMANDS, main
 from graphstrata.stablegraph import (
     _SEARCH_BUDGET,
     StableGraph,
@@ -119,6 +119,23 @@ def test_nonpositive_bound_rejected(capsys, fixtures_dir):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"unrecognized arguments: {unread}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("canon", "nofile.json", "--max-m", "0"), "--max-m"),
+        (("gamma-enumerate", "2", "0", "--max-size", "0"), "--max-size"),
+        (("quotient-table", "0", "4", "--group", "(1,2)", "--max-size", "0"), "--max-size"),
+    ],
+)
+def test_bound_options_are_checked_before_any_input(capsys, monkeypatch, tmp_path, argv, flag):
+    # A missing document, m = 0 and bad group text are each refused only
+    # after every bound option holds.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be positive, got 0\n"
 
 
 @pytest.mark.parametrize("group", [(), ("--group", "(1 2)(3 4)")])
@@ -350,6 +367,17 @@ def test_descent_m_is_ascii_digits(capsys, m, message):
     code, out, err = run(capsys, "verify-descent", doc)
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("group", ["(1 2)", "()", "(1 2"])
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_descent_m_is_checked_before_the_group_line(capsys, m, group):
+    # m is refused at the section header, as without a group line, before
+    # the group text on line 3 is read.
+    doc = f"[marking]\nm = {m}\ngroup = {group}\nbase = x\ncover = s -> x\n"
+    code, out, err = run(capsys, "verify-descent", doc)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: <inline>:1: m must be positive"]
 
 
 @pytest.mark.parametrize(
@@ -695,12 +723,14 @@ def test_group_parse_error(capsys):
     [
         (("gamma-enumerate", "2", "0"), "m must be positive"),
         (("quotient-table", "2", "0"), "m must be positive"),
-        (("canon", inline_graph([2], []), "--group", "()"), "permutation degree must be positive"),
+        (("canon", inline_graph([2], []), "--group", "()"), "m must be positive"),
         # m = 0 is refused before the group text is read
         (("gamma-enumerate", "2", "0", "--group", "()"), "m must be positive"),
         (("gamma-enumerate", "2", "0", "--group", "(1 2)"), "m must be positive"),
         (("quotient-table", "2", "0", "--group", "()"), "m must be positive"),
         (("quotient-table", "2", "0", "--group", "(1 2)"), "m must be positive"),
+        (("canon", inline_graph([2], []), "--group", "(1 2)"), "m must be positive"),
+        (("canon", inline_graph([2], []), "--group", "(1)"), "m must be positive"),
     ],
 )
 def test_group_commands_need_a_marked_point(capsys, argv, message):
@@ -801,3 +831,51 @@ def test_parser_is_built_on_first_main_call_only():
     proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().split() == ["0", "1", "2"]
+
+
+LONG_FLAGS = [
+    (command, flag, "/".join(argument[1]))
+    for command, (_, _, arguments) in _COMMANDS.items()
+    for argument in arguments
+    for flag in argument[1]
+    if flag.startswith("--")
+]
+
+
+# One command line per subcommand that exits 0.
+VALID_LINES = {
+    "enumerate": ["0", "4"],
+    "gamma-enumerate": ["0", "4", "--group", "(1 2)"],
+    "check-stability": [SPLIT_DOC],
+    "canon": [SPLIT_DOC, "--group", "(1 3)(2 4)"],
+    "split": [SPLIT_DOC, "--vertex", "0"],
+    "verify-descent": [str(FIXTURES / "intro-example.desc")],
+    "equiv-descent": [str(FIXTURES / "intro-example.desc")] * 2,
+    "verify-morphism": [str(FIXTURES / "twist-endomorphism.desc")],
+    "quotient-table": ["0", "4", "--group", "(1 2)"],
+    "numerology": ["2", "3", "0"],
+}
+
+
+@pytest.mark.parametrize("command,flag,name", LONG_FLAGS)
+def test_flag_equals_double_dash_is_a_usage_error(
+    capsys, monkeypatch, tmp_path, command, flag, name
+):
+    # argparse reads "--flag=--" as an empty list, not as a value.
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *VALID_LINES[command]]
+    assert run(capsys, *argv)[0] == 0
+    if flag in argv:
+        del argv[argv.index(flag) : argv.index(flag) + 2]
+    code, out, err = run(capsys, *argv, f"{flag}=--")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"graphstrata {command}: error: argument {name}: expected one argument"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_double_dash_as_a_positional_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "enumerate", "0", "--", "--")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "graphstrata enumerate: error: argument m: expected one argument"

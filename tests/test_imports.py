@@ -436,8 +436,9 @@ REPEATED_REFUSALS = {
     # which checks n between the two.
     "g and m must be nonnegative",
     "no stable curves with g={}, m={}",
-    # One is about a marking's m (ChartedMarking), the other about a group's
-    # degree (group_from_generators).
+    # One is about a marking's m (ChartedMarking), the other about the label
+    # count of a group (perm.check_label_count), which the CLI and descent
+    # documents check before they read group text.
     "m must be positive",
 }
 
