@@ -85,10 +85,16 @@ def _read_document(arg: str) -> tuple[str, str]:
 def _load_graph(arg: str) -> StableGraph:
     import json
 
+    def integer(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:  # past int()'s digit limit: refused by its length
+            raise ValueError(f"integer with {len(text.lstrip('-'))} digits out of range") from None
+
     text, name = _read_document(arg)
     try:
-        return graph_from_doc(json.loads(text))
-    except ValueError as exc:  # JSONDecodeError, an integer past int()'s digit limit, or a bad graph
+        return graph_from_doc(json.loads(text, parse_int=integer))
+    except ValueError as exc:  # JSONDecodeError, an oversized integer, or a bad graph
         raise ValueError(f"{name}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{name}: JSON nested too deeply") from None
@@ -164,7 +170,7 @@ def _cmd_verify_descent(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     text, name = _read_document(args.file)
     marking = parse_marking_document(text, name)
     report = verify_star(marking)
-    return (0 if report.valid else 1), [render_star_report(marking, report)]
+    return (0 if report.valid else 1), render_star_report(marking, report)
 
 
 def _cmd_equiv_descent(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
@@ -172,16 +178,14 @@ def _cmd_equiv_descent(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
         _read_document(args.file1), _read_document(args.file2)
     )
     witness = equivalent(first, second)
-    return (0 if witness is not None else 1), [render_equivalence(witness)]
+    return (0 if witness is not None else 1), render_equivalence(witness)
 
 
 def _cmd_verify_morphism(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     text, name = _read_document(args.file)
     morphism, source, target = parse_morphism_document(text, name)
     report = verify_morphism(morphism, source, target)
-    return (0 if report.valid else 1), [
-        render_morphism_report(morphism, source, target, report)
-    ]
+    return (0 if report.valid else 1), render_morphism_report(morphism, source, target, report)
 
 
 def _cmd_quotient_table(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
@@ -388,7 +392,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if bound and getattr(args, dest) < 1:
                 raise ValueError(f"{flags[0]} must be positive, got {getattr(args, dest)}")
         status, chunks = _COMMANDS[args.command][0](args)
-        if args.output:
+        if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
         else:

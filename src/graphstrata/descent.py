@@ -19,12 +19,13 @@ j_ab = j_rb * j_ar.  So one match per chart decides the condition: every
 pair matches inside the group exactly when every chart matches the first
 chart r over its base point, since the group is closed; and then all
 charts mark the same m points, so none is unmarked exactly when the fiber
-has m points.  ``class_function``, ``equivalent`` and
-``globalize_trivial_group`` decide by this rule.  ``verify_star`` still
-matches every pair, for its report.  When the condition holds, each
-distinguished point acquires a well-defined class: the orbit of its chart
-index (``class_function``).  Witnesses are kept as image tuples; a
-report's ``witnesses`` builds ``Permutation`` values only when read.
+has m points.  ``verify_star`` decides by this rule, and
+``class_function``, ``equivalent`` and ``globalize_trivial_group`` read
+its verdict.  A report's ``witness_images`` matches a pair when it is read;
+if a chart fails its match, every pair is matched once, for ``missing``.
+When the condition holds, each distinguished point acquires a well-defined
+class: the orbit of its chart index (``class_function``).  Witnesses are
+image tuples; a report's ``witnesses`` builds ``Permutation`` values.
 
 Charted markings over richer covers can restate the same data
 (``dominates``); two markings are the same marking class when a chart on
@@ -37,18 +38,22 @@ the cross matches j.
 
 A fiberwise map between two such objects is a morphism when, at every
 point of a common refinement, it carries charts to charts up to a group
-element (``verify_morphism``); the report also evaluates the coarser
-criterion that classes of distinguished points are preserved, and says
-whether the two verdicts agree.  They agree whenever the group is the full product of
-symmetric groups on its label orbits; for smaller groups the chart
-criterion is strictly finer, and the report makes the disagreement
-visible rather than hiding it.
+element (``verify_morphism``); one match per source chart decides this, as
+the target is compatible: a source chart's matches over one target point
+differ by group elements, so all or none lie in the group.  The report also
+evaluates the coarser criterion that classes of distinguished points are
+preserved, and says whether the two verdicts agree.  They agree whenever
+the group is the full product of symmetric groups on its label orbits; for
+smaller groups the chart criterion is strictly finer, and the report makes
+the disagreement visible rather than hiding it.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from functools import partial
+from itertools import groupby, product
+from typing import Any
 
 from ._record import record
 from .perm import PermGroup, Permutation, check_acts_on, check_label_count, cycle_notation
@@ -162,13 +167,8 @@ def _positions(seq: Sequence[str]) -> dict[str, int]:
     return {p: k for k, p in enumerate(seq, start=1)}
 
 
-def _match(
-    seq_a: Sequence[str], pos_b: Mapping[str, int], members: frozenset[Images]
-) -> Images | None:
-    """The j with seq_a[i-1] == seq_b[j(i)-1] if it is in ``members``.
-
-    ``pos_b`` is ``_positions(seq_b)``, built once per chart.
-    """
+def _match(seq_a: Sequence[str], pos_b: Mapping[str, int], members: frozenset) -> Images | None:
+    """The j with seq_a[i-1] == seq_b[j(i)-1] if it is in ``members``; pos_b = _positions(seq_b)."""
     try:
         images = tuple(map(pos_b.__getitem__, seq_a))
     except KeyError:
@@ -176,28 +176,45 @@ def _match(
     return images if images in members else None
 
 
-def _match_all(triples: Iterable[tuple], members: frozenset[Images]) -> tuple[dict, tuple]:
-    """Witness images and missing keys of ``(key, chart, positions)`` triples, in order."""
-    witnesses: dict[Any, Images] = {}
-    missing: list[Any] = []
-    for key, seq, pos in triples:
-        j = _match(seq, pos, members)
-        if j is None:
-            missing.append(key)
-        else:
-            witnesses[key] = j
-    return witnesses, tuple(missing)
+class _PairWitnesses(Mapping):
+    """Witness images of chart pairs, each matched when read: a read-only
+    stand-in, equal to, printed and pickled as the dict of matched pairs.
 
+    A key ``(a, b)`` pairs the chart ``charts[a]`` with ``sigma[b]``, and
+    ``pairs()`` lists the keys in report order.  Two charts over different
+    base points never match, as no point lies in two fibers.
+    """
 
-def _compatible(marking: ChartedMarking) -> bool:
-    """The compatibility condition, by one match per chart (module docstring)."""
-    members = marking.group.members
-    for s in marking.cover.base:
-        first, *rest = marking.cover.fiber(s)
-        positions = _positions(marking.sigma[first])
-        if any(_match(marking.sigma[c], positions, members) is None for c in rest):
-            return False
-    return all(len(points) == marking.m for points in marking.fiber_points.values())
+    def __init__(self, pairs, charts, sigma, members) -> None:
+        self._pairs, self._charts, self._sigma = pairs, charts, sigma
+        self._members, self._positions = members, {}
+
+    def get(self, key, default=None):
+        if type(key) is not tuple or len(key) != 2 or key[0] not in self._charts:
+            hash(key)  # an unhashable key is refused as a dict refuses it
+            return default
+        a, b = key
+        if b not in self._sigma:
+            return default
+        pos = self._positions.get(b) or self._positions.setdefault(b, _positions(self._sigma[b]))
+        return _match(self._charts[a], pos, self._members) or default  # a match is nonempty
+
+    def __getitem__(self, key):
+        if (j := self.get(key)) is None:
+            raise KeyError(key)
+        return j
+
+    def __iter__(self):
+        return (key for key in self._pairs() if self.get(key) is not None)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):
+        return dict, (dict(self),)
 
 
 class _Witnessed:
@@ -219,7 +236,7 @@ class StarReport(_Witnessed):
     """
 
     valid: bool
-    witness_images: dict[tuple[str, str], Images]
+    witness_images: Mapping[tuple[str, str], Images]
     missing: tuple[tuple[str, str], ...]
     unmarked: dict[str, tuple[str, ...]]
 
@@ -231,27 +248,20 @@ def _star_pairs(marking: ChartedMarking) -> Iterator[tuple[str, str]]:
 
 
 def verify_star(marking: ChartedMarking) -> StarReport:
-    """Report chart compatibility for every same-fiber pair.
-
-    Costs one ``_match`` per pair, k^2 over k charts, to report each
-    witness; the verdict alone needs k (the one-match rule, module
-    docstring).
-    """
-    positions = {c: _positions(seq) for c, seq in marking.sigma.items()}
-    witnesses, missing = _match_all(
-        (((a, b), marking.sigma[a], positions[b]) for a, b in _star_pairs(marking)),
-        marking.group.members,
-    )
-    hit = set().union(*marking.sigma.values())  # fibers are disjoint
-    unmarked: dict[str, tuple[str, ...]] = {}
-    for s in marking.cover.base:
-        extra = tuple(p for p in marking.fiber_points[s] if p not in hit)
-        if extra:
-            unmarked[s] = extra
+    """Chart compatibility by one match per chart (module docstring); witnesses read lazily."""
+    cover, sigma, members = marking.cover, marking.sigma, marking.group.members
+    firsts = {s: _positions(sigma[cover.fiber(s)[0]]) for s in cover.base}
+    matched = all(_match(seq, firsts[cover.down[c]], members) for c, seq in sigma.items())
+    fibers = marking.fiber_points
+    big = [s for s in cover.base if len(fibers[s]) > marking.m]  # any chart marks a fiber of m
+    hit = set().union(*sigma.values()) if big else ()  # fibers are disjoint
+    unmarked = {s: extra for s in big if (extra := tuple(p for p in fibers[s] if p not in hit))}
+    pairs = partial(_star_pairs, marking)
+    witnesses = _PairWitnesses(pairs, sigma, sigma, members)
     return StarReport(
-        valid=not missing and not unmarked,
+        valid=matched and not unmarked,
         witness_images=witnesses,
-        missing=missing,
+        missing=() if matched else tuple(k for k in pairs() if witnesses.get(k) is None),
         unmarked=unmarked,
     )
 
@@ -260,11 +270,10 @@ def class_function(marking: ChartedMarking) -> dict[str, frozenset[int]]:
     """Orbit of the chart index, per distinguished point.
 
     Defined only when the compatibility condition holds; then the orbit
-    does not depend on which chart exhibits the point.  The condition is
-    decided by one match per chart, against the first chart over its base
-    point, which suffices because matches compose (module docstring).
+    does not depend on which chart exhibits the point, as ``verify_star``
+    decides it.
     """
-    if not _compatible(marking):
+    if not verify_star(marking).valid:
         raise ValueError("charts are incompatible; classes are undefined")
     return _chart_classes(marking)
 
@@ -328,10 +337,10 @@ def dominates(
 def _domination(fine: ChartedMarking, coarse: ChartedMarking, down: Mapping) -> DominationReport:
     """``dominates`` for markings of one setting and a ``down`` map already known to fit."""
     positions = {c: _positions(seq) for c, seq in coarse.sigma.items()}
-    witnesses, missing = _match_all(
-        ((c, fine.sigma[c], positions[down[c]]) for c in fine.cover.cover),
-        fine.group.members,
-    )
+    sigma, members = fine.sigma, fine.group.members
+    witnesses = {c: j for c in fine.cover.cover
+                 if (j := _match(sigma[c], positions[down[c]], members)) is not None}
+    missing = tuple(c for c in fine.cover.cover if c not in witnesses)
     return DominationReport(valid=not missing, witness_images=witnesses, missing=missing)
 
 
@@ -360,10 +369,10 @@ def equivalent(
 ) -> EquivalenceWitness | None:
     """A chart on the fiber product dominating both markings, if one exists.
 
-    The reduced test: ``c1`` is compatible, decided by one match per chart
-    (module docstring), and its pull-back dominates ``c2``.  The
-    pull-back's star is c1's, and it dominates c1 by identities.  Pulling
-    back ``c2`` never decides otherwise, since cross matches compose:
+    The reduced test: ``c1`` is compatible (``verify_star``), and its
+    pull-back dominates ``c2``.  The pull-back's star is c1's, and it
+    dominates c1 by identities.  Pulling back ``c2`` never decides
+    otherwise, since cross matches compose:
     match(sigma1(a), sigma1(a')) = j(a', b)^-1 * j(a, b).  Refinement
     points are named ``a*b``; two pairs that would share a name are
     refused, which no parsed document can cause, as its ids hold no ``*``.
@@ -375,7 +384,7 @@ def equivalent(
         if name in to_first:
             raise ValueError(f"refinement point {name} names two pairs of cover points")
         to_first[name], to_second[name] = a, b
-    if not _compatible(c1):
+    if not verify_star(c1).valid:
         return None
     refinement = ChartedMarking(
         cover=FiniteCover(
@@ -415,7 +424,7 @@ class MorphismReport(_Witnessed):
     """
 
     valid: bool
-    witness_images: dict[tuple[str, str], Images]
+    witness_images: Mapping[tuple[str, str], Images]
     missing: tuple[tuple[str, str], ...]
     classes_preserved: bool
     class_violations: tuple[tuple[str, str], ...]
@@ -450,17 +459,15 @@ def verify_morphism(
         a: tuple(hm.fiber_maps[c1.cover.down[a]][p] for p in seq)
         for a, seq in c1.sigma.items()
     }
-    positions = {b: _positions(seq) for b, seq in c2.sigma.items()}
-    witnesses, missing = _match_all(
-        (((a, b), mapped[a], positions[b]) for a, b in _refinement_points(c1, c2, hm.base_map)),
-        c1.group.members,
-    )
-    violations: list[tuple[str, str]] = []
-    for s in c1.cover.base:
-        for p in c1.fiber_points[s]:
-            q = hm.fiber_maps[s][p]
-            if classes2.get(q) != classes1[p]:
-                violations.append((p, q))
+    home = {a: hm.base_map[c1.cover.down[a]] for a in c1.cover.cover}
+    pairs = partial(_refinement_points, c1, c2, hm.base_map)
+    witnesses = _PairWitnesses(pairs, mapped, c2.sigma, c1.group.members)
+    # One match per source chart, against the first target chart, decides all its pairs.
+    firsts = {t: _positions(c2.sigma[c2.cover.fiber(t)[0]]) for t in c2.cover.base}
+    failed = [a for a, t in home.items() if not _match(mapped[a], firsts[t], c1.group.members)]
+    missing = tuple((a, b) for a in failed for b in c2.cover.fiber(home[a]))
+    arrows = ((p, hm.fiber_maps[s][p]) for s in c1.cover.base for p in c1.fiber_points[s])
+    violations = tuple((p, q) for p, q in arrows if classes2.get(q) != classes1[p])
     valid = not missing
     preserved = not violations
     return MorphismReport(
@@ -468,7 +475,7 @@ def verify_morphism(
         witness_images=witnesses,
         missing=missing,
         classes_preserved=preserved,
-        class_violations=tuple(violations),
+        class_violations=violations,
         verdicts_agree=valid == preserved,
     )
 
@@ -477,7 +484,7 @@ def globalize_trivial_group(marking: ChartedMarking) -> ChartedMarking:
     """With a trivial group, valid charts glue to one chart over the base."""
     if marking.group.order != 1:
         raise ValueError("globalization needs the trivial group")
-    if not _compatible(marking):
+    if not verify_star(marking).valid:
         raise ValueError("charts are incompatible; nothing globalizes")
     base = marking.cover.base
     sigma = {s: marking.sigma[marking.cover.fiber(s)[0]] for s in base}
@@ -708,51 +715,45 @@ def format_marking(marking: ChartedMarking, name: str = "marking") -> str:
 
 
 class _Named(dict):
-    """Cycle notation by image tuple, each written once per report.
-
-    A report names the same few witnesses for many pairs; each render call
-    makes its own table, so none outlives the call.
-    """
+    """Cycle notation by image tuple, written once per render call for the many pairs."""
 
     def __missing__(self, images: tuple[int, ...]) -> str:
         text = self[images] = cycle_notation(images)
         return text
 
 
-def render_star_report(marking: ChartedMarking, report: StarReport) -> str:
-    lines = []
+def render_star_report(marking: ChartedMarking, report: StarReport) -> Iterator[str]:
+    """The report's lines, each pair's witness read as its line is written."""
     named = _Named()
+    witness = report.witness_images.get
     for a, b in _star_pairs(marking):
-        w = report.witness_images.get((a, b))
-        if w is None:
-            lines.append(f"({a}, {b}): NO WITNESS")
-        else:
-            lines.append(f"({a}, {b}): gamma = {named[w]}")
+        w = witness((a, b))
+        yield f"({a}, {b}): NO WITNESS\n" if w is None else f"({a}, {b}): gamma = {named[w]}\n"
     for s in marking.cover.base:
         if s in report.unmarked:
-            lines.append(
-                f"fiber {s}: unmarked points " + " ".join(report.unmarked[s])
-            )
+            yield f"fiber {s}: unmarked points " + " ".join(report.unmarked[s]) + "\n"
     if report.valid:
         classes = _chart_classes(marking)
         for s in marking.cover.base:
             for p in marking.fiber_points[s]:
-                lines.append(f"class({p}) = {orbit_label(classes[p])}")
-    lines.append("VALID" if report.valid else "INVALID")
-    return "\n".join(lines) + "\n"
+                yield f"class({p}) = {orbit_label(classes[p])}\n"
+    yield "VALID\n" if report.valid else "INVALID\n"
 
 
-def render_equivalence(witness: EquivalenceWitness | None) -> str:
+def render_equivalence(witness: EquivalenceWitness | None) -> Iterator[str]:
+    """The report, one chunk per cover point of the first marking (a write per line is slow)."""
     if witness is None:
-        return "NOT EQUIVALENT\n"
-    lines = [f"refinement: {len(witness.refinement.cover.cover)} cover points"]
+        yield "NOT EQUIVALENT\n"
+        return
+    yield f"refinement: {len(witness.refinement.cover.cover)} cover points\n"
     named = _Named()
-    for name in witness.refinement.cover.cover:
-        left = named[witness.dom_first.witness_images[name]]
-        right = named[witness.dom_second.witness_images[name]]
-        lines.append(f"({name}): left gamma = {left}, right gamma = {right}")
-    lines.append("EQUIVALENT")
-    return "\n".join(lines) + "\n"
+    left, right = witness.dom_first.witness_images, witness.dom_second.witness_images
+    for _, row in groupby(witness.refinement.cover.cover, witness.to_first.get):
+        yield "".join(
+            f"({name}): left gamma = {named[left[name]]}, right gamma = {named[right[name]]}\n"
+            for name in row
+        )
+    yield "EQUIVALENT\n"
 
 
 def render_morphism_report(
@@ -760,21 +761,16 @@ def render_morphism_report(
     c1: ChartedMarking,
     c2: ChartedMarking,
     report: MorphismReport,
-) -> str:
-    lines = []
+) -> Iterator[str]:
+    """The report's lines, each pair's witness read as its line is written."""
     named = _Named()
+    witness = report.witness_images.get
     for a, b in _refinement_points(c1, c2, hm.base_map):
-        w = report.witness_images.get((a, b))
-        if w is None:
-            lines.append(f"({a}*{b}): NO WITNESS")
-        else:
-            lines.append(f"({a}*{b}): gamma = {named[w]}")
-    lines.append(f"charts: {'VALID' if report.valid else 'INVALID'}")
-    lines.append(
-        f"classes preserved: {'yes' if report.classes_preserved else 'no'}"
-    )
+        w = witness((a, b))
+        yield f"({a}*{b}): NO WITNESS\n" if w is None else f"({a}*{b}): gamma = {named[w]}\n"
+    yield f"charts: {'VALID' if report.valid else 'INVALID'}\n"
+    yield f"classes preserved: {'yes' if report.classes_preserved else 'no'}\n"
     for p, q in report.class_violations:
-        lines.append(f"class violation: {p} -> {q}")
-    lines.append(f"verdicts agree: {'yes' if report.verdicts_agree else 'no'}")
-    lines.append("VALID" if report.valid else "INVALID")
-    return "\n".join(lines) + "\n"
+        yield f"class violation: {p} -> {q}\n"
+    yield f"verdicts agree: {'yes' if report.verdicts_agree else 'no'}\n"
+    yield "VALID\n" if report.valid else "INVALID\n"

@@ -49,7 +49,7 @@ from graphstrata.stablegraph import (
 from graphstrata.strata import build_quotient_table, component_census
 
 from oracle import brute_force_census, iso_key
-from star_audit import audit_unique
+from star_audit import audit_unique, scan_morphism
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -302,6 +302,35 @@ def test_criterion_5_morphism_verdicts_agree_on_random_fixtures():
     if reproducer is not None:
         message += "\nfirst disagreeing fixture:\n" + reproducer
     assert ok, message
+
+
+def test_morphism_witnesses_match_a_scan_of_group_elements():
+    # verify_morphism decides each source chart by one match; the scan tries
+    # every group element on every pair of the common refinement.
+    rng = random.Random(5303)
+    verdicts = []
+    while len(verdicts) < 200:
+        m = rng.randint(1, 5)
+        group = _random_group(rng, m)
+        source = _random_marking(rng, m, group, [f"x{i}" for i in range(rng.randint(1, 4))], "p")
+        target_base = [f"y{i}" for i in range(rng.randint(1, 4))]
+        target = _random_marking(rng, m, group, target_base, "q")
+        base_map = {s: rng.choice(target_base) for s in source.cover.base}
+        fiber_maps = {}
+        for s in source.cover.base:
+            targets = list(target.fiber_points[base_map[s]])
+            rng.shuffle(targets)
+            fiber_maps[s] = dict(zip(source.fiber_points[s], targets))
+        hm = FiberMorphism(base_map, fiber_maps)
+        report = verify_morphism(hm, source, target)
+        witnesses, missing = scan_morphism(hm, source, target)
+        context = _describe_morphism(source, target, hm, report)
+        assert dict(report.witness_images) == witnesses, context
+        assert list(report.witness_images) == list(witnesses), context
+        assert report.missing == missing, context
+        assert report.valid == (not missing), context
+        verdicts.append(report.valid)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 # The tested boundary of criterion 5: the chart and class verdicts agree

@@ -22,6 +22,7 @@ from graphstrata.stablegraph import (
 from record_golden import cycle, inline_graph, legged_path, loops, petals
 
 SPLIT_12_34 = StableGraph((0, 0), ((0, 1),), (0, 0, 1, 1))
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def write_graph(tmp_path, graph, name="graph.json"):
@@ -331,12 +332,27 @@ def test_graph_document_ids_are_ascii_digits(capsys, parts, message):
 
 
 def test_integer_past_the_digit_limit_names_the_document(capsys):
-    # json.loads raises a plain ValueError here, not a JSONDecodeError.
+    # An integer too long for int() is refused by its digit count, in the
+    # library's words, not with Python's set_int_max_str_digits advice.
     doc = '{"format": "stable-graph/1", "vertices": [{"genus": %s}]}' % ("1" * 5000)
     code, out, err = run(capsys, "check-stability", doc)
     assert (code, out) == (2, "")
-    assert err.startswith("error: <inline>: Exceeds the limit (4300 digits)")
-    assert len(err.splitlines()) == 1
+    assert err == "error: <inline>: integer with 5000 digits out of range\n"
+
+
+@pytest.mark.parametrize(
+    "template,digits",
+    [
+        ('{"format": "stable-graph/1", "vertices": [{"genus": %s}]}', 4301),
+        ('{"format": "stable-graph/1", "vertices": [{"genus": 0}],'
+         ' "legs": [{"label": -%s, "vertex": "v0"}]}', 5000),
+    ],
+    ids=["genus", "label"],
+)
+def test_canon_refuses_an_integer_past_the_digit_limit(capsys, template, digits):
+    code, out, err = run(capsys, "canon", template % ("1" * digits))
+    assert (code, out) == (2, "")
+    assert err == f"error: <inline>: integer with {digits} digits out of range\n"
 
 
 def test_group_labels_are_ascii_digits(capsys):
@@ -695,6 +711,20 @@ def test_unwritable_output_path_is_input_error(capsys, tmp_path, argv, where):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["-o", "--output"])
+@pytest.mark.parametrize(
+    "argv",
+    [("numerology", "2", "3", "0"), ("verify-descent", str(FIXTURES / "intro-example.desc"))],
+    ids=["census", "descent"],
+)
+def test_empty_output_path_is_input_error(capsys, argv, flag):
+    # An empty path names no file; it is refused like any unopenable path,
+    # not read as "no -o".
+    code, out, err = run(capsys, *argv, flag, "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "not-a-command")
     assert code == 2 and err != ""
@@ -765,7 +795,6 @@ def test_hostile_degree_in_descent_document_names_the_marking_header(
     assert err == f"error: {path}:3: degree {HUGE_M} exceeds bound 10\n"
 
 
-FIXTURES = Path(__file__).parent / "fixtures"
 SPLIT_DOC = dumps(graph_to_doc(SPLIT_12_34))
 
 # One success per subcommand, a negative verdict, a ValueError path, the

@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from graphstrata.descent import (
     globalize_trivial_group,
     parse_marking_document,
     parse_morphism_document,
+    render_equivalence,
     render_morphism_report,
     render_star_report,
     verify_morphism,
@@ -33,7 +36,7 @@ from graphstrata.perm import (
 )
 
 from graphstrata.cli import main
-from star_audit import audit_coherent, audit_unique
+from star_audit import audit_coherent, audit_unique, scan_morphism, scan_star
 
 
 def make_group(gens, m):
@@ -94,7 +97,7 @@ def test_marking_validation():
 
 def test_intro_marking_is_valid(intro_marking):
     report = verify_star(intro_marking)
-    assert report.valid and descent._compatible(intro_marking)
+    assert report.valid and scan_star(intro_marking)[2]
     assert audit_unique(intro_marking, report.witness_images)
     assert audit_coherent(intro_marking, report.witness_images)
     assert report.missing == ()
@@ -153,7 +156,7 @@ def test_witness_coherence_across_triples():
         },
     )
     report = verify_star(marking)
-    assert report.valid and descent._compatible(marking)
+    assert report.valid and scan_star(marking)[2]
     assert audit_coherent(marking, report.witness_images)
     assert audit_unique(marking, report.witness_images)
     w = report.witnesses
@@ -207,22 +210,14 @@ def test_default_check_agrees_with_audit_on_random_markings():
         fast = verify_star(marking)
         assert audit_unique(marking, fast.witness_images) is True
         assert audit_coherent(marking, fast.witness_images) is True
-        assert fast.valid == descent._compatible(marking)
         verdicts.add(fast.valid)
         # Brute force over the group, sharing no code with verify_star:
         # a pair has a witness exactly when one group element matches.
-        for s in marking.cover.base:
-            for a, b in itertools.product(marking.cover.fiber(s), repeat=2):
-                matches = [
-                    g
-                    for g in marking.group
-                    if all(
-                        marking.sigma[a][i - 1] == marking.sigma[b][g(i) - 1]
-                        for i in range(1, marking.m + 1)
-                    )
-                ]
-                expected = [fast.witnesses[(a, b)]] if (a, b) in fast.witnesses else []
-                assert matches == expected
+        witnesses, missing, valid = scan_star(marking)
+        assert fast.valid == valid
+        assert dict(fast.witness_images) == witnesses
+        assert repr(fast.witness_images) == repr(witnesses)
+        assert fast.missing == missing
     assert verdicts == {True, False}
 
 
@@ -275,7 +270,7 @@ HAND_MARKINGS = {
 @pytest.mark.parametrize("name", sorted(HAND_MARKINGS))
 def test_one_match_rule_on_hand_cases(name):
     expected, marking = HAND_MARKINGS[name]
-    assert descent._compatible(marking) is expected
+    assert scan_star(marking)[2] is expected
     assert verify_star(marking).valid is expected
 
 
@@ -285,7 +280,7 @@ def test_one_match_rule_agrees_with_pair_scan_on_random_markings():
     for _ in range(400):
         marking = _random_star_marking(rng, rng.randint(2, 5))
         full = verify_star(marking)
-        assert descent._compatible(marking) == full.valid
+        assert scan_star(marking)[2] == full.valid
         verdicts.add(full.valid)
     assert verdicts == {True, False}
 
@@ -336,7 +331,7 @@ def test_class_function_full_symmetric_group():
 
 
 def test_star_report_rendering(intro_marking):
-    text = render_star_report(intro_marking, verify_star(intro_marking))
+    text = "".join(render_star_report(intro_marking, verify_star(intro_marking)))
     assert "(s1, s2): gamma = (1 2)(3 4)" in text
     assert "class(p1) = [1]" in text
     assert "class(p4) = [3]" in text
@@ -587,31 +582,34 @@ def test_morphism_requires_valid_markings(intro_small_group_marking):
         )
 
 
-def test_morphism_checks_each_marking_once(intro_marking, monkeypatch):
-    # Validity is decided by the one-match rule, once per marking; the
-    # full pair report of verify_star is never built.
-    checked = []
-    star_calls = []
+def test_morphism_checks_each_marking_once(monkeypatch):
+    # Each marking's compatibility is decided once per call, by at most one
+    # match per chart; the chart verdict then costs at most one match per
+    # source chart, where a pair scan would cost one per pair.
+    star_calls, matches = [], []
+    verify_star_unwrapped, match_unwrapped = descent.verify_star, descent._match
 
-    def counting(marking):
-        checked.append(marking)
-        return compatible_unwrapped(marking)
-
-    def counting_star(marking, **kwargs):
+    def counting_star(marking):
         star_calls.append(marking)
-        return verify_star_unwrapped(marking, **kwargs)
+        return verify_star_unwrapped(marking)
 
-    compatible_unwrapped = descent._compatible
-    verify_star_unwrapped = descent.verify_star
-    monkeypatch.setattr(descent, "_compatible", counting)
+    def counting_match(*args):
+        matches.append(args)
+        return match_unwrapped(*args)
+
     monkeypatch.setattr(descent, "verify_star", counting_star)
-    target = parse_marking_document(format_marking(intro_marking))
-    assert target == intro_marking and target is not intro_marking
-    hm = identity_morphism(intro_marking)
-    assert verify_morphism(hm, intro_marking, target).valid
-    assert len(checked) == 2
-    assert checked[0] is intro_marking and checked[1] is target
-    assert star_calls == []
+    monkeypatch.setattr(descent, "_match", counting_match)
+    charts = ["a b c d", "b a c d", "a b d c", "b a d c", "a b c d", "b a c d"]
+    source = _fiber_marking(4, "(1 2),(3 4)", ["a b c d"], [charts])
+    target = parse_marking_document(format_marking(source))
+    assert target == source and target is not source
+    report = verify_morphism(identity_morphism(source), source, target)
+    assert report.valid and report.missing == ()
+    assert star_calls == [source, target]
+    assert star_calls[0] is source and star_calls[1] is target
+    k = len(charts)
+    assert len(matches) <= 3 * k < k * k
+    assert len(dict(report.witness_images)) == k * k
 
 
 def test_morphism_structural_checks(intro_marking):
@@ -633,13 +631,105 @@ def test_morphism_report_rendering(intro_marking):
     report = verify_morphism(
         identity_morphism(intro_marking), intro_marking, intro_marking
     )
-    text = render_morphism_report(
+    text = "".join(render_morphism_report(
         identity_morphism(intro_marking), intro_marking, intro_marking, report
-    )
+    ))
     assert "charts: VALID" in text
     assert "classes preserved: yes" in text
     assert "verdicts agree: yes" in text
     assert text.endswith("VALID\n")
+
+
+# ---------------------------------------------------------------------------
+# witnesses read on demand, reports streamed
+
+
+def _wide_marking(k=150):
+    """k charts over x, alternating the two orderings of p q under (1 2), and two over y."""
+    flips = ["p q", "q p"]
+    return _fiber_marking(2, "(1 2)", ["p q", "r t"], [(flips * k)[:k], ["r t", "t r"]])
+
+
+def _traced_peak(run):
+    """``run()``'s result and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_reports_hold_no_pair_table():
+    # 150 charts over one point make 22,500 pairs; held in a dict and
+    # joined into one string, their report took over 6 MB.
+    marking = _wide_marking()
+    hm = identity_morphism(marking)
+
+    def star():
+        report = verify_star(marking)
+        return report, sum(map(len, render_star_report(marking, report)))
+
+    def morphism():
+        report = verify_morphism(hm, marking, marking)
+        return report, sum(map(len, render_morphism_report(hm, marking, marking, report)))
+
+    (star_report, _), star_peak = _traced_peak(star)
+    (morphism_report, _), morphism_peak = _traced_peak(morphism)
+    assert star_peak < 1_000_000 and morphism_peak < 1_000_000
+    assert star_report.valid and morphism_report.valid
+    assert dict(star_report.witness_images) == scan_star(marking)[0]
+    assert dict(morphism_report.witness_images) == scan_morphism(hm, marking, marking)[0]
+    lines = render_star_report(marking, star_report)
+    assert next(lines) == "(x0c0, x0c0): gamma = ()\n"
+    assert next(lines) == "(x0c0, x0c1): gamma = (1 2)\n"
+    lines = render_morphism_report(hm, marking, marking, morphism_report)
+    assert next(lines) == "(x0c0*x0c0): gamma = ()\n"
+
+
+def test_witness_view_answers_as_a_dict():
+    marking = _wide_marking(5)
+    hm = identity_morphism(marking)
+    for report in (verify_star(marking), verify_morphism(hm, marking, marking)):
+        view = report.witness_images
+        table = dict(view)
+        assert len(view) == len(table) == 5 * 5 + 4
+        assert repr(view) == repr(table) and view == table and table == view
+        assert list(view) == list(table)
+        for key in [
+            ("x0c0", "x0c1"),  # a matched pair
+            ("x0c0", "x1c0"),  # a cross-fiber pair
+            ("x0c0", "zz"),  # an unknown chart
+            ("zz", "x0c0"),
+            "x0c0",  # keys that are no pair
+            ("x0c0",),
+            ("x0c0", "x0c1", "x0c2"),
+            3,
+        ]:
+            assert view.get(key, "absent") == table.get(key, "absent"), key
+            assert (key in view) == (key in table), key
+        with pytest.raises(KeyError):
+            view[("x0c0", "x1c0")]
+        with pytest.raises(TypeError):
+            view.get(["x0c0", "x0c1"])
+        copied = pickle.loads(pickle.dumps(report))
+        assert copied == report and type(copied.witness_images) is dict
+
+
+def test_equivalence_report_yields_a_chunk_per_chart():
+    # The header, one chunk of whole lines per chart of the first marking
+    # (its refinement points), and the verdict.
+    marking = _wide_marking(5)
+    assert list(render_equivalence(None)) == ["NOT EQUIVALENT\n"]
+    witness = equivalent(marking, marking)
+    chunks = list(render_equivalence(witness))
+    assert chunks[0] == f"refinement: {5 * 5 + 4} cover points\n"
+    assert chunks[-1] == "EQUIVALENT\n"
+    assert len(chunks) == 1 + len(marking.cover.cover) + 1
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert chunks[1].splitlines() == [
+        f"(x0c0*x0c{k}): left gamma = (), right gamma = {'()' if k % 2 == 0 else '(1 2)'}"
+        for k in range(5)
+    ]
 
 
 # ---------------------------------------------------------------------------
