@@ -29,12 +29,12 @@ image tuples; a report's ``witnesses`` builds ``Permutation`` values.
 
 Charted markings over richer covers can restate the same data
 (``dominates``); two markings are the same marking class when a chart on
-the fiber product restates both (``equivalent``).  That reduces to two
-conditions: the first marking is compatible, and its pull-back to the
-fiber product dominates the second.  The pull-back of the second
-marking never decides differently, because cross matches compose: over
-one base point, match(sigma1(a), sigma1(a')) = j(a', b)^-1 * j(a, b) for
-the cross matches j.
+the fiber product restates both (``equivalent``).  The pull-back of the
+first marking is one exactly when that marking is compatible and every
+cross pair (a, b) matches inside the group; the second's pull-back never
+decides otherwise, as match(sigma1(a), sigma1(a')) = j(a', b)^-1 * j(a, b)
+for the cross matches j.  Matches compose, so one match per chart of the
+second marking, against the first chart of the first, decides all pairs.
 
 A fiberwise map between two such objects is a morphism when, at every
 point of a common refinement, it carries charts to charts up to a group
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from functools import partial
-from itertools import groupby, product
+from itertools import product
 from typing import Any
 
 from ._record import record
@@ -331,11 +331,6 @@ def dominates(
     for c in fine.cover.cover:
         if coarse.cover.down[down[c]] != fine.cover.down[c]:
             raise ValueError(f"down map does not commute over {c}")
-    return _domination(fine, coarse, down)
-
-
-def _domination(fine: ChartedMarking, coarse: ChartedMarking, down: Mapping) -> DominationReport:
-    """``dominates`` for markings of one setting and a ``down`` map already known to fit."""
     positions = {c: _positions(seq) for c, seq in coarse.sigma.items()}
     sigma, members = fine.sigma, fine.group.members
     witnesses = {c: j for c in fine.cover.cover
@@ -345,14 +340,17 @@ def _domination(fine: ChartedMarking, coarse: ChartedMarking, down: Mapping) -> 
 
 
 @record
-class EquivalenceWitness:
-    """The pull-back of the first marking to the fiber product, restating both."""
+class EquivalenceWitness(_Witnessed):
+    """Two markings of one class, restated by the pull-back of the first.
 
-    refinement: ChartedMarking
-    to_first: dict[str, str]
-    to_second: dict[str, str]
-    dom_first: DominationReport
-    dom_second: DominationReport
+    ``witness_images`` maps each point (a, b) of the fiber product to the
+    match of sigma1(a) onto sigma2(b), read when asked; the pull-back's
+    match onto the first marking is the identity.
+    """
+
+    first: ChartedMarking
+    second: ChartedMarking
+    witness_images: Mapping[tuple[str, str], Images]
 
 
 def _refinement_points(
@@ -367,42 +365,24 @@ def _refinement_points(
 def equivalent(
     c1: ChartedMarking, c2: ChartedMarking
 ) -> EquivalenceWitness | None:
-    """A chart on the fiber product dominating both markings, if one exists.
+    """The witness that one marking class holds both markings, if it does.
 
-    The reduced test: ``c1`` is compatible (``verify_star``), and its
-    pull-back dominates ``c2``.  The pull-back's star is c1's, and it
-    dominates c1 by identities.  Pulling back ``c2`` never decides
-    otherwise, since cross matches compose:
-    match(sigma1(a), sigma1(a')) = j(a', b)^-1 * j(a, b).  Refinement
-    points are named ``a*b``; two pairs that would share a name are
-    refused, which no parsed document can cause, as its ids hold no ``*``.
+    A chart on the fiber product restates both exactly when ``c1`` is
+    compatible (``verify_star``) and each chart of ``c2`` matches, inside
+    the group, the first chart r of ``c1`` over its base point: matches
+    compose, so every pair (a, b) then matches, by j(b, r)^-1 * j(a, r).
+    That is one match per chart of ``c2``; each pair's match is read from
+    the witness when asked.
     """
     _require_same_setting(c1, c2)
-    to_first, to_second = {}, {}
-    for a, b in _refinement_points(c1, c2, {s: s for s in c1.cover.base}):
-        name = f"{a}*{b}"
-        if name in to_first:
-            raise ValueError(f"refinement point {name} names two pairs of cover points")
-        to_first[name], to_second[name] = a, b
     if not verify_star(c1).valid:
         return None
-    refinement = ChartedMarking(
-        cover=FiniteCover(
-            tuple(c1.cover.base),
-            tuple(to_first),
-            {name: c1.cover.down[a] for name, a in to_first.items()},
-        ),
-        m=c1.m,
-        group=c1.group,
-        fiber_points=dict(c1.fiber_points),
-        sigma={name: c1.sigma[a] for name, a in to_first.items()},
-    )
-    # c2 shares c1's setting, and the down maps fit by construction.
-    dom_second = _domination(refinement, c2, to_second)
-    if not dom_second.valid:
+    cover, members = c1.cover, c1.group.members
+    firsts = {s: _positions(c1.sigma[cover.fiber(s)[0]]) for s in cover.base}
+    if not all(_match(seq, firsts[c2.cover.down[b]], members) for b, seq in c2.sigma.items()):
         return None
-    dom_first = DominationReport(True, dict.fromkeys(to_first, tuple(range(1, c1.m + 1))), ())
-    return EquivalenceWitness(refinement, to_first, to_second, dom_first, dom_second)
+    pairs = partial(_refinement_points, c1, c2, {s: s for s in cover.base})
+    return EquivalenceWitness(c1, c2, _PairWitnesses(pairs, c1.sigma, c2.sigma, members))
 
 
 @record
@@ -682,10 +662,15 @@ def parse_morphism_document(
     text: str, filename: str = "<input>"
 ) -> tuple[FiberMorphism, ChartedMarking, ChartedMarking]:
     """The morphism, source and target; a group both sections write alike is closed once."""
-    sections = {name: (line, body) for name, line, body in _split_sections(text, filename)}
+    split = _split_sections(text, filename)
+    sections = {name: (line, body) for name, line, body in split}
     if set(sections) != {"marking source", "marking target", "morphism"}:
         message = "expected sections [marking source], [marking target], [morphism]"
         raise FormatError(filename, 1, message)
+    names = [name for name, _, _ in split]
+    if len(names) != 3:  # so a name repeats, by the fourth section at the latest
+        k = next(k for k, name in enumerate(names) if name in names[:k])
+        raise FormatError(filename, split[k][1], f"duplicate [{names[k]}] section")
     groups: dict[tuple[int, str], PermGroup] = {}
     source = _read_marking(sections["marking source"], filename, groups)
     target = _read_marking(sections["marking target"], filename, groups)
@@ -741,17 +726,19 @@ def render_star_report(marking: ChartedMarking, report: StarReport) -> Iterator[
 
 
 def render_equivalence(witness: EquivalenceWitness | None) -> Iterator[str]:
-    """The report, one chunk per cover point of the first marking (a write per line is slow)."""
+    """The report, one chunk per chart of the first marking (a write per line is slow)."""
     if witness is None:
         yield "NOT EQUIVALENT\n"
         return
-    yield f"refinement: {len(witness.refinement.cover.cover)} cover points\n"
+    first, second = witness.first.cover, witness.second.cover
+    size = sum(len(first.fiber(s)) * len(second.fiber(s)) for s in first.base)
+    yield f"refinement: {size} cover points\n"
     named = _Named()
-    left, right = witness.dom_first.witness_images, witness.dom_second.witness_images
-    for _, row in groupby(witness.refinement.cover.cover, witness.to_first.get):
+    left, right = named[tuple(range(1, witness.first.m + 1))], witness.witness_images.get
+    for a in first.cover:
         yield "".join(
-            f"({name}): left gamma = {named[left[name]]}, right gamma = {named[right[name]]}\n"
-            for name in row
+            f"({a}*{b}): left gamma = {left}, right gamma = {named[right((a, b))]}\n"
+            for b in second.fiber(first.down[a])
         )
     yield "EQUIVALENT\n"
 

@@ -1,20 +1,18 @@
 """Time the descent commands on documents of k charts over one base point.
 
-    python tests/descent_scale.py [--charts 2000] [--equiv-charts 500]
-                                  [--src DIR] [--repeat N]
+    python tests/descent_scale.py [--charts 2000] [--src DIR] [--repeat N]
 
-Writes three documents into a temporary directory: a marking of k charts
+Writes two documents into a temporary directory: a marking of k charts
 over one base point (m = 2, group ``(1 2)``, charts alternating ``p q``
-and ``q p``), the morphism document mapping that marking to itself by the
-swap of p and q, and a marking of ``--equiv-charts`` charts of the same
-kind.  It then runs ``verify-descent`` and ``verify-morphism`` on the first
-two and ``equiv-descent`` of the third with itself, each through
-``graphstrata.cli.main`` in a fresh interpreter that imports the package
-from ``--src`` (default: this checkout's ``src``).  Each run is timed by
-wall clock from before the import; its stdout is hashed as it is written,
-through a buffer of 1 MiB like a file's, and its peak RSS is read from
-``resource``.  One line per run: command, charts, exit code, seconds, peak
-RSS in MB, output bytes and sha256.
+and ``q p``), and the morphism document mapping that marking to itself by
+the swap of p and q.  It then runs ``verify-descent`` on the first,
+``verify-morphism`` on the second and ``equiv-descent`` of the first with
+itself, each through ``graphstrata.cli.main`` in a fresh interpreter that
+imports the package from ``--src`` (default: this checkout's ``src``).
+Each run is timed by wall clock from before the import; its stdout is
+hashed as it is written, through a buffer of 1 MiB like a file's, and its
+peak RSS is read from ``resource``.  One line per run: command, charts,
+exit code, seconds, peak RSS in MB, output bytes and sha256.
 
 Give ``--src`` of two checkouts in one session to compare them: the
 machine's speed drifts between sessions, so only same-session rows compare.
@@ -112,25 +110,23 @@ def run(src: Path, argv: list[str]) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--charts", type=int, default=2000)
-    parser.add_argument("--equiv-charts", type=int, default=500)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--repeat", type=int, default=1)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        star, morphism, equiv = (Path(tmp) / name for name in ("star", "morphism", "equiv"))
+        star, morphism = Path(tmp) / "star", Path(tmp) / "morphism"
         star.write_text(marking_text(args.charts))
         morphism.write_text(morphism_text(args.charts))
-        equiv.write_text(marking_text(args.equiv_charts))
         cases = [
-            ("verify-descent", args.charts, [str(star)]),
-            ("verify-morphism", args.charts, [str(morphism)]),
-            ("equiv-descent", args.equiv_charts, [str(equiv), str(equiv)]),
+            ("verify-descent", [str(star)]),
+            ("verify-morphism", [str(morphism)]),
+            ("equiv-descent", [str(star), str(star)]),
         ]
         for _ in range(args.repeat):
-            for command, k, files in cases:
+            for command, files in cases:
                 row = run(args.src, [command, *files])
                 print(
-                    f"{command} k={k} exit={row['exit']} {row['seconds']:.2f} s"
+                    f"{command} k={args.charts} exit={row['exit']} {row['seconds']:.2f} s"
                     f" {row['peak_rss_mb']:.1f} MB {row['bytes']} bytes sha256 {row['sha256']}",
                     flush=True,
                 )

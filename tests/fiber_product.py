@@ -1,19 +1,26 @@
 """Tests-only copy of the two-candidate fiber-product equivalence search.
 
-``graphstrata.descent.equivalent`` decides by a reduced test.  This is the
-construction it replaced, kept so the tests can check that the two agree:
-build the fiber product of the two covers, pull back the first marking and
-then the second, and accept the first candidate that passes the star
-check and dominates both markings.
+``graphstrata.descent.equivalent`` decides by one match per chart.  This
+is the construction it replaced, kept so the tests can check that the two
+agree: build the fiber product of the two covers, pull back the first
+marking and then the second, and accept the first candidate that passes
+the star check and dominates both markings.  ``render_fiber_product``
+prints the report that construction printed.
 """
+
+from collections import namedtuple
 
 from graphstrata.descent import (
     ChartedMarking,
-    EquivalenceWitness,
     FiniteCover,
     _require_same_setting,
     dominates,
     verify_star,
+)
+from graphstrata.perm import cycle_notation
+
+FiberProductWitness = namedtuple(
+    "FiberProductWitness", "refinement to_first to_second dom_first dom_second"
 )
 
 
@@ -55,12 +62,20 @@ def fiber_product_equivalent(c1, c2):
         dom2 = dominates(refinement, c2, to_second)
         if not dom2.valid:
             continue
-        witness = EquivalenceWitness(
-            refinement=refinement,
-            to_first=to_first,
-            to_second=to_second,
-            dom_first=dom1,
-            dom_second=dom2,
-        )
-        return witness, candidate
+        return FiberProductWitness(refinement, to_first, to_second, dom1, dom2), candidate
     return None, None
+
+
+def render_fiber_product(witness):
+    """The equivalence report, one line per refinement point with its two witnesses."""
+    if witness is None:
+        return "NOT EQUIVALENT\n"
+    points = witness.refinement.cover.cover
+    left, right = witness.dom_first.witness_images, witness.dom_second.witness_images
+    lines = [f"refinement: {len(points)} cover points\n"]
+    lines += [
+        f"({name}): left gamma = {cycle_notation(left[name])},"
+        f" right gamma = {cycle_notation(right[name])}\n"
+        for name in points
+    ]
+    return "".join(lines) + "EQUIVALENT\n"

@@ -406,8 +406,11 @@ def test_class_function_invariant_under_domination():
 def test_equivalent_reflexive(intro_marking):
     witness = equivalent(intro_marking, intro_marking)
     assert witness is not None
-    assert verify_star(witness.refinement).valid
-    assert witness.dom_first.valid and witness.dom_second.valid
+    assert witness.first is intro_marking and witness.second is intro_marking
+    # Every point of the fiber product is matched: its pairs are the star's.
+    witnesses, missing, valid = scan_star(intro_marking)
+    assert valid and missing == ()
+    assert dict(witness.witness_images) == witnesses
 
 
 def test_equivalent_single_charts_differing_by_group_element():
@@ -661,7 +664,8 @@ def _traced_peak(run):
 
 def test_wide_reports_hold_no_pair_table():
     # 150 charts over one point make 22,500 pairs; held in a dict and
-    # joined into one string, their report took over 6 MB.
+    # joined into one string, their report took over 6 MB, and the fiber
+    # product of the marking with itself, built in full, 9 MB.
     marking = _wide_marking()
     hm = identity_morphism(marking)
 
@@ -673,17 +677,26 @@ def test_wide_reports_hold_no_pair_table():
         report = verify_morphism(hm, marking, marking)
         return report, sum(map(len, render_morphism_report(hm, marking, marking, report)))
 
+    def equivalence():
+        witness = equivalent(marking, marking)
+        return witness, sum(map(len, render_equivalence(witness)))
+
     (star_report, _), star_peak = _traced_peak(star)
     (morphism_report, _), morphism_peak = _traced_peak(morphism)
-    assert star_peak < 1_000_000 and morphism_peak < 1_000_000
-    assert star_report.valid and morphism_report.valid
+    (witness, _), equivalence_peak = _traced_peak(equivalence)
+    assert max(star_peak, morphism_peak, equivalence_peak) < 1_000_000
+    assert star_report.valid and morphism_report.valid and witness is not None
     assert dict(star_report.witness_images) == scan_star(marking)[0]
     assert dict(morphism_report.witness_images) == scan_morphism(hm, marking, marking)[0]
+    # The fiber product of the marking with itself pairs the charts as its star does.
+    assert dict(witness.witness_images) == scan_star(marking)[0]
     lines = render_star_report(marking, star_report)
     assert next(lines) == "(x0c0, x0c0): gamma = ()\n"
     assert next(lines) == "(x0c0, x0c1): gamma = (1 2)\n"
     lines = render_morphism_report(hm, marking, marking, morphism_report)
     assert next(lines) == "(x0c0*x0c0): gamma = ()\n"
+    lines = render_equivalence(witness)
+    assert next(lines) == f"refinement: {150 * 150 + 2 * 2} cover points\n"
 
 
 def test_witness_view_answers_as_a_dict():
@@ -854,6 +867,30 @@ def test_repeated_arrow_source_is_refused(fixtures_dir, tmp_path, capsys, old, n
     with pytest.raises(FormatError) as err:
         parse_morphism_document(text, "doc.desc")
     assert str(err.value) == f"doc.desc:{line}: two arrows from {point}"
+    path = tmp_path / "doc.desc"
+    path.write_text(text)
+    assert main(["verify-morphism", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+# A copy of each section, placed before the fixture's own: an identity
+# morphism, or a marking with no cover.
+REPEATED_SECTIONS = {
+    "morphism": "h = x -> x\nmap x = p1 -> p1, p2 -> p2, p3 -> p3, p4 -> p4\n",
+    "marking source": "m = 9\nbase = x\n",
+    "marking target": "m = 9\nbase = x\n",
+}
+
+
+@pytest.mark.parametrize("name", REPEATED_SECTIONS)
+def test_repeated_section_is_refused(fixtures_dir, tmp_path, capsys, name):
+    # Sections kept by name would judge the document on its last copy alone.
+    fixture = (fixtures_dir / "twist-endomorphism.desc").read_text()
+    text = f"[{name}]\n{REPEATED_SECTIONS[name]}{fixture}"
+    line = text.splitlines().index(f"[{name}]", 1) + 1
+    with pytest.raises(FormatError) as err:
+        parse_morphism_document(text, "doc.desc")
+    assert str(err.value) == f"doc.desc:{line}: duplicate [{name}] section"
     path = tmp_path / "doc.desc"
     path.write_text(text)
     assert main(["verify-morphism", str(path)]) == 2

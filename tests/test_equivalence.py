@@ -1,10 +1,11 @@
 """``equivalent`` against the fiber-product construction it replaced.
 
-The library decides equivalence by a reduced test (the first marking
-passes the star check and its pull-back dominates the second).
-``fiber_product.py`` keeps the older search over both pull-backs.  On
-seeded random marking pairs the two must give the same verdict and the
-same ``render_equivalence`` bytes, and an equivalent pair the same witness.
+The library decides equivalence by one match per chart (the first marking
+passes the star check and each chart of the second matches the first
+chart of the first over its base point).  ``fiber_product.py`` keeps the
+older search over both pull-backs and its report.  On seeded random
+marking pairs the two must give the same verdict and the same report
+bytes, and an equivalent pair the same witnesses.
 """
 
 import itertools
@@ -25,7 +26,7 @@ from graphstrata.perm import (
     symmetric_group,
 )
 
-from fiber_product import fiber_product_equivalent
+from fiber_product import fiber_product_equivalent, render_fiber_product
 
 
 def _groups(m):
@@ -119,6 +120,7 @@ def test_reduced_equivalence_agrees_with_fiber_product_search():
     seen = {"equivalent": 0, "first invalid": 0, "both valid, not equivalent": 0}
     pairs = 0
     for m in range(2, 6):
+        identity = tuple(range(1, m + 1))
         for name, group in _groups(m).items():
             for _ in range(48):
                 c1, c2 = _marking_pair(rng, m, group)
@@ -127,7 +129,7 @@ def test_reduced_equivalence_agrees_with_fiber_product_search():
                 old, candidate = fiber_product_equivalent(c1, c2)
                 context = (m, name, c1, c2)
                 assert (new is None) == (old is None), context
-                assert "".join(render_equivalence(new)) == "".join(render_equivalence(old)), context
+                assert "".join(render_equivalence(new)) == render_fiber_product(old), context
                 valid1 = verify_star(c1).valid
                 valid2 = verify_star(c2).valid
                 reduced = valid1 and valid2 and _cross_matches_in_group(c1, c2)
@@ -135,11 +137,13 @@ def test_reduced_equivalence_agrees_with_fiber_product_search():
                 if new is not None:
                     seen["equivalent"] += 1
                     assert candidate == 0
-                    assert new == old
-                    assert verify_star(new.refinement).valid
-                    assert new.refinement == old.refinement
-                    assert new.to_first == old.to_first
-                    assert new.to_second == old.to_second
+                    assert new.first is c1 and new.second is c2
+                    assert verify_star(old.refinement).valid
+                    assert set(old.dom_first.witness_images.values()) == {identity}
+                    assert dict(new.witness_images) == {
+                        (old.to_first[point], old.to_second[point]): j
+                        for point, j in old.dom_second.witness_images.items()
+                    }, context
                 elif not valid1:
                     seen["first invalid"] += 1
                 elif valid2:
@@ -151,19 +155,22 @@ def test_reduced_equivalence_agrees_with_fiber_product_search():
 def test_equivalent_checks_the_setting_once_and_never_searches_dominations(
     intro_marking, monkeypatch
 ):
-    calls = {"_require_same_setting": 0, "dominates": 0}
+    # Nor does it build the fiber product's cover or marking.
+    calls = {"_require_same_setting": 0, "dominates": 0, "FiniteCover": 0, "ChartedMarking": 0}
 
     def counted(name):
         original = getattr(descent, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(descent, name, wrapper)
 
-    counted("_require_same_setting")
-    counted("dominates")
+    for name in calls:
+        counted(name)
     witness = equivalent(intro_marking, intro_marking)
-    assert witness is not None and witness.dom_first.valid and witness.dom_second.valid
-    assert calls == {"_require_same_setting": 1, "dominates": 0}
+    assert witness is not None
+    assert witness.first is intro_marking and witness.second is intro_marking
+    assert type(witness.witness_images) is descent._PairWitnesses
+    assert calls == dict.fromkeys(calls, 0) | {"_require_same_setting": 1}

@@ -142,7 +142,7 @@ def _samples():
         descent.ChartedMarking: (intro, small),
         descent.StarReport: (verify_star(intro), verify_star(small)),
         descent.DominationReport: (
-            intro_pair.dom_first,
+            dominates(intro, intro, {"s1": "s1", "s2": "s2"}),
             dominates(intro, intro, {"s1": "s2", "s2": "s1"}),
         ),
         descent.EquivalenceWitness: (intro_pair, m5_pair),

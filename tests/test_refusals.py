@@ -17,7 +17,6 @@ from graphstrata.descent import (
     FiberMorphism,
     FiniteCover,
     dominates,
-    equivalent,
     verify_morphism,
 )
 from graphstrata.gamma import enumerate_gamma_strata, gamma_equivalent
@@ -126,10 +125,6 @@ DESCENT_CASES = {
     "verify_morphism: fiber map on its fiber": (
         lambda: morphism({"x": "x"}, {"x": {"xp1": "xp1"}}),
         "fiber map over x must be defined on its fiber",
-    ),
-    "equivalent: refinement point names collide": (
-        lambda: equivalent(marking(cover={"p*q": "x", "p": "x"}), marking(cover={"r": "x", "q*r": "x"})),
-        "refinement point p*q*r names two pairs of cover points",
     ),
 }
 
