@@ -21,8 +21,9 @@ chart r over its base point, since the group is closed; and then all
 charts mark the same m points, so none is unmarked exactly when the fiber
 has m points.  ``verify_star`` decides by this rule, and
 ``class_function``, ``equivalent`` and ``globalize_trivial_group`` read
-its verdict.  A report's ``witness_images`` matches a pair when it is read;
-if a chart fails its match, every pair is matched once, for ``missing``.
+its verdict.  A report's ``witness_images`` matches a pair when it is read,
+and every verdict reads that view, one pair per chart.  If a chart fails
+its match, a star report matches every pair once, for ``missing``.
 When the condition holds, each distinguished point acquires a well-defined
 class: the orbit of its chart index (``class_function``).  Witnesses are
 image tuples; a report's ``witnesses`` builds ``Permutation`` values.
@@ -40,7 +41,8 @@ A fiberwise map between two such objects is a morphism when, at every
 point of a common refinement, it carries charts to charts up to a group
 element (``verify_morphism``); one match per source chart decides this, as
 the target is compatible: a source chart's matches over one target point
-differ by group elements, so all or none lie in the group.  The report also
+differ by group elements, so all or none lie in the group, and ``missing``
+pairs each failed source chart with its target fiber.  The report also
 evaluates the coarser criterion that classes of distinguished points are
 preserved, and says whether the two verdicts agree.  They agree whenever
 the group is the full product of symmetric groups on its label orbits; for
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from functools import partial
-from itertools import product
 from typing import Any
 
 from ._record import record
@@ -180,24 +181,26 @@ class _PairWitnesses(Mapping):
     """Witness images of chart pairs, each matched when read: a read-only
     stand-in, equal to, printed and pickled as the dict of matched pairs.
 
-    A key ``(a, b)`` pairs the chart ``charts[a]`` with ``sigma[b]``, and
-    ``pairs()`` lists the keys in report order.  Two charts over different
-    base points never match, as no point lies in two fibers.
+    A key ``(a, b)`` pairs the chart ``charts[a]`` with ``sigma[b]``; ``rows()``
+    yields each chart a with its charts b in report order, the first b the first
+    chart over its point.  Charts over different base points never match.
     """
 
-    def __init__(self, pairs, charts, sigma, members) -> None:
-        self._pairs, self._charts, self._sigma = pairs, charts, sigma
-        self._members, self._positions = members, {}
+    def __init__(self, rows, charts, sigma, members) -> None:
+        self.rows, self._charts, self._sigma = rows, charts, sigma
+        self._members, self._pos = members, {}  # positions of each chart b read so far
+
+    def pairs(self) -> Iterator[tuple[str, str]]:
+        return ((a, b) for a, targets in self.rows() for b in targets)
 
     def get(self, key, default=None):
-        if type(key) is not tuple or len(key) != 2 or key[0] not in self._charts:
+        try:
+            a, b = key if type(key) is tuple else ()
+            pos = self._pos.get(b) or self._pos.setdefault(b, _positions(self._sigma[b]))
+            return _match(self._charts[a], pos, self._members) or default  # a match is nonempty
+        except (ValueError, KeyError):  # no pair, or a chart the report does not hold
             hash(key)  # an unhashable key is refused as a dict refuses it
             return default
-        a, b = key
-        if b not in self._sigma:
-            return default
-        pos = self._positions.get(b) or self._positions.setdefault(b, _positions(self._sigma[b]))
-        return _match(self._charts[a], pos, self._members) or default  # a match is nonempty
 
     def __getitem__(self, key):
         if (j := self.get(key)) is None:
@@ -205,7 +208,7 @@ class _PairWitnesses(Mapping):
         return j
 
     def __iter__(self):
-        return (key for key in self._pairs() if self.get(key) is not None)
+        return (key for key in self.pairs() if self.get(key) is not None)
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
@@ -241,27 +244,27 @@ class StarReport(_Witnessed):
     unmarked: dict[str, tuple[str, ...]]
 
 
-def _star_pairs(marking: ChartedMarking) -> Iterator[tuple[str, str]]:
-    """Every ordered same-fiber pair of cover points, in report order."""
+def _star_rows(marking: ChartedMarking) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """Each cover point with its fiber, the charts it pairs with, in report order."""
     for s in marking.cover.base:
-        yield from product(marking.cover.fiber(s), repeat=2)
+        fiber = marking.cover.fiber(s)
+        for a in fiber:
+            yield a, fiber
 
 
 def verify_star(marking: ChartedMarking) -> StarReport:
     """Chart compatibility by one match per chart (module docstring); witnesses read lazily."""
-    cover, sigma, members = marking.cover, marking.sigma, marking.group.members
-    firsts = {s: _positions(sigma[cover.fiber(s)[0]]) for s in cover.base}
-    matched = all(_match(seq, firsts[cover.down[c]], members) for c, seq in sigma.items())
+    cover, sigma = marking.cover, marking.sigma
+    witnesses = _PairWitnesses(partial(_star_rows, marking), sigma, sigma, marking.group.members)
+    matched = all(witnesses.get((a, targets[0])) for a, targets in witnesses.rows())
     fibers = marking.fiber_points
     big = [s for s in cover.base if len(fibers[s]) > marking.m]  # any chart marks a fiber of m
     hit = set().union(*sigma.values()) if big else ()  # fibers are disjoint
     unmarked = {s: extra for s in big if (extra := tuple(p for p in fibers[s] if p not in hit))}
-    pairs = partial(_star_pairs, marking)
-    witnesses = _PairWitnesses(pairs, sigma, sigma, members)
     return StarReport(
         valid=matched and not unmarked,
         witness_images=witnesses,
-        missing=() if matched else tuple(k for k in pairs() if witnesses.get(k) is None),
+        missing=() if matched else tuple(k for k in witnesses.pairs() if witnesses.get(k) is None),
         unmarked=unmarked,
     )
 
@@ -353,13 +356,12 @@ class EquivalenceWitness(_Witnessed):
     witness_images: Mapping[tuple[str, str], Images]
 
 
-def _refinement_points(
+def _refinement_rows(
     c1: ChartedMarking, c2: ChartedMarking, base_map: Mapping[str, str]
-) -> Iterator[tuple[str, str]]:
-    """The common refinement over ``base_map``: each (a, b) with b over a's image, in order."""
+) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """The common refinement over ``base_map``: each chart a with the fiber over its image."""
     for a in c1.cover.cover:
-        for b in c2.cover.fiber(base_map[c1.cover.down[a]]):
-            yield a, b
+        yield a, c2.cover.fiber(base_map[c1.cover.down[a]])
 
 
 def equivalent(
@@ -371,18 +373,18 @@ def equivalent(
     compatible (``verify_star``) and each chart of ``c2`` matches, inside
     the group, the first chart r of ``c1`` over its base point: matches
     compose, so every pair (a, b) then matches, by j(b, r)^-1 * j(a, r).
-    That is one match per chart of ``c2``; each pair's match is read from
-    the witness when asked.
+    That is one read of the witness view per chart b of ``c2``, at (r, b), the
+    inverse of b's match onto r; each pair's match is read when asked.
     """
     _require_same_setting(c1, c2)
     if not verify_star(c1).valid:
         return None
-    cover, members = c1.cover, c1.group.members
-    firsts = {s: _positions(c1.sigma[cover.fiber(s)[0]]) for s in cover.base}
-    if not all(_match(seq, firsts[c2.cover.down[b]], members) for b, seq in c2.sigma.items()):
+    rows = partial(_refinement_rows, c1, c2, {s: s for s in c1.cover.base})
+    witnesses = _PairWitnesses(rows, c1.sigma, c2.sigma, c1.group.members)
+    firsts = ((c1.cover.fiber(s)[0], c2.cover.fiber(s)) for s in c1.cover.base)
+    if not all(witnesses.get((r, b)) for r, fiber in firsts for b in fiber):
         return None
-    pairs = partial(_refinement_points, c1, c2, {s: s for s in cover.base})
-    return EquivalenceWitness(c1, c2, _PairWitnesses(pairs, c1.sigma, c2.sigma, members))
+    return EquivalenceWitness(c1, c2, witnesses)
 
 
 @record
@@ -439,13 +441,11 @@ def verify_morphism(
         a: tuple(hm.fiber_maps[c1.cover.down[a]][p] for p in seq)
         for a, seq in c1.sigma.items()
     }
-    home = {a: hm.base_map[c1.cover.down[a]] for a in c1.cover.cover}
-    pairs = partial(_refinement_points, c1, c2, hm.base_map)
-    witnesses = _PairWitnesses(pairs, mapped, c2.sigma, c1.group.members)
+    rows = partial(_refinement_rows, c1, c2, hm.base_map)
+    witnesses = _PairWitnesses(rows, mapped, c2.sigma, c1.group.members)
     # One match per source chart, against the first target chart, decides all its pairs.
-    firsts = {t: _positions(c2.sigma[c2.cover.fiber(t)[0]]) for t in c2.cover.base}
-    failed = [a for a, t in home.items() if not _match(mapped[a], firsts[t], c1.group.members)]
-    missing = tuple((a, b) for a in failed for b in c2.cover.fiber(home[a]))
+    missing = tuple((a, b) for a, targets in rows()
+                    if not witnesses.get((a, targets[0])) for b in targets)
     arrows = ((p, hm.fiber_maps[s][p]) for s in c1.cover.base for p in c1.fiber_points[s])
     violations = tuple((p, q) for p, q in arrows if classes2.get(q) != classes1[p])
     valid = not missing
@@ -707,13 +707,21 @@ class _Named(dict):
         return text
 
 
-def render_star_report(marking: ChartedMarking, report: StarReport) -> Iterator[str]:
-    """The report's lines, each pair's witness read as its line is written."""
+def _pair_lines(rows, witness, sep: str, says: str) -> Iterator[str]:
+    """A line per pair of ``rows``, one chunk per source chart (a write per line is slow)."""
     named = _Named()
-    witness = report.witness_images.get
-    for a, b in _star_pairs(marking):
-        w = witness((a, b))
-        yield f"({a}, {b}): NO WITNESS\n" if w is None else f"({a}, {b}): gamma = {named[w]}\n"
+    for a, targets in rows:
+        lines = []
+        for b in targets:
+            w = witness((a, b))
+            lines.append(f"({a}{sep}{b}): {says}{named[w]}\n" if w is not None
+                         else f"({a}{sep}{b}): NO WITNESS\n")
+        yield "".join(lines)
+
+
+def render_star_report(marking: ChartedMarking, report: StarReport) -> Iterator[str]:
+    """The report, one chunk of pair lines per chart, each witness read as it is written."""
+    yield from _pair_lines(_star_rows(marking), report.witness_images.get, ", ", "gamma = ")
     for s in marking.cover.base:
         if s in report.unmarked:
             yield f"fiber {s}: unmarked points " + " ".join(report.unmarked[s]) + "\n"
@@ -726,20 +734,15 @@ def render_star_report(marking: ChartedMarking, report: StarReport) -> Iterator[
 
 
 def render_equivalence(witness: EquivalenceWitness | None) -> Iterator[str]:
-    """The report, one chunk per chart of the first marking (a write per line is slow)."""
+    """The report, one chunk of pair lines per chart of the first; left witnesses are ``()``."""
     if witness is None:
         yield "NOT EQUIVALENT\n"
         return
-    first, second = witness.first.cover, witness.second.cover
-    size = sum(len(first.fiber(s)) * len(second.fiber(s)) for s in first.base)
+    c1, c2 = witness.first, witness.second
+    size = sum(len(c1.cover.fiber(s)) * len(c2.cover.fiber(s)) for s in c1.cover.base)
     yield f"refinement: {size} cover points\n"
-    named = _Named()
-    left, right = named[tuple(range(1, witness.first.m + 1))], witness.witness_images.get
-    for a in first.cover:
-        yield "".join(
-            f"({a}*{b}): left gamma = {left}, right gamma = {named[right((a, b))]}\n"
-            for b in second.fiber(first.down[a])
-        )
+    rows = _refinement_rows(c1, c2, {s: s for s in c1.cover.base})
+    yield from _pair_lines(rows, witness.witness_images.get, "*", "left gamma = (), right gamma = ")
     yield "EQUIVALENT\n"
 
 
@@ -749,12 +752,9 @@ def render_morphism_report(
     c2: ChartedMarking,
     report: MorphismReport,
 ) -> Iterator[str]:
-    """The report's lines, each pair's witness read as its line is written."""
-    named = _Named()
-    witness = report.witness_images.get
-    for a, b in _refinement_points(c1, c2, hm.base_map):
-        w = witness((a, b))
-        yield f"({a}*{b}): NO WITNESS\n" if w is None else f"({a}*{b}): gamma = {named[w]}\n"
+    """The report, one chunk of pair lines per source chart, each witness read as it is written."""
+    rows = _refinement_rows(c1, c2, hm.base_map)
+    yield from _pair_lines(rows, report.witness_images.get, "*", "gamma = ")
     yield f"charts: {'VALID' if report.valid else 'INVALID'}\n"
     yield f"classes preserved: {'yes' if report.classes_preserved else 'no'}\n"
     for p, q in report.class_violations:

@@ -2,17 +2,23 @@
 
     python tests/descent_scale.py [--charts 2000] [--src DIR] [--repeat N]
 
-Writes two documents into a temporary directory: a marking of k charts
+Writes four documents into a temporary directory: a marking of k charts
 over one base point (m = 2, group ``(1 2)``, charts alternating ``p q``
-and ``q p``), and the morphism document mapping that marking to itself by
-the swap of p and q.  It then runs ``verify-descent`` on the first,
+and ``q p``), the morphism document mapping that marking to itself by the
+swap of p and q, and the two failing forms of these under the trivial
+group ``()``.  It then runs ``verify-descent`` on the first,
 ``verify-morphism`` on the second and ``equiv-descent`` of the first with
-itself, each through ``graphstrata.cli.main`` in a fresh interpreter that
-imports the package from ``--src`` (default: this checkout's ``src``).
+itself, then the two failing rows: ``verify-descent`` of the alternating
+charts under ``()``, where every other pair fails, and ``verify-morphism``
+of the swap on a marking whose charts all read ``p q`` under ``()``, where
+every source chart fails.  Each runs through ``graphstrata.cli.main`` in a
+fresh interpreter that imports the package from ``--src`` (default: this
+checkout's ``src``).
 Each run is timed by wall clock from before the import; its stdout is
 hashed as it is written, through a buffer of 1 MiB like a file's, and its
-peak RSS is read from ``resource``.  One line per run: command, charts,
-exit code, seconds, peak RSS in MB, output bytes and sha256.
+peak RSS is read from ``resource``.  One line per run: command (with
+``group=()`` on a failing row), charts, exit code, seconds, peak RSS in MB,
+output bytes and sha256.
 
 Give ``--src`` of two checkouts in one session to compare them: the
 machine's speed drifts between sessions, so only same-session rows compare.
@@ -72,26 +78,28 @@ print(json.dumps({
 """
 
 
-def marking_text(k: int, name: str = "marking") -> str:
-    """k charts over one base point x, alternating the orderings p q and q p."""
+def marking_text(
+    k: int, name: str = "marking", group: str = "(1 2)", orderings=("p q", "q p")
+) -> str:
+    """k charts over one base point x, cycling through ``orderings`` of p q."""
     charts = [f"c{i}" for i in range(k)]
     lines = [
         f"[{name}]",
         "m = 2",
-        "group = (1 2)",
+        f"group = {group}",
         "base = x",
         "cover = " + ", ".join(f"{c} -> x" for c in charts),
         "fiber x = p q",
     ]
-    lines += [f"sigma {c} = {'p q' if i % 2 == 0 else 'q p'}" for i, c in enumerate(charts)]
+    lines += [f"sigma {c} = {orderings[i % len(orderings)]}" for i, c in enumerate(charts)]
     return "\n".join(lines) + "\n"
 
 
-def morphism_text(k: int) -> str:
+def morphism_text(k: int, group: str = "(1 2)", orderings=("p q", "q p")) -> str:
     """The k-chart marking mapped to itself by the swap of p and q."""
     return (
-        marking_text(k, "marking source")
-        + marking_text(k, "marking target")
+        marking_text(k, "marking source", group, orderings)
+        + marking_text(k, "marking target", group, orderings)
         + "[morphism]\nh = x -> x\nmap x = p -> q, q -> p\n"
     )
 
@@ -113,20 +121,29 @@ def main() -> None:
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--repeat", type=int, default=1)
     args = parser.parse_args()
+    k = args.charts
+    documents = {
+        "star": marking_text(k),
+        "morphism": morphism_text(k),
+        "invalid-star": marking_text(k, group="()"),
+        "failing-morphism": morphism_text(k, "()", ("p q",)),
+    }
     with tempfile.TemporaryDirectory() as tmp:
-        star, morphism = Path(tmp) / "star", Path(tmp) / "morphism"
-        star.write_text(marking_text(args.charts))
-        morphism.write_text(morphism_text(args.charts))
+        paths = {key: str(Path(tmp) / key) for key in documents}
+        for key, text in documents.items():
+            Path(paths[key]).write_text(text)
         cases = [
-            ("verify-descent", [str(star)]),
-            ("verify-morphism", [str(morphism)]),
-            ("equiv-descent", [str(star), str(star)]),
+            ("verify-descent", [paths["star"]]),
+            ("verify-morphism", [paths["morphism"]]),
+            ("equiv-descent", [paths["star"], paths["star"]]),
+            ("verify-descent group=()", [paths["invalid-star"]]),
+            ("verify-morphism group=()", [paths["failing-morphism"]]),
         ]
         for _ in range(args.repeat):
-            for command, files in cases:
-                row = run(args.src, [command, *files])
+            for name, files in cases:
+                row = run(args.src, [name.split()[0], *files])
                 print(
-                    f"{command} k={args.charts} exit={row['exit']} {row['seconds']:.2f} s"
+                    f"{name} k={k} exit={row['exit']} {row['seconds']:.2f} s"
                     f" {row['peak_rss_mb']:.1f} MB {row['bytes']} bytes sha256 {row['sha256']}",
                     flush=True,
                 )

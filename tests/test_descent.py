@@ -588,7 +588,8 @@ def test_morphism_requires_valid_markings(intro_small_group_marking):
 def test_morphism_checks_each_marking_once(monkeypatch):
     # Each marking's compatibility is decided once per call, by at most one
     # match per chart; the chart verdict then costs at most one match per
-    # source chart, where a pair scan would cost one per pair.
+    # source chart, where a pair scan would cost one per pair.  Equivalence
+    # keeps the same rule.
     star_calls, matches = [], []
     verify_star_unwrapped, match_unwrapped = descent.verify_star, descent._match
 
@@ -613,6 +614,14 @@ def test_morphism_checks_each_marking_once(monkeypatch):
     k = len(charts)
     assert len(matches) <= 3 * k < k * k
     assert len(dict(report.witness_images)) == k * k
+    # Equivalence checks the first marking once, then reads one match per
+    # chart of the second, before any witness is read.
+    star_calls.clear()
+    matches.clear()
+    witness = equivalent(source, target)
+    assert witness is not None and star_calls == [source]
+    assert len(matches) <= 2 * k < k * k
+    assert len(dict(witness.witness_images)) == k * k
 
 
 def test_morphism_structural_checks(intro_marking):
@@ -690,11 +699,14 @@ def test_wide_reports_hold_no_pair_table():
     assert dict(morphism_report.witness_images) == scan_morphism(hm, marking, marking)[0]
     # The fiber product of the marking with itself pairs the charts as its star does.
     assert dict(witness.witness_images) == scan_star(marking)[0]
-    lines = render_star_report(marking, star_report)
-    assert next(lines) == "(x0c0, x0c0): gamma = ()\n"
-    assert next(lines) == "(x0c0, x0c1): gamma = (1 2)\n"
-    lines = render_morphism_report(hm, marking, marking, morphism_report)
-    assert next(lines) == "(x0c0*x0c0): gamma = ()\n"
+    # The first chunk is the first chart's row: one line per chart over x.
+    lines = next(render_star_report(marking, star_report)).splitlines(keepends=True)
+    assert lines[:2] == ["(x0c0, x0c0): gamma = ()\n", "(x0c0, x0c1): gamma = (1 2)\n"]
+    assert len(lines) == 150
+    lines = next(render_morphism_report(hm, marking, marking, morphism_report))
+    lines = lines.splitlines(keepends=True)
+    assert lines[:2] == ["(x0c0*x0c0): gamma = ()\n", "(x0c0*x0c1): gamma = (1 2)\n"]
+    assert len(lines) == 150
     lines = render_equivalence(witness)
     assert next(lines) == f"refinement: {150 * 150 + 2 * 2} cover points\n"
 
@@ -728,21 +740,51 @@ def test_witness_view_answers_as_a_dict():
         assert copied == report and type(copied.witness_images) is dict
 
 
-def test_equivalence_report_yields_a_chunk_per_chart():
-    # The header, one chunk of whole lines per chart of the first marking
-    # (its refinement points), and the verdict.
+def _render_star(marking):
+    return render_star_report(marking, verify_star(marking))
+
+
+def _render_morphism(marking):
+    hm = identity_morphism(marking)
+    return render_morphism_report(hm, marking, marking, verify_morphism(hm, marking, marking))
+
+
+def _render_equivalence(marking):
+    return render_equivalence(equivalent(marking, marking))
+
+
+_CLASS_LINES = ["class(p) = [1]", "class(q) = [1]", "class(r) = [1]", "class(t) = [1]"]
+
+
+@pytest.mark.parametrize(
+    "render,sep,says,head,tail",
+    [
+        (_render_star, ", ", "gamma = ", [], [*_CLASS_LINES, "VALID"]),
+        (_render_morphism, "*", "gamma = ", [], [
+            "charts: VALID", "classes preserved: yes", "verdicts agree: yes", "VALID",
+        ]),
+        (_render_equivalence, "*", "left gamma = (), right gamma = ",
+         [f"refinement: {5 * 5 + 4} cover points"], ["EQUIVALENT"]),
+    ],
+    ids=["star", "morphism", "equivalence"],
+)
+def test_report_yields_a_chunk_per_chart(render, sep, says, head, tail):
+    # Any header line, one chunk of whole lines per source chart (the pairs
+    # it heads), and then the tail, one line per chunk.
     marking = _wide_marking(5)
-    assert list(render_equivalence(None)) == ["NOT EQUIVALENT\n"]
-    witness = equivalent(marking, marking)
-    chunks = list(render_equivalence(witness))
-    assert chunks[0] == f"refinement: {5 * 5 + 4} cover points\n"
-    assert chunks[-1] == "EQUIVALENT\n"
-    assert len(chunks) == 1 + len(marking.cover.cover) + 1
+    chunks = list(render(marking))
     assert all(chunk.endswith("\n") for chunk in chunks)
-    assert chunks[1].splitlines() == [
-        f"(x0c0*x0c{k}): left gamma = (), right gamma = {'()' if k % 2 == 0 else '(1 2)'}"
-        for k in range(5)
+    assert chunks[: len(head)] == [line + "\n" for line in head]
+    rows = chunks[len(head) : len(head) + len(marking.cover.cover)]
+    flips = ["()", "(1 2)"]
+    x_charts, y_charts = [f"x0c{k}" for k in range(5)], ["x1c0", "x1c1"]
+    assert [chunk.splitlines() for chunk in rows] == [
+        [f"({a}{sep}{b}): {says}{flips[(i + j) % 2]}" for j, b in enumerate(charts)]
+        for charts in (x_charts, y_charts)
+        for i, a in enumerate(charts)
     ]
+    assert chunks[len(head) + len(rows) :] == [line + "\n" for line in tail]
+    assert list(render_equivalence(None)) == ["NOT EQUIVALENT\n"]
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,25 @@ def test_fusion_runs_match_the_benchmark(monkeypatch):
     assert found == [(job.argv, digest, None) for job, digest in zip(jobs, pinned)]
 
 
+def test_descent_mix_runs_match_the_benchmark(monkeypatch):
+    # Content variant 0 of descent-mix fills every slot of its schedule
+    # (kind, m, group, polarity, shape, defect site); perfbench/golden.json
+    # pins its 300 documents in schedule order.  Each run must print those
+    # bytes and pass the check its planted verdict gives.
+    monkeypatch.syspath_prepend(str(BENCH_GOLDEN_PATH.parents[1]))
+    from perfbench import descent_mix, workloads
+
+    jobs = descent_mix.documents(0)
+    pinned = workloads.load_golden()["descent-mix"]["0"].split()
+    assert len(jobs) == len(pinned) == 300
+    found = []
+    for job in jobs:
+        chunks = []
+        code, sha = run(main, list(job.argv), chunks.append).split()
+        found.append((workloads.digest(int(code), sha), int(code), job.check("".join(chunks))))
+    assert found == [(digest, job.expected_exit, None) for job, digest in zip(jobs, pinned)]
+
+
 def test_golden_graph_documents_round_trip():
     # The id grammar admits every document the pinned runs read or print.
     paths = sorted(FIXTURES.glob("*.json"))
