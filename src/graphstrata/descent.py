@@ -52,7 +52,7 @@ the disagreement visible rather than hiding it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from functools import partial
 from typing import Any
 
@@ -101,13 +101,14 @@ class FiniteCover:
         if len(set(self.cover)) != len(self.cover):
             raise ValueError("cover points must be distinct")
         fibers: dict[str, list[str]] = {s: [] for s in self.base}
+        down = self.down
         for c in self.cover:
-            if c not in self.down:
+            if c not in down:
                 raise ValueError(f"cover point {c} has no image")
-            if self.down[c] not in fibers:
+            if down[c] not in fibers:
                 raise ValueError(f"cover point {c} maps outside the base")
-            fibers[self.down[c]].append(c)
-        if set(self.down) != set(self.cover):
+            fibers[down[c]].append(c)
+        if len(down) != len(self.cover):  # it holds every cover point, each once
             raise ValueError("down map keys must be exactly the cover points")
         if not all(fibers.values()):
             raise ValueError("cover must surject onto the base")
@@ -137,8 +138,8 @@ class ChartedMarking:
         seen: dict[str, str] = {}
         fiber_sets: dict[str, set[str]] = {}
         for s, points in self.fiber_points.items():
-            fiber_sets[s] = set(points)
-            if len(fiber_sets[s]) != len(points):
+            fiber_sets[s] = fiber = set(points)
+            if len(fiber) != len(points):
                 raise ValueError(f"fiber over {s} repeats a point")
             for p in points:
                 if p in seen:
@@ -148,17 +149,15 @@ class ChartedMarking:
                 seen[p] = s
         if set(self.sigma) != set(self.cover.cover):
             raise ValueError("sigma must be defined on exactly the cover points")
+        m, down = self.m, self.cover.down
         for c, seq in self.sigma.items():
-            if len(seq) != self.m:
-                raise ValueError(f"sigma({c}) must list m = {self.m} points")
-            if len(set(seq)) != self.m:
+            if len(seq) != m:
+                raise ValueError(f"sigma({c}) must list m = {m} points")
+            if len(set(seq)) != m:
                 raise ValueError(f"sigma({c}) must be injective")
-            allowed = fiber_sets[self.cover.down[c]]
-            for p in seq:
-                if p not in allowed:
-                    raise ValueError(
-                        f"sigma({c}) uses {p}, not a fiber point over {self.cover.down[c]}"
-                    )
+            if not fiber_sets[down[c]].issuperset(seq):
+                p = next(p for p in seq if p not in fiber_sets[down[c]])
+                raise ValueError(f"sigma({c}) uses {p}, not a fiber point over {down[c]}")
 
 
 Images = tuple[int, ...]
@@ -285,11 +284,11 @@ def _chart_classes(marking: ChartedMarking) -> dict[str, frozenset[int]]:
     """``class_function`` for a marking already known to be compatible."""
     orbits = label_orbits(marking.group)
     classes: dict[str, frozenset[int]] = {}
+    sigma = marking.sigma
     for c in marking.cover.cover:
-        for p, orbit in zip(marking.sigma[c], orbits):
-            if p in classes and classes[p] != orbit:
+        for p, orbit in zip(sigma[c], orbits):
+            if (known := classes.setdefault(p, orbit)) is not orbit and known != orbit:
                 raise AssertionError(f"class of {p} depends on the chart")
-            classes[p] = orbit
     return classes
 
 
@@ -431,16 +430,13 @@ def verify_morphism(
         raise ValueError("fiber maps must be defined on exactly the source base")
     for s in c1.cover.base:
         fm = hm.fiber_maps[s]
-        src = c1.fiber_points[s]
-        dst = c2.fiber_points[hm.base_map[s]]
-        if set(fm) != set(src):
+        if fm.keys() != set(c1.fiber_points[s]):
             raise ValueError(f"fiber map over {s} must be defined on its fiber")
-        if len(set(fm.values())) != len(fm) or set(fm.values()) != set(dst):
+        image = set(fm.values())
+        if len(image) != len(fm) or image != set(c2.fiber_points[hm.base_map[s]]):
             raise ValueError(f"fiber map over {s} must biject onto the target fiber")
-    mapped = {
-        a: tuple(hm.fiber_maps[c1.cover.down[a]][p] for p in seq)
-        for a, seq in c1.sigma.items()
-    }
+    down, maps = c1.cover.down, hm.fiber_maps
+    mapped = {a: tuple(map(maps[down[a]].__getitem__, seq)) for a, seq in c1.sigma.items()}
     rows = partial(_refinement_rows, c1, c2, hm.base_map)
     witnesses = _PairWitnesses(rows, mapped, c2.sigma, c1.group.members)
     # One match per source chart, against the first target chart, decides all its pairs.
@@ -524,103 +520,111 @@ def _read_text(key: str, value: str) -> str:
 
 
 def _read_ids(key: str, value: str) -> tuple[str, ...]:
-    return _ids(value.split())
+    tokens = value.split()
+    if "".join(tokens).strip(_ID_CHARS):
+        _ids(tokens)
+    return tuple(tokens)
 
 
 def _read_arrows(key: str, value: str) -> dict[str, str]:
     """The map the arrows write, in their order; a source with two arrows is
-    refused, so no later arrow silently replaces an earlier one."""
-    parts = [part.strip() for part in value.split(",")]
-    pairs = [part.split("->") for part in parts]
-    # Entries before the first malformed one are checked first, in order.
-    k = next((k for k, pair in enumerate(pairs) if len(pair) != 2), len(pairs))
-    ends = _ids([end.strip() for pair in pairs[:k] for end in pair])
-    if k < len(parts):
+    refused, so no later arrow silently replaces an earlier one.  A list is read
+    as its tokens ``a -> b , c -> d ...``, and entry by entry only to name a fault."""
+    tokens = value.replace(",", " , ").replace("->", " -> ").split()
+    n = len(tokens) // 4 + 1
+    ends = tokens[::2]
+    if (len(tokens) != 4 * n - 1 or tokens[1::4] != ["->"] * n
+            or tokens[3::4] != [","] * (n - 1) or "".join(ends).strip(_ID_CHARS)):
+        parts = [part.strip() for part in value.split(",")]
+        pairs = [part.split("->") for part in parts]
+        # Entries before the first malformed one are checked first, in order.
+        k = next((k for k, pair in enumerate(pairs) if len(pair) != 2), len(pairs))
+        _ids([end.strip() for pair in pairs[:k] for end in pair])
         message = f"expected 'a -> b', got {parts[k]!r}" if parts[k] else "empty entry in list"
         raise ValueError(message)
-    arrows: dict[str, str] = {}
-    for a, b in zip(ends[::2], ends[1::2]):
-        if a in arrows:
-            raise ValueError(f"two arrows from {a}")
-        arrows[a] = b
+    arrows = dict(zip(ends[::2], ends[1::2]))
+    if len(arrows) < n:
+        sources = ends[::2]
+        a = next(a for k, a in enumerate(sources) if a in sources[:k])
+        raise ValueError(f"two arrows from {a}")
     return arrows
 
 
-# Per section kind, each key's value reader and, for a required key, the
-# form a missing-key error names.  A named key (``fiber x = ...``) takes one
-# identifier after the key word, and each name may appear once.
+# Per section kind, each key's value reader, the form a missing-key error
+# names for a required key, and its number of key words.  A named key
+# (``fiber x = ...``) takes one identifier after the key word, and each name
+# may appear once.
 _MARKING_KEYS = {
-    "m": (_read_int, "m = <int>"),
-    "base": (_read_ids, "base = <points>"),
-    "cover": (_read_arrows, "cover = <point> -> <base>, ..."),
-    "group": (_read_text, None),
-    "fiber": (_read_ids, None),
-    "sigma": (_read_ids, None),
+    "m": (_read_int, "m = <int>", 1),
+    "base": (_read_ids, "base = <points>", 1),
+    "cover": (_read_arrows, "cover = <point> -> <base>, ...", 1),
+    "group": (_read_text, None, 1),
+    "fiber": (_read_ids, None, 2),
+    "sigma": (_read_ids, None, 2),
 }
 _MORPHISM_KEYS = {
-    "h": (_read_arrows, "h = <base> -> <base>, ..."),
-    "map": (_read_arrows, None),
+    "h": (_read_arrows, "h = <base> -> <base>, ...", 1),
+    "map": (_read_arrows, None, 2),
 }
-_NAMED_KEYS = frozenset({"fiber", "sigma", "map"})
 
 
 def _split_sections(
     text: str, filename: str
 ) -> list[tuple[str, int, list[tuple[int, str]]]]:
     sections: list[tuple[str, int, list[tuple[int, str]]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    body = None
+    comments = "#" in text
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = (line.split("#", 1)[0] if comments else line).strip()
         if not line:
             continue
         # A header is one or two lowercase ASCII words in brackets.
-        words = line[1:-1].split() if line[0] == "[" and line[-1] == "]" else ()
-        if 0 < len(words) < 3 and not "".join(words).strip("abcdefghijklmnopqrstuvwxyz"):
-            sections.append((line[1:-1].strip(), lineno, []))
-            continue
-        if not sections:
+        if line[0] == "[" and line[-1] == "]":
+            words = line[1:-1].split()
+            if 0 < len(words) < 3 and not "".join(words).strip("abcdefghijklmnopqrstuvwxyz"):
+                body = []
+                sections.append((line[1:-1].strip(), lineno, body))
+                continue
+        if body is None:
             raise FormatError(filename, lineno, "content before any [section]")
-        sections[-1][2].append((lineno, line))
+        body.append((lineno, line))
     return sections
 
 
 def _read_section(
     section: tuple[int, list[tuple[int, str]]], keys: Mapping, filename: str
-) -> dict[tuple[str, ...], tuple[int, Any]]:
-    """The ``(line, value)`` of each key of a section, by its key words, read in order."""
+) -> tuple[dict[str, Any], dict[str, int]]:
+    """Each key's value, read in order, a named key's by name in one dict under its
+    word; and the line of each key that has no name."""
     header_line, body = section
-    values: dict[tuple[str, ...], tuple[int, Any]] = {}
+    values: dict[str, Any] = {}
+    lines: dict[str, int] = {}
     for lineno, line in body:
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals:
             raise FormatError(filename, lineno, f"expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        words = tuple(key.split())
-        kind = words[0] if words else None
-        if kind not in keys or len(words) != (2 if kind in _NAMED_KEYS else 1):
+        words = key.split()
+        spec = keys.get(words[0]) if words else None
+        if spec is None or len(words) != spec[2]:
             raise FormatError(filename, lineno, f"unknown key {key.strip()!r}")
+        kind = words[0]
         try:
             if len(words) == 2:
-                _ids(words[1:])
-            if words in values:
+                if words[1].strip(_ID_CHARS):
+                    _ids(words[1:])
+                table = values.setdefault(kind, {})
+            else:
+                table = values
+                lines[kind] = lineno
+            if words[-1] in table:
                 raise ValueError(f"duplicate {' '.join(words)!r}")
-            values[words] = lineno, keys[kind][0](kind, value.strip())
+            table[words[-1]] = spec[0](kind, value.strip())
         except ValueError as exc:
             raise FormatError(filename, lineno, str(exc)) from None
-    for key, (_, form) in keys.items():
-        if form is not None and (key,) not in values:
+    for key, (_, form, _) in keys.items():
+        if form is not None and key not in values:
             raise FormatError(filename, header_line, f"missing {form!r}")
-    return values
-
-
-def _named(values: Mapping[tuple[str, ...], tuple[int, Any]], kind: str) -> dict[str, Any]:
-    return {words[1]: v for words, (_, v) in values.items() if words[0] == kind}
-
-
-def _anchored(filename: str, line: int, fn: Callable[..., Any], *args: Any) -> Any:
-    """``fn(*args)``, with a ``ValueError`` it raises anchored to ``line``."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise FormatError(filename, line, str(exc)) from None
+    return values, lines
 
 
 def _read_marking(
@@ -628,18 +632,23 @@ def _read_marking(
     filename: str,
     groups: dict[tuple[int, str], PermGroup],
 ) -> ChartedMarking:
-    """A marking section; ``groups`` holds the groups closed so far, by (m, text)."""
-    line = section[0]
-    values = _read_section(section, _MARKING_KEYS, filename)
-    m, base, arrows = (values[(key,)][1] for key in ("m", "base", "cover"))
-    _anchored(filename, line, check_label_count, m)  # before parsing builds anything of size m
-    group_line, text = values.get(("group",), (line, ""))
-    if (m, text) not in groups:
-        generators = _anchored(filename, group_line, parse_generators, text, m)
-        groups[(m, text)] = _anchored(filename, line, group_from_generators, m, generators)
-    cover = _anchored(filename, line, FiniteCover, base, tuple(arrows), arrows)
-    fibers, sigma = _named(values, "fiber"), _named(values, "sigma")
-    return _anchored(filename, line, ChartedMarking, cover, m, groups[(m, text)], fibers, sigma)
+    """A marking section; ``groups`` holds the groups closed so far, by (m, text).
+    Past its lines, errors are anchored at the header, a group text's at its line."""
+    values, lines = _read_section(section, _MARKING_KEYS, filename)
+    m, text, arrows = values["m"], values.get("group", ""), values["cover"]
+    anchor = section[0]
+    try:
+        check_label_count(m)  # before parsing builds anything of size m
+        group = groups.get((m, text))
+        if group is None:
+            anchor = lines.get("group", anchor)
+            generators = parse_generators(text, m)
+            anchor = section[0]
+            group = groups[(m, text)] = group_from_generators(m, generators)
+        cover = FiniteCover(values["base"], tuple(arrows), arrows)
+        return ChartedMarking(cover, m, group, values.get("fiber", {}), values.get("sigma", {}))
+    except ValueError as exc:
+        raise FormatError(filename, anchor, str(exc)) from None
 
 
 def parse_marking_document(text: str, filename: str = "<input>") -> ChartedMarking:
@@ -674,8 +683,8 @@ def parse_morphism_document(
     groups: dict[tuple[int, str], PermGroup] = {}
     source = _read_marking(sections["marking source"], filename, groups)
     target = _read_marking(sections["marking target"], filename, groups)
-    values = _read_section(sections["morphism"], _MORPHISM_KEYS, filename)
-    morphism = FiberMorphism(base_map=values[("h",)][1], fiber_maps=_named(values, "map"))
+    values, _ = _read_section(sections["morphism"], _MORPHISM_KEYS, filename)
+    morphism = FiberMorphism(base_map=values["h"], fiber_maps=values.get("map", {}))
     return morphism, source, target
 
 

@@ -132,8 +132,19 @@ def _cycles(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def cycle_notation(images: Sequence[int]) -> str:
-    """Cycle notation of the bijection with image sequence ``images``."""
-    return "".join(["(" + " ".join(map(str, c)) + ")" for c in _cycles(images)]) or "()"
+    """Cycle notation of the bijection with image sequence ``images``, written as
+    ``_cycles`` walks it, in one pass."""
+    text = ""
+    seen = set()
+    for start, j in enumerate(images, start=1):
+        if j != start and start not in seen:
+            text += f"({start}"
+            while j != start:
+                seen.add(j)
+                text += f" {j}"
+                j = images[j - 1]
+            text += ")"
+    return text or "()"
 
 
 def generator_text(generators: Iterable[Permutation]) -> str:

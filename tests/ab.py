@@ -1,0 +1,152 @@
+"""Compare two source trees on the descent corpus: the same bytes, then the time.
+
+    python tests/ab.py --src A --src B [--rounds 20]
+
+Bytes: one fresh interpreter per tree imports the package from that tree's
+``--src`` and runs, through ``graphstrata.cli.main``, every descent-mix
+document of content variants 0-9, the malformed documents of
+``tests/record_refusals.py`` and, on every ``tests/fixtures/*.desc``
+document, ``verify-descent`` and ``verify-morphism``, and ``equiv-descent``
+on every ordered pair of them.  It prints per tree one sha256 over every
+case's exit code, stdout and stderr, then each case whose three differ.
+
+Time: one interpreter imports both trees, each under its own module names,
+and makes ``--rounds`` rounds over the variant-0 jobs.  Each job runs on
+both trees back to back, and the tree that goes first alternates by round.
+Per tree it prints the sum over the jobs of each job's fastest latency,
+and the nearest-rank p50 and p95 of those fastest latencies, as the
+benchmark reports ``wall_s``, ``job_p50_ms`` and ``job_p95_ms``; then the
+second tree's figures over the first's.
+
+The cases are built from this checkout's ``perfbench`` and ``tests``, so
+both trees read the same documents.  This is a plain script, not a test
+module; the machine's speed drifts between sessions, so only its
+same-session figures compare.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT), str(ROOT / "tests")]
+
+from perfbench import descent_mix  # noqa: E402
+from perfbench.run import nearest_rank  # noqa: E402
+from record_refusals import cases as refusal_cases  # noqa: E402
+
+BYTES_RUNNER = r"""
+import contextlib, hashlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from graphstrata.cli import main
+for name, argv in json.load(open(sys.argv[2], encoding="utf-8")):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    print(json.dumps([name, code, digest, err.getvalue()]))
+"""
+
+TIME_RUNNER = r"""
+import contextlib, gc, importlib.util, io, json, math, sys
+from time import perf_counter
+
+def load(tag, src):
+    # The tree's package under the name ``tag``; its modules import each
+    # other relatively, so they stay within the tree.
+    spec = importlib.util.spec_from_file_location(
+        tag, f"{src}/graphstrata/__init__.py", submodule_search_locations=[f"{src}/graphstrata"])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[tag] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{tag}.cli").main
+
+rounds, jobs, *srcs = json.load(sys.stdin)
+mains = [load(f"tree{k}", src) for k, src in enumerate(srcs)]
+best = [[math.inf] * len(jobs) for _ in mains]
+for r in range(rounds):
+    order = [0, 1] if r % 2 == 0 else [1, 0]
+    gc.collect()
+    for k, argv in enumerate(jobs):
+        for t in order:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                start = perf_counter()
+                mains[t](list(argv))
+                elapsed = perf_counter() - start
+            best[t][k] = min(best[t][k], elapsed)
+print(json.dumps(best))
+"""
+
+
+def byte_cases() -> list[tuple[str, list[str]]]:
+    out = [
+        (f"descent-mix variant {v} job {k}", list(job.argv))
+        for v in range(descent_mix.VARIANTS)
+        for k, job in enumerate(descent_mix.documents(v))
+    ]
+    out += [(f"refusal {name}", argv) for name, argv in refusal_cases().items()]
+    fixtures = [str(p) for p in sorted((ROOT / "tests" / "fixtures").glob("*.desc"))]
+    out += [(f"{cmd} {Path(f).name}", [cmd, f])
+            for f in fixtures for cmd in ("verify-descent", "verify-morphism")]
+    out += [(f"equiv-descent {Path(f).name} {Path(g).name}", ["equiv-descent", f, g])
+            for f in fixtures for g in fixtures]
+    return out
+
+
+def run_bytes(src: Path, cases_path: str) -> dict[str, list]:
+    done = subprocess.run(
+        [sys.executable, "-c", BYTES_RUNNER, str(src), cases_path],
+        capture_output=True, text=True, check=True,
+    )
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    return {name: rest for name, *rest in rows}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, action="append", required=True)
+    parser.add_argument("--rounds", type=int, default=20)
+    args = parser.parse_args()
+    if len(args.src) != 2:
+        parser.error("give --src exactly twice")
+    srcs = [src.resolve() for src in args.src]
+
+    cases = byte_cases()
+    with tempfile.TemporaryDirectory() as tmp:
+        cases_path = str(Path(tmp) / "cases.json")
+        Path(cases_path).write_text(json.dumps(cases), encoding="utf-8")
+        results = [run_bytes(src, cases_path) for src in srcs]
+    for src, result in zip(srcs, results):
+        digest = hashlib.sha256(json.dumps(list(result.items())).encode())
+        print(f"bytes {src}: {len(result)} cases, sha256 {digest.hexdigest()}")
+    differ = [name for name, _ in cases if results[0][name] != results[1][name]]
+    for name in differ:
+        print(f"differs: {name}: {results[0][name]} != {results[1][name]}")
+    print(f"bytes: {len(differ)} of {len(cases)} cases differ")
+
+    jobs = [list(job.argv) for job in descent_mix.documents(0)]
+    done = subprocess.run(
+        [sys.executable, "-c", TIME_RUNNER],
+        input=json.dumps([args.rounds, jobs, *map(str, srcs)]),
+        capture_output=True, text=True, check=True,
+    )
+    figures = []
+    for src, best in zip(srcs, json.loads(done.stdout)):
+        ms = [1000 * t for t in best]
+        figures.append((sum(best), nearest_rank(ms, 50), nearest_rank(ms, 95)))
+        print(f"time {src}: wall_s {figures[-1][0]:.4f}"
+              f" job_p50_ms {figures[-1][1]:.4f} job_p95_ms {figures[-1][2]:.4f}")
+    ratios = " ".join(f"{b / a:.3f}" for a, b in zip(*figures))
+    print(f"time second/first (wall_s p50 p95): {ratios}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,13 +8,15 @@ brackets, commas, dots, ``v`` and ``h``, and Unicode whitespace that
 ``str.splitlines`` may also break at, and compares the parsed value, or the
 exception's type and message, of the reader against its reference.
 Labels stay far below the digit count ``int()`` converts; the refusal of a
-longer label is pinned in ``test_refusals.py``.
+longer label is pinned in ``test_refusals.py``.  Arrow lists are compared
+with the reader that preceded the token reader, which read them entry by
+entry.
 """
 
 import random
 import re
 
-from graphstrata.descent import FormatError, _ids, _split_sections
+from graphstrata.descent import FormatError, _ids, _read_arrows, _split_sections
 from graphstrata.perm import Permutation, parse_permutation
 from graphstrata.stablegraph import StableGraph, _parse_half_edge, graph_from_doc
 
@@ -69,6 +71,22 @@ def reference_split_sections(text, filename):
             raise FormatError(filename, lineno, "content before any [section]")
         sections[-1][2].append((lineno, line))
     return sections
+
+
+def reference_arrows(key, value):
+    parts = [part.strip() for part in value.split(",")]
+    pairs = [part.split("->") for part in parts]
+    k = next((k for k, pair in enumerate(pairs) if len(pair) != 2), len(pairs))
+    ends = _ids([end.strip() for pair in pairs[:k] for end in pair])
+    if k < len(parts):
+        message = f"expected 'a -> b', got {parts[k]!r}" if parts[k] else "empty entry in list"
+        raise ValueError(message)
+    arrows = {}
+    for a, b in zip(ends[::2], ends[1::2]):
+        if a in arrows:
+            raise ValueError(f"two arrows from {a}")
+        arrows[a] = b
+    return list(arrows.items())
 
 
 def reference_half_edge(text, nv, where):
@@ -172,6 +190,26 @@ def test_section_splitting():
             lines.insert(0, "[marking]")
         cases.append(("".join(item + rng.choice(breaks) for item in lines), "doc"))
     assert_both_kinds(agree(cases, _split_sections, reference_split_sections))
+
+
+def test_arrow_lists():
+    rng = random.Random(25)
+    pieces = ["a", "b", "a-", "-b", "_", "->", "->", "-", ">", ",", ", ", "!", *SPACES]
+    cases = []
+    for _ in range(N):
+        value = ", ".join(
+            f"{rng.choice('abcd')}{rng.choice(SPACES)}->{rng.choice(SPACES)}{rng.choice('xyz')}"
+            for _ in range(rng.randrange(1, 5))
+        )
+        if rng.random() < 0.5:
+            cut = rng.randrange(len(value) + 1)
+            value = value[:cut] + text(rng, pieces, 3) + value[cut:]
+        cases.append(("cover", value.strip()))
+
+    def read(key, value):
+        return list(_read_arrows(key, value).items())  # the order too
+
+    assert_both_kinds(agree(cases, read, reference_arrows))
 
 
 def graph_id(rng):

@@ -100,19 +100,31 @@ def _reference_cycle_notation(images):
     return "".join(cycles) or "()"
 
 
+def _cycle_notation_inputs():
+    """Every permutation of degree at most 6, then a seeded sample of degrees 7-11."""
+    for m in range(1, 7):
+        yield from itertools.permutations(range(1, m + 1))
+    rng = random.Random(11)
+    for m in range(7, 12):
+        for _ in range(200):
+            yield tuple(rng.sample(range(1, m + 1), m))
+
+
 def test_cycle_notation_matches_reference_walk():
     seen = 0
-    for m in range(1, 7):
-        for images in itertools.permutations(range(1, m + 1)):
-            expected = _reference_cycle_notation(images)
-            assert cycle_notation(images) == expected
-            p = Permutation(images)
-            assert p.cycle_string() == str(p) == expected
-            assert "".join(
-                "(" + " ".join(map(str, c)) + ")" for c in p.cycles()
-            ) == ("" if expected == "()" else expected)
-            seen += 1
-    assert seen == 1 + 2 + 6 + 24 + 120 + 720
+    two_digit = set()
+    for images in _cycle_notation_inputs():
+        expected = _reference_cycle_notation(images)
+        assert cycle_notation(images) == expected
+        p = Permutation(images)
+        assert p.cycle_string() == str(p) == expected
+        assert "".join(
+            "(" + " ".join(map(str, c)) + ")" for c in p.cycles()
+        ) == ("" if expected == "()" else expected)
+        two_digit.update({"10", "11"} & set(expected.strip("()").replace(")(", " ").split()))
+        seen += 1
+    assert seen == 1 + 2 + 6 + 24 + 120 + 720 + 5 * 200
+    assert two_digit == {"10", "11"}
 
 
 def test_cycle_string_round_trip():

@@ -4,9 +4,11 @@ Each case reaches one check that no other test exercises, in the descent
 records and checks, the graph document reader, the permutation layer and
 the group-marked layer.  The messages are those the library gave when
 these cases were written; the graph-document messages are the same under
-the reader's strict id grammar.
+the reader's strict id grammar.  The malformed descent documents of
+``record_refusals.py`` are replayed whole: exit code, stdout and stderr.
 """
 
+import json
 import re
 
 import pytest
@@ -23,6 +25,8 @@ from graphstrata.gamma import enumerate_gamma_strata, gamma_equivalent
 from graphstrata.perm import Permutation, group_from_generators, symmetric_group
 from graphstrata.stablegraph import StableGraph, enumerate_stable_graphs, graph_from_doc
 from graphstrata.strata import build_quotient_table
+from record_refusals import REFUSALS_PATH, cases
+from record_refusals import run as run_recorded
 
 POINTS = ("p1", "p2", "p3", "p4")
 
@@ -243,3 +247,11 @@ def test_oversized_cycle_label_in_a_marking_document(capsys, tmp_path):
     )
     assert main(["verify-descent", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {path}:3: label with 5000 digits outside 1..4\n")
+
+
+def test_malformed_descent_documents_keep_their_refusals():
+    # Each document's refusal, line and message included, as recorded.
+    recorded = json.loads(REFUSALS_PATH.read_text(encoding="utf-8"))
+    corpus = cases()
+    assert len(corpus) == len(recorded) == 302
+    assert {name: run_recorded(main, args) for name, args in corpus.items()} == recorded
