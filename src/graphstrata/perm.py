@@ -64,7 +64,9 @@ class Permutation:
             # An empty cycle, the identity's "()", moves nothing.
             for a, b in zip(cycle, tuple(cycle[1:]) + tuple(cycle[:1])):
                 images[a - 1] = b
-        return cls(tuple(images))
+        # Each label was checked and met once, so a nonempty result is a
+        # bijection; degree 0 goes to the check that refuses it.
+        return _member(tuple(images)) if images else cls(())
 
     @property
     def degree(self) -> int:

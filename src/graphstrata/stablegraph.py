@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
@@ -492,37 +491,55 @@ def _degenerations(shape: tuple, v: int) -> Iterator[tuple]:
     each loop at v, moves it to w, or turns it into another v-w edge.
     Its mirror (v and w swapped) is isomorphic, so only the shares with
     (h1, n1) <= (h - h1, n - n1) are tried.
+
+    Only stable splits are visited.  Say ``stay`` of the K edges from v
+    to other vertices stay at v, and of its L loops a stay at v and b
+    move to w.  Then 2h - 2 + valence is ev + stay + (a - b) at v and
+    ew - stay - (a - b) at w, with ev = 2h1 - 1 + n1 + L and
+    ew = 2h2 - 1 + n2 + L + K.  Every d with |d| <= L is some a - b, so
+    both are positive for some share exactly when ev + stay + L >= 1,
+    ew - stay + L >= 1 and ev + ew >= 2.  The first two bound ``stay``.
+    The last is 2h - 2 + valence of v itself, the same for every split.
+    A split outside these bounds has no stable share, so skipping it
+    loses no shape.
     """
     genera, counts, edges = shape
     h, n = genera[v], counts[v]
     if h > 0:  # 2h - 2 + valence is unchanged, so v stays stable
         yield genera[:v] + (h - 1,) + genera[v + 1:], counts, edges + ((v, v),)
+    loops, rest, off = 0, [], {}
+    for a, b in edges:
+        if a != v and b != v:
+            rest.append((a, b))
+        elif a == b:
+            loops += 1
+        else:
+            off[a + b - v] = off.get(a + b - v, 0) + 1
+    total = len(edges) - len(rest) - loops
+    if 2 * h + n + 2 * loops + total < 4:  # v's own 2h - 2 + valence is below 2
+        return
     w = len(genera)
-    loops = edges.count((v, v))
-    rest = [(a, b) for a, b in edges if v not in (a, b)]
-    away = sorted(Counter(a + b - v for a, b in edges if (a == v) != (b == v)).items())
-    for h1, n1 in itertools.product(range(h + 1), range(n + 1)):
-        h2, n2 = h - h1, n - n1
-        if (h1, n1) > (h2, n2):
-            continue
-        new_genera = genera[:v] + (h1,) + genera[v + 1:] + (h2,)
-        new_counts = counts[:v] + (n1,) + counts[v + 1:] + (n2,)
-        for kept in itertools.product(*(range(k + 1) for _, k in away)):
-            # 2h - 2 + valence, which must be positive, of v and of w when
-            # a loops stay at v, b move to w and the rest become v-w edges
-            excess_v = 2 * h1 - 1 + n1 + loops + sum(kept)
-            excess_w = 2 * h2 - 1 + n2 + loops + sum(k for _, k in away) - sum(kept)
-            shares = [(a, b) for a in range(loops + 1) for b in range(loops - a + 1)
-                      if excess_v + a - b > 0 and excess_w + b - a > 0]
-            if not shares:
-                continue
-            moved = list(rest)
-            for (u, k), j in zip(away, kept):
-                moved += [(min(u, v), max(u, v))] * j + [(u, w)] * (k - j)
-            for a, b in shares:
-                yield new_genera, new_counts, tuple(
-                    moved + [(v, v)] * a + [(w, w)] * b + [(v, w)] * (loops - a - b + 1)
-                )
+    away = sorted(off.items())
+    by_stay = [[] for _ in range(total + 1)]
+    for kept in itertools.product(*(range(k + 1) for _, k in away)):
+        moved = list(rest)
+        for (u, k), j in zip(away, kept):
+            moved += [(min(u, v), max(u, v))] * j + [(u, w)] * (k - j)
+        by_stay[sum(kept)].append(tuple(moved))
+    shares = [(a - b, ((v, v),) * a + ((w, w),) * b + ((v, w),) * (loops - a - b + 1))
+              for a in range(loops + 1) for b in range(loops - a + 1)]
+    for h1 in range(h // 2 + 1):
+        h2 = h - h1
+        for n1 in range(n + 1 if h1 < h2 else n // 2 + 1):
+            new_genera = genera[:v] + (h1,) + genera[v + 1:] + (h2,)
+            new_counts = counts[:v] + (n1,) + counts[v + 1:] + (n - n1,)
+            ev = 2 * h1 - 1 + n1 + loops
+            ew = 2 * h2 - 1 + n - n1 + loops + total
+            for stay in range(max(0, 1 - loops - ev), min(total, ew + loops - 1) + 1):
+                tails = [tail for d, tail in shares if -ev - stay < d < ew - stay]
+                for moved in by_stay[stay]:
+                    for tail in tails:
+                        yield new_genera, new_counts, moved + tail
 
 
 def _shapes_by_edges(g: int, m: int, top: int) -> list[list[tuple]]:
@@ -615,22 +632,21 @@ def enumerate_stable_graphs(
     for e, shapes in enumerate(_shapes_by_edges(g, m, dim)):
         bucket: list[StableGraph] = []
         for genera, counts, edges in shapes:
-            sig = _signature(genera, edges, counts)
-            # Only the identity keeps distinct signatures in place; it comes
-            # first among the maps and never moves a placement lower.
-            moves = []
-            if len(set(sig)) < len(sig):
-                moves = [phi.__getitem__ for phi in _iter_vertex_maps(sig, edges, sig, edges)][1:]
             placements = _iter_label_assignments(counts, m)
             first = StableGraph(genera, edges, next(placements))  # sorted: no map moves it lower
+            genera, edges = first.genera, first.edges
             bucket.append(canonical_form(first))
+            sig = _signature(genera, edges, counts)
+            if len(set(sig)) == len(sig):  # only the identity keeps the signatures in place
+                bucket += [canonical_form(_carried(genera, edges, legs)) for legs in placements]
+                continue
+            # The identity comes first among the maps and never moves a placement lower.
+            moves = [phi.__getitem__ for phi in _iter_vertex_maps(sig, edges, sig, edges)][1:]
             for legs in placements:
-                if any(tuple(map(move, legs)) < legs for move in moves):
-                    continue
-                bucket.append(canonical_form(_carried(first.genera, first.edges, legs)))
+                if not any(tuple(map(move, legs)) < legs for move in moves):
+                    bucket.append(canonical_form(_carried(genera, edges, legs)))
         bucket.sort(key=StableGraph.encoding)
-        seen = {gr.encoding() for gr in bucket}
-        assert len(seen) == len(bucket), "census produced duplicate classes"
+        assert len(set(bucket)) == len(bucket), "census produced duplicate classes"
         classes[e] = tuple(bucket)
     return StratumCensus(g, m, classes)
 

@@ -1,22 +1,27 @@
-"""Compare two source trees on the descent corpus: the same bytes, then the time.
+"""Compare two source trees on two corpora: the same bytes, then the time.
 
     python tests/ab.py --src A --src B [--rounds 20]
 
 Bytes: one fresh interpreter per tree imports the package from that tree's
-``--src`` and runs, through ``graphstrata.cli.main``, every descent-mix
-document of content variants 0-9, the malformed documents of
-``tests/record_refusals.py`` and, on every ``tests/fixtures/*.desc``
-document, ``verify-descent`` and ``verify-morphism``, and ``equiv-descent``
-on every ordered pair of them.  It prints per tree one sha256 over every
-case's exit code, stdout and stderr, then each case whose three differ.
+``--src`` and runs each case through ``graphstrata.cli.main``.  The descent
+corpus is every descent-mix document of content variants 0-9, the
+malformed documents of ``tests/record_refusals.py`` and, on every
+``tests/fixtures/*.desc`` document, ``verify-descent`` and
+``verify-morphism``, and ``equiv-descent`` on every ordered pair of them.
+The census corpus is every case of ``tests/golden_cli.json`` and the jobs
+of the benchmark's big-group-fusion workload.  Per corpus it prints per
+tree one sha256 over every case's exit code, stdout and stderr, then each
+case whose three differ.
 
 Time: one interpreter imports both trees, each under its own module names,
-and makes ``--rounds`` rounds over the variant-0 jobs.  Each job runs on
-both trees back to back, and the tree that goes first alternates by round.
-Per tree it prints the sum over the jobs of each job's fastest latency,
-and the nearest-rank p50 and p95 of those fastest latencies, as the
-benchmark reports ``wall_s``, ``job_p50_ms`` and ``job_p95_ms``; then the
-second tree's figures over the first's.
+and makes ``--rounds`` rounds over a corpus's timed jobs: the variant-0
+descent-mix jobs, and the big-group-fusion jobs, which leave out the
+golden cases that take seconds.  Each job runs on both trees back to back,
+and the tree that goes first alternates by round.  Per tree it prints the
+sum over the jobs of each job's fastest latency, and the nearest-rank p50
+and p95 of those fastest latencies, as the benchmark reports ``wall_s``,
+``job_p50_ms`` and ``job_p95_ms``; then the second tree's figures over the
+first's.
 
 The cases are built from this checkout's ``perfbench`` and ``tests``, so
 both trees read the same documents.  This is a plain script, not a test
@@ -39,7 +44,11 @@ sys.path[:0] = [str(ROOT), str(ROOT / "tests")]
 
 from perfbench import descent_mix  # noqa: E402
 from perfbench.run import nearest_rank  # noqa: E402
+from perfbench.workloads import FIXED  # noqa: E402
+from record_golden import CASES as GOLDEN_CASES, resolve  # noqa: E402
 from record_refusals import cases as refusal_cases  # noqa: E402
+
+FUSION_JOBS = FIXED["big-group-fusion"]
 
 BYTES_RUNNER = r"""
 import contextlib, hashlib, io, json, sys
@@ -85,7 +94,7 @@ print(json.dumps(best))
 """
 
 
-def byte_cases() -> list[tuple[str, list[str]]]:
+def descent_cases() -> list[tuple[str, list[str]]]:
     out = [
         (f"descent-mix variant {v} job {k}", list(job.argv))
         for v in range(descent_mix.VARIANTS)
@@ -100,6 +109,12 @@ def byte_cases() -> list[tuple[str, list[str]]]:
     return out
 
 
+def census_cases() -> list[tuple[str, list[str]]]:
+    out = [(f"golden {name}", resolve(argv)) for name, argv in GOLDEN_CASES.items()]
+    out += [(f"big-group-fusion {' '.join(argv)}", list(argv)) for argv in FUSION_JOBS]
+    return out
+
+
 def run_bytes(src: Path, cases_path: str) -> dict[str, list]:
     done = subprocess.run(
         [sys.executable, "-c", BYTES_RUNNER, str(src), cases_path],
@@ -107,6 +122,39 @@ def run_bytes(src: Path, cases_path: str) -> dict[str, list]:
     )
     rows = [json.loads(line) for line in done.stdout.splitlines()]
     return {name: rest for name, *rest in rows}
+
+
+def compare_bytes(corpus: str, cases: list, srcs: list[Path]) -> int:
+    """Print each tree's digest over ``cases`` and each case that differs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cases_path = str(Path(tmp) / "cases.json")
+        Path(cases_path).write_text(json.dumps(cases), encoding="utf-8")
+        results = [run_bytes(src, cases_path) for src in srcs]
+    for src, result in zip(srcs, results):
+        digest = hashlib.sha256(json.dumps(list(result.items())).encode())
+        print(f"{corpus} bytes {src}: {len(result)} cases, sha256 {digest.hexdigest()}")
+    differ = [name for name, _ in cases if results[0][name] != results[1][name]]
+    for name in differ:
+        print(f"differs: {name}: {results[0][name]} != {results[1][name]}")
+    print(f"{corpus} bytes: {len(differ)} of {len(cases)} cases differ")
+    return len(differ)
+
+
+def compare_time(corpus: str, jobs: list, srcs: list[Path], rounds: int) -> None:
+    """Print each tree's timings over ``rounds`` interleaved rounds of ``jobs``."""
+    done = subprocess.run(
+        [sys.executable, "-c", TIME_RUNNER],
+        input=json.dumps([rounds, jobs, *map(str, srcs)]),
+        capture_output=True, text=True, check=True,
+    )
+    figures = []
+    for src, best in zip(srcs, json.loads(done.stdout)):
+        ms = [1000 * t for t in best]
+        figures.append((sum(best), nearest_rank(ms, 50), nearest_rank(ms, 95)))
+        print(f"{corpus} time {src}: wall_s {figures[-1][0]:.4f}"
+              f" job_p50_ms {figures[-1][1]:.4f} job_p95_ms {figures[-1][2]:.4f}")
+    ratios = " ".join(f"{b / a:.3f}" for a, b in zip(*figures))
+    print(f"{corpus} time second/first (wall_s p50 p95): {ratios}")
 
 
 def main() -> int:
@@ -118,33 +166,11 @@ def main() -> int:
         parser.error("give --src exactly twice")
     srcs = [src.resolve() for src in args.src]
 
-    cases = byte_cases()
-    with tempfile.TemporaryDirectory() as tmp:
-        cases_path = str(Path(tmp) / "cases.json")
-        Path(cases_path).write_text(json.dumps(cases), encoding="utf-8")
-        results = [run_bytes(src, cases_path) for src in srcs]
-    for src, result in zip(srcs, results):
-        digest = hashlib.sha256(json.dumps(list(result.items())).encode())
-        print(f"bytes {src}: {len(result)} cases, sha256 {digest.hexdigest()}")
-    differ = [name for name, _ in cases if results[0][name] != results[1][name]]
-    for name in differ:
-        print(f"differs: {name}: {results[0][name]} != {results[1][name]}")
-    print(f"bytes: {len(differ)} of {len(cases)} cases differ")
-
-    jobs = [list(job.argv) for job in descent_mix.documents(0)]
-    done = subprocess.run(
-        [sys.executable, "-c", TIME_RUNNER],
-        input=json.dumps([args.rounds, jobs, *map(str, srcs)]),
-        capture_output=True, text=True, check=True,
-    )
-    figures = []
-    for src, best in zip(srcs, json.loads(done.stdout)):
-        ms = [1000 * t for t in best]
-        figures.append((sum(best), nearest_rank(ms, 50), nearest_rank(ms, 95)))
-        print(f"time {src}: wall_s {figures[-1][0]:.4f}"
-              f" job_p50_ms {figures[-1][1]:.4f} job_p95_ms {figures[-1][2]:.4f}")
-    ratios = " ".join(f"{b / a:.3f}" for a, b in zip(*figures))
-    print(f"time second/first (wall_s p50 p95): {ratios}")
+    differ = compare_bytes("descent", descent_cases(), srcs)
+    differ += compare_bytes("census", census_cases(), srcs)
+    descent_jobs = [list(job.argv) for job in descent_mix.documents(0)]
+    compare_time("descent", descent_jobs, srcs, args.rounds)
+    compare_time("census", [list(argv) for argv in FUSION_JOBS], srcs, args.rounds)
     return 1 if differ else 0
 
 

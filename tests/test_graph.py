@@ -8,7 +8,9 @@ import pytest
 from graphstrata.limits import SizeLimitError
 from graphstrata.stablegraph import (
     DisconnectedGraphError,
+    _degenerations,
     _iter_label_assignments,
+    _shapes_by_edges,
     StableGraph,
     canonical_form,
     census_to_doc,
@@ -360,6 +362,73 @@ def test_label_placements_come_once_each_in_increasing_order(counts):
     multiset = [v for v, c in enumerate(counts) for _ in range(c)]
     expected = sorted(set(itertools.permutations(multiset)))
     assert list(_iter_label_assignments(counts, len(multiset))) == expected
+
+
+def reference_degenerations(shape, v):
+    """Every split of v, filtered afterwards: the generator before it
+    visited only the stable ones, kept as the reference."""
+    genera, counts, edges = shape
+    h, n = genera[v], counts[v]
+    if h > 0:
+        yield genera[:v] + (h - 1,) + genera[v + 1:], counts, edges + ((v, v),)
+    w = len(genera)
+    loops = edges.count((v, v))
+    rest = [(a, b) for a, b in edges if v not in (a, b)]
+    away = sorted(Counter(a + b - v for a, b in edges if (a == v) != (b == v)).items())
+    for h1, n1 in itertools.product(range(h + 1), range(n + 1)):
+        h2, n2 = h - h1, n - n1
+        if (h1, n1) > (h2, n2):
+            continue
+        new_genera = genera[:v] + (h1,) + genera[v + 1:] + (h2,)
+        new_counts = counts[:v] + (n1,) + counts[v + 1:] + (n2,)
+        for kept in itertools.product(*(range(k + 1) for _, k in away)):
+            excess_v = 2 * h1 - 1 + n1 + loops + sum(kept)
+            excess_w = 2 * h2 - 1 + n2 + loops + sum(k for _, k in away) - sum(kept)
+            shares = [(a, b) for a in range(loops + 1) for b in range(loops - a + 1)
+                      if excess_v + a - b > 0 and excess_w + b - a > 0]
+            if not shares:
+                continue
+            moved = list(rest)
+            for (u, k), j in zip(away, kept):
+                moved += [(min(u, v), max(u, v))] * j + [(u, w)] * (k - j)
+            for a, b in shares:
+                yield new_genera, new_counts, tuple(
+                    moved + [(v, v)] * a + [(w, w)] * b + [(v, w)] * (loops - a - b + 1)
+                )
+
+
+def assert_same_degenerations(shape):
+    for v in range(len(shape[0])):
+        expected = Counter(reference_degenerations(shape, v))
+        assert Counter(_degenerations(shape, v)) == expected, (shape, v)
+
+
+def test_degenerations_match_the_reference_on_every_census_shape():
+    signatures = [
+        (g, m) for g in range(4) for m in range(10)
+        if 2 * g - 2 + m > 0 and 3 * g - 3 + m <= 6
+    ]
+    assert len(signatures) == 18
+    for g, m in signatures:
+        for level in _shapes_by_edges(g, m, 3 * g - 3 + m):
+            for shape in level:
+                assert_same_degenerations(shape)
+
+
+def test_degenerations_match_the_reference_on_random_shapes():
+    # Loop shares and repeated neighbours beyond what the small censuses
+    # reach; the shapes need be neither connected nor stable.
+    rng = random.Random(20260)
+    for _ in range(2000):
+        nv = rng.randint(1, 3)
+        genera = tuple(rng.randint(0, 2) for _ in range(nv))
+        counts = tuple(rng.randint(0, 3) for _ in range(nv))
+        edges = []
+        for u in range(nv):
+            edges += [(u, u)] * rng.choice((0, 0, 0, 1, 2, 3))
+            for w in range(u + 1, nv):
+                edges += [(u, w)] * rng.choice((0, 0, 0, 1, 2, 3))
+        assert_same_degenerations((genera, counts, tuple(sorted(edges))))
 
 
 def test_census_entries_are_stable_and_in_range(all_censuses):
