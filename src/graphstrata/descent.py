@@ -22,8 +22,9 @@ charts mark the same m points, so none is unmarked exactly when the fiber
 has m points.  ``verify_star`` decides by this rule, and
 ``class_function``, ``equivalent`` and ``globalize_trivial_group`` read
 its verdict.  A report's ``witness_images`` matches a pair when it is read,
-and every verdict reads that view, one pair per chart.  If a chart fails
-its match, a star report matches every pair once, for ``missing``.
+and every verdict reads that view, one pair per chart; it is the module's
+one chart matcher.  A star or morphism report's ``missing`` is read from
+that view too, the pairs it cannot match, and is built only when asked.
 When the condition holds, each distinguished point acquires a well-defined
 class: the orbit of its chart index (``class_function``).  Witnesses are
 image tuples; a report's ``witnesses`` builds ``Permutation`` values.
@@ -163,26 +164,15 @@ class ChartedMarking:
 Images = tuple[int, ...]
 
 
-def _positions(seq: Sequence[str]) -> dict[str, int]:
-    return {p: k for k, p in enumerate(seq, start=1)}
-
-
-def _match(seq_a: Sequence[str], pos_b: Mapping[str, int], members: frozenset) -> Images | None:
-    """The j with seq_a[i-1] == seq_b[j(i)-1] if it is in ``members``; pos_b = _positions(seq_b)."""
-    try:
-        images = tuple(map(pos_b.__getitem__, seq_a))
-    except KeyError:
-        return None
-    return images if images in members else None
-
-
 class _PairWitnesses(Mapping):
     """Witness images of chart pairs, each matched when read: a read-only
-    stand-in, equal to, printed and pickled as the dict of matched pairs.
+    stand-in, equal to and printed as the dict of matched pairs, pickled as itself.
 
-    A key ``(a, b)`` pairs the chart ``charts[a]`` with ``sigma[b]``; ``rows()``
-    yields each chart a with its charts b in report order, the first b the first
-    chart over its point.  Charts over different base points never match.
+    A key ``(a, b)`` pairs the chart ``charts[a]`` with ``sigma[b]``; its witness
+    is the position match j with charts[a][i-1] == sigma[b][j(i)-1], if j is in
+    ``members``.  ``rows()`` yields each chart a with its charts b in report
+    order, the first b the first chart over its point.  Charts over different
+    base points never match.  This is the module's one chart matcher.
     """
 
     def __init__(self, rows, charts, sigma, members) -> None:
@@ -195,11 +185,13 @@ class _PairWitnesses(Mapping):
     def get(self, key, default=None):
         try:
             a, b = key if type(key) is tuple else ()
-            pos = self._pos.get(b) or self._pos.setdefault(b, _positions(self._sigma[b]))
-            return _match(self._charts[a], pos, self._members) or default  # a match is nonempty
-        except (ValueError, KeyError):  # no pair, or a chart the report does not hold
+            pos = self._pos.get(b) or self._pos.setdefault(
+                b, {p: k for k, p in enumerate(self._sigma[b], start=1)})
+            images = tuple(map(pos.__getitem__, self._charts[a]))
+        except (ValueError, KeyError):  # no pair, a chart the report does not hold, no match
             hash(key)  # an unhashable key is refused as a dict refuses it
             return default
+        return images if images in self._members else default
 
     def __getitem__(self, key):
         if (j := self.get(key)) is None:
@@ -215,9 +207,6 @@ class _PairWitnesses(Mapping):
     def __repr__(self) -> str:
         return repr(dict(self))
 
-    def __reduce__(self):
-        return dict, (dict(self),)
-
 
 class _Witnessed:
     """A report whose ``witness_images`` hold relabelings as image tuples."""
@@ -228,18 +217,30 @@ class _Witnessed:
         return {key: Permutation(j) for key, j in self.witness_images.items()}
 
 
+class _PairReport(_Witnessed):
+    """A report whose ``witness_images`` view also answers its failed pairs."""
+
+    @property
+    def missing(self) -> tuple[tuple[str, str], ...]:
+        """The pairs ``witness_images`` cannot match, in report order; ``()`` when valid."""
+        if self.valid:
+            return ()
+        view = self.witness_images
+        return tuple(key for key in view.pairs() if view.get(key) is None)
+
+
 @record
-class StarReport(_Witnessed):
+class StarReport(_PairReport):
     """Outcome of the chart compatibility check.
 
     ``witness_images`` maps each ordered same-fiber pair to its
-    relabeling; ``missing`` lists pairs with no relabeling in the group;
-    ``unmarked`` lists declared fiber points no chart ever marks.
+    relabeling; ``unmarked`` lists declared fiber points no chart ever
+    marks.  ``missing``, read from the view, lists pairs with no
+    relabeling in the group.
     """
 
     valid: bool
     witness_images: Mapping[tuple[str, str], Images]
-    missing: tuple[tuple[str, str], ...]
     unmarked: dict[str, tuple[str, ...]]
 
 
@@ -260,12 +261,7 @@ def verify_star(marking: ChartedMarking) -> StarReport:
     big = [s for s in cover.base if len(fibers[s]) > marking.m]  # any chart marks a fiber of m
     hit = set().union(*sigma.values()) if big else ()  # fibers are disjoint
     unmarked = {s: extra for s in big if (extra := tuple(p for p in fibers[s] if p not in hit))}
-    return StarReport(
-        valid=matched and not unmarked,
-        witness_images=witnesses,
-        missing=() if matched else tuple(k for k in witnesses.pairs() if witnesses.get(k) is None),
-        unmarked=unmarked,
-    )
+    return StarReport(valid=matched and not unmarked, witness_images=witnesses, unmarked=unmarked)
 
 
 def class_function(marking: ChartedMarking) -> dict[str, frozenset[int]]:
@@ -333,10 +329,8 @@ def dominates(
     for c in fine.cover.cover:
         if coarse.cover.down[down[c]] != fine.cover.down[c]:
             raise ValueError(f"down map does not commute over {c}")
-    positions = {c: _positions(seq) for c, seq in coarse.sigma.items()}
-    sigma, members = fine.sigma, fine.group.members
-    witnesses = {c: j for c in fine.cover.cover
-                 if (j := _match(sigma[c], positions[down[c]], members)) is not None}
+    view = _PairWitnesses(None, fine.sigma, coarse.sigma, fine.group.members)  # rows unread
+    witnesses = {c: j for c in fine.cover.cover if (j := view.get((c, down[c]))) is not None}
     missing = tuple(c for c in fine.cover.cover if c not in witnesses)
     return DominationReport(valid=not missing, witness_images=witnesses, missing=missing)
 
@@ -395,18 +389,18 @@ class FiberMorphism:
 
 
 @record
-class MorphismReport(_Witnessed):
+class MorphismReport(_PairReport):
     """Chart verdict, class verdict, and whether they agree.
 
     ``valid`` is the chart criterion: at every point of the common
     refinement the fiber map carries the source chart onto the target
     chart up to a group element.  ``classes_preserved`` is the coarser
-    criterion that each distinguished point keeps its class.
+    criterion that each distinguished point keeps its class.  ``missing``,
+    read from the view, lists the pairs of each source chart that fails.
     """
 
     valid: bool
     witness_images: Mapping[tuple[str, str], Images]
-    missing: tuple[tuple[str, str], ...]
     classes_preserved: bool
     class_violations: tuple[tuple[str, str], ...]
     verdicts_agree: bool
@@ -440,16 +434,13 @@ def verify_morphism(
     rows = partial(_refinement_rows, c1, c2, hm.base_map)
     witnesses = _PairWitnesses(rows, mapped, c2.sigma, c1.group.members)
     # One match per source chart, against the first target chart, decides all its pairs.
-    missing = tuple((a, b) for a, targets in rows()
-                    if not witnesses.get((a, targets[0])) for b in targets)
+    valid = all(witnesses.get((a, targets[0])) for a, targets in rows())
     arrows = ((p, hm.fiber_maps[s][p]) for s in c1.cover.base for p in c1.fiber_points[s])
     violations = tuple((p, q) for p, q in arrows if classes2.get(q) != classes1[p])
-    valid = not missing
     preserved = not violations
     return MorphismReport(
         valid=valid,
         witness_images=witnesses,
-        missing=missing,
         classes_preserved=preserved,
         class_violations=violations,
         verdicts_agree=valid == preserved,

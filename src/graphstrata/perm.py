@@ -77,7 +77,9 @@ class Permutation:
         return self.images[i - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        # (a * b)(i) = a(b(i))
+        # (a * b)(i) = a(b(i)); another operand is refused as the comparisons refuse it.
+        if not isinstance(other, Permutation):
+            return NotImplemented
         check_acts_on(other, self.degree)
         return Permutation(tuple(self.images[j - 1] for j in other.images))
 

@@ -7,7 +7,9 @@ Bytes: one fresh interpreter per tree imports the package from that tree's
 corpus is every descent-mix document of content variants 0-9, the
 malformed documents of ``tests/record_refusals.py`` and, on every
 ``tests/fixtures/*.desc`` document, ``verify-descent`` and
-``verify-morphism``, and ``equiv-descent`` on every ordered pair of them.
+``verify-morphism``, ``equiv-descent`` on every ordered pair of them, and
+the five rows of ``tests/descent_scale.py`` at 200 charts, its documents
+passed inline: the only documents here with many charts per fiber.
 The census corpus is every case of ``tests/golden_cli.json`` and the jobs
 of the benchmark's big-group-fusion workload.  Per corpus it prints per
 tree one sha256 over every case's exit code, stdout and stderr, then each
@@ -42,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "tests")]
 
+import descent_scale  # noqa: E402
 from perfbench import descent_mix  # noqa: E402
 from perfbench.run import nearest_rank  # noqa: E402
 from perfbench.workloads import FIXED  # noqa: E402
@@ -49,6 +52,7 @@ from record_golden import CASES as GOLDEN_CASES, resolve  # noqa: E402
 from record_refusals import cases as refusal_cases  # noqa: E402
 
 FUSION_JOBS = FIXED["big-group-fusion"]
+SCALE_CHARTS = 200
 
 BYTES_RUNNER = r"""
 import contextlib, hashlib, io, json, sys
@@ -106,6 +110,16 @@ def descent_cases() -> list[tuple[str, list[str]]]:
             for f in fixtures for cmd in ("verify-descent", "verify-morphism")]
     out += [(f"equiv-descent {Path(f).name} {Path(g).name}", ["equiv-descent", f, g])
             for f in fixtures for g in fixtures]
+    k = SCALE_CHARTS
+    star, invalid_star = descent_scale.marking_text(k), descent_scale.marking_text(k, group="()")
+    out += [
+        (f"scale verify-descent k={k}", ["verify-descent", star]),
+        (f"scale verify-morphism k={k}", ["verify-morphism", descent_scale.morphism_text(k)]),
+        (f"scale equiv-descent k={k}", ["equiv-descent", star, star]),
+        (f"scale verify-descent group=() k={k}", ["verify-descent", invalid_star]),
+        (f"scale verify-morphism group=() k={k}",
+         ["verify-morphism", descent_scale.morphism_text(k, "()", ("p q",))]),
+    ]
     return out
 
 

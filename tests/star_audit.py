@@ -2,8 +2,9 @@
 
 ``graphstrata.descent.verify_star`` finds each witness as the position
 match of two charts and decides compatibility by one match per chart;
-``verify_morphism`` decides by one match per source chart.  These scans
-share no code with either: they move each chart by every group element
+``verify_morphism`` decides by one match per source chart, and
+``dominates`` by one match per fine chart.  These scans share no code
+with any of them: they move each chart by every group element
 and look the other chart up among the results, and they walk every triple
 of charts over a base point.  They hold for
 any injective charts, so a disagreement means the report is wrong.
@@ -70,6 +71,17 @@ def scan_morphism(hm, source, target):
     }
     pairs = [(a, b) for a in source.cover.cover for b in _over(target.cover, home[a])]
     return _scan(pairs, mapped, target.sigma, source.group, source.m)
+
+
+def scan_domination(fine, coarse, down):
+    """``(witness images, missing points)`` of a domination, from every group element.
+
+    Each fine cover point c, in fine cover order, pairs with the coarse
+    chart at ``down[c]``; its witness is the g with fine[c] == coarse[down[c]] o g.
+    """
+    pairs = [(c, down[c]) for c in fine.cover.cover]
+    witnesses, missing = _scan(pairs, fine.sigma, coarse.sigma, fine.group, fine.m)
+    return {c: j for (c, _), j in witnesses.items()}, tuple(c for c, _ in missing)
 
 
 def audit_unique(marking, witnesses):

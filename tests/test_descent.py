@@ -1,3 +1,4 @@
+import copy
 import itertools
 import pickle
 import random
@@ -36,7 +37,13 @@ from graphstrata.perm import (
 )
 
 from graphstrata.cli import main
-from star_audit import audit_coherent, audit_unique, scan_morphism, scan_star
+from star_audit import (
+    audit_coherent,
+    audit_unique,
+    scan_domination,
+    scan_morphism,
+    scan_star,
+)
 
 
 def make_group(gens, m):
@@ -106,10 +113,15 @@ def test_intro_marking_is_valid(intro_marking):
     assert report.witnesses[("s1", "s1")].is_identity()
 
 
-def test_star_report_holds_only_its_verdict_and_pairs():
-    assert StarReport.__match_args__ == (
-        "valid", "witness_images", "missing", "unmarked",
-    )
+def test_star_report_holds_only_its_verdict_and_pairs(intro_small_group_marking):
+    assert StarReport.__match_args__ == ("valid", "witness_images", "unmarked")
+    # ``missing`` is read from the witness view: it is no field to pass or assign.
+    report = verify_star(intro_small_group_marking)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'missing'"):
+        StarReport(valid=False, witness_images=report.witness_images, missing=(), unmarked={})
+    with pytest.raises(AttributeError):
+        report.missing = ()
+    assert report.missing == (("s1", "s2"), ("s2", "s1"))
 
 
 def test_intro_fails_with_smaller_group(intro_small_group_marking):
@@ -392,6 +404,50 @@ def test_domination_structural_errors(intro_marking):
     assert report.valid
 
 
+def _random_refinement(rng, coarse):
+    """A marking of 1-3 sheets over each chart of ``coarse``, and its map onto them.
+
+    Most sheets restate their chart moved by a group element; planted
+    defects move it by an arbitrary permutation (usually outside the group)
+    or first move the chart to another support of the fiber.
+    """
+    m, group = coarse.m, coarse.group
+    down, fine_down, sigma = {}, {}, {}
+    for c in coarse.cover.cover:
+        s = coarse.cover.down[c]
+        for k in range(rng.randint(1, 3)):
+            name = f"{c}f{k}"
+            down[name], fine_down[name] = c, s
+            if rng.random() < 0.15:
+                twist = Permutation(tuple(rng.sample(range(1, m + 1), m)))
+            else:
+                twist = group.elements[rng.randrange(group.order)]
+            seq = coarse.sigma[c]
+            if len(coarse.fiber_points[s]) > m and rng.random() < 0.15:
+                seq = tuple(rng.sample(coarse.fiber_points[s], m))
+            sigma[name] = tuple(seq[twist(i) - 1] for i in range(1, m + 1))
+    names = list(down)
+    rng.shuffle(names)
+    cover = FiniteCover(coarse.cover.base, tuple(names), fine_down)
+    return ChartedMarking(cover, m, group, dict(coarse.fiber_points), sigma), down
+
+
+def test_dominates_agrees_with_audit_on_random_pairs():
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(300):
+        coarse = _random_star_marking(rng, rng.randint(2, 5))
+        fine, down = _random_refinement(rng, coarse)
+        report = dominates(fine, coarse, down)
+        # Brute force over the group, sharing no code with dominates.
+        witnesses, missing = scan_domination(fine, coarse, down)
+        assert list(report.witness_images.items()) == list(witnesses.items())
+        assert report.missing == missing
+        assert report.valid == (not missing)
+        verdicts.add(report.valid)
+    assert verdicts == {True, False}
+
+
 def test_class_function_invariant_under_domination():
     coarse = single_chart(("p2", "p1", "p3", "p4"))
     fine = two_sheets(("p2", "p1", "p3", "p4"), ("p1", "p2", "p4", "p3"))
@@ -591,18 +647,18 @@ def test_morphism_checks_each_marking_once(monkeypatch):
     # source chart, where a pair scan would cost one per pair.  Equivalence
     # keeps the same rule.
     star_calls, matches = [], []
-    verify_star_unwrapped, match_unwrapped = descent.verify_star, descent._match
+    verify_star_unwrapped, get_unwrapped = descent.verify_star, descent._PairWitnesses.get
 
     def counting_star(marking):
         star_calls.append(marking)
         return verify_star_unwrapped(marking)
 
-    def counting_match(*args):
-        matches.append(args)
-        return match_unwrapped(*args)
+    def counting_get(self, key, default=None):
+        matches.append(key)
+        return get_unwrapped(self, key, default)
 
     monkeypatch.setattr(descent, "verify_star", counting_star)
-    monkeypatch.setattr(descent, "_match", counting_match)
+    monkeypatch.setattr(descent._PairWitnesses, "get", counting_get)
     charts = ["a b c d", "b a c d", "a b d c", "b a d c", "a b c d", "b a c d"]
     source = _fiber_marking(4, "(1 2),(3 4)", ["a b c d"], [charts])
     target = parse_marking_document(format_marking(source))
@@ -709,35 +765,76 @@ def test_wide_reports_hold_no_pair_table():
     assert len(lines) == 150
     lines = render_equivalence(witness)
     assert next(lines) == f"refinement: {150 * 150 + 2 * 2} cover points\n"
+    # Two failing forms of the 150-chart marking: its alternating charts
+    # under (), where every other pair fails, and the swap of a marking whose
+    # charts all read p q under (), where every pair fails.  Their missing
+    # pairs, 11,252 and 22,504, take about 0.7 and 1.4 MB as tuples; neither
+    # report nor its rendering holds them.
+    alternating = _fiber_marking(2, "()", ["p q", "r t"], [["p q", "q p"] * 75, ["r t", "t r"]])
+    alike = _fiber_marking(2, "()", ["p q", "r t"], [["p q"] * 150, ["r t", "r t"]])
+    swap = FiberMorphism(
+        base_map={"x0": "x0", "x1": "x1"},
+        fiber_maps={"x0": {"p": "q", "q": "p"}, "x1": {"r": "t", "t": "r"}},
+    )
+
+    def failing_star():
+        report = verify_star(alternating)
+        return report, sum(map(len, render_star_report(alternating, report)))
+
+    def failing_morphism():
+        report = verify_morphism(swap, alike, alike)
+        return report, sum(map(len, render_morphism_report(swap, alike, alike, report)))
+
+    (star_report, _), star_peak = _traced_peak(failing_star)
+    (morphism_report, _), morphism_peak = _traced_peak(failing_morphism)
+    assert max(star_peak, morphism_peak) < 400_000
+    assert not star_report.valid and not morphism_report.valid
+    assert star_report.missing == scan_star(alternating)[1]
+    assert len(star_report.missing) == 2 * 75 * 75 + 2
+    assert morphism_report.missing == scan_morphism(swap, alike, alike)[1]
+    assert len(morphism_report.missing) == 150 * 150 + 2 * 2
 
 
 def test_witness_view_answers_as_a_dict():
     marking = _wide_marking(5)
     hm = identity_morphism(marking)
+    keys = [
+        ("x0c0", "x0c1"),  # a matched pair
+        ("x0c0", "x1c0"),  # a cross-fiber pair
+        ("x0c0", "zz"),  # an unknown chart
+        ("zz", "x0c0"),
+        "x0c0",  # keys that are no pair
+        ("x0c0",),
+        ("x0c0", "x0c1", "x0c2"),
+        3,
+    ]
     for report in (verify_star(marking), verify_morphism(hm, marking, marking)):
         view = report.witness_images
         table = dict(view)
         assert len(view) == len(table) == 5 * 5 + 4
         assert repr(view) == repr(table) and view == table and table == view
         assert list(view) == list(table)
-        for key in [
-            ("x0c0", "x0c1"),  # a matched pair
-            ("x0c0", "x1c0"),  # a cross-fiber pair
-            ("x0c0", "zz"),  # an unknown chart
-            ("zz", "x0c0"),
-            "x0c0",  # keys that are no pair
-            ("x0c0",),
-            ("x0c0", "x0c1", "x0c2"),
-            3,
-        ]:
+        for key in keys:
             assert view.get(key, "absent") == table.get(key, "absent"), key
             assert (key in view) == (key in table), key
         with pytest.raises(KeyError):
             view[("x0c0", "x1c0")]
         with pytest.raises(TypeError):
             view.get(["x0c0", "x0c1"])
+        # A pickled report keeps its view, which answers as the dict does.
         copied = pickle.loads(pickle.dumps(report))
-        assert copied == report and type(copied.witness_images) is dict
+        assert copied == report and copied.witness_images == table
+        for key in keys:
+            assert copied.witness_images.get(key, "absent") == table.get(key, "absent"), key
+
+
+def test_failing_reports_answer_missing_after_a_round_trip():
+    flips = ["p q", "q p"]
+    marking = _fiber_marking(2, "()", ["p q", "r t"], [flips * 2 + ["p q"], ["r t", "t r"]])
+    report = verify_star(marking)
+    assert not report.valid and report.missing == scan_star(marking)[1] != ()
+    for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert copied == report and copied.missing == report.missing
 
 
 def _render_star(marking):

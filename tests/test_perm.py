@@ -41,6 +41,17 @@ def test_composition_applies_right_factor_first():
     assert (b * a).images == (3, 1, 2)
 
 
+def test_product_with_a_non_permutation_is_refused():
+    p = parse_permutation("(1 2)", 3)
+    for other in (3, (2, 1, 3), "x", None):
+        assert p.__mul__(other) is NotImplemented
+        for product in (lambda: p * other, lambda: other * p):
+            with pytest.raises(TypeError):
+                product()
+    with pytest.raises(ValueError, match="degree 2 does not match m = 3"):
+        p * parse_permutation("(1 2)", 2)
+
+
 def test_rejects_non_bijections():
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))
