@@ -222,10 +222,16 @@ class _PairReport(_Witnessed):
 
     @property
     def missing(self) -> tuple[tuple[str, str], ...]:
-        """The pairs ``witness_images`` cannot match, in report order; ``()`` when valid."""
+        """The pairs ``witness_images`` cannot match, in report order; ``()`` when valid.
+
+        Only the view a check builds lists its pairs: an invalid report built
+        around any other mapping raises ``TypeError``.
+        """
         if self.valid:
             return ()
         view = self.witness_images
+        if not isinstance(view, _PairWitnesses):
+            raise TypeError(f"missing needs the report's pair view, not a {type(view).__name__}")
         return tuple(key for key in view.pairs() if view.get(key) is None)
 
 

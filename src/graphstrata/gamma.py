@@ -87,8 +87,7 @@ _fields = attrgetter("genera", "edges", "legs")
 def gamma_canonical_form(graph: StableGraph, group: PermGroup) -> StableGraph:
     """Least canonical form over all relabelings in the group."""
     check_acts_on(group, graph.m)
-    images = map(relabel_legs, repeat(graph), group)
-    return min(map(canonical_form, images), key=_fields)
+    return min(map(canonical_form, repeat(graph), group), key=_fields)
 
 
 @record
@@ -192,7 +191,7 @@ def enumerate_gamma_strata(
             stab = tuple(
                 gamma
                 for gamma in group
-                if _fields(canonical_form(relabel_legs(rep, gamma))) == fields
+                if _fields(canonical_form(rep, gamma)) == fields
             )
             stabilizer = PermGroup(
                 group.degree, stab, frozenset(g.images for g in stab)

@@ -422,7 +422,7 @@ def _least_order(
     return list(result[0]), result[1], best
 
 
-def canonical_form(graph: StableGraph) -> StableGraph:
+def canonical_form(graph: StableGraph, gamma: Permutation | None = None) -> StableGraph:
     """A fixed representative of the labeled isomorphism class.
 
     Idempotent, and equal for any two isomorphic presentations; a graph
@@ -435,8 +435,16 @@ def canonical_form(graph: StableGraph) -> StableGraph:
     signature (genus, degree, least label) does.  Keys that strictly
     increase along the vertices are discrete and already sorted, and the
     graph is returned; distinct keys are sorted; only ties go to the search.
+
+    With ``gamma``, the result is that of ``relabel_legs(graph, gamma)``:
+    the legs are pulled along gamma as the keys are built, so the relabeled
+    graph is built only when it is the result.
     """
     genera, edges, legs = graph.genera, graph.edges, graph.legs
+    if gamma is not None:
+        if len(gamma.images) != len(legs):
+            check_acts_on(gamma, len(legs))
+        legs = gamma._pull(legs)
     nv = len(genera)
     step = len(legs) + 1
     top = (2 * len(edges) + 1) * step
@@ -450,13 +458,13 @@ def canonical_form(graph: StableGraph) -> StableGraph:
             key[v] += label
         label += 1
     if all(map(lt, key, key[1:])):
-        return graph
+        return graph if legs == graph.legs else _carried(genera, edges, legs)
     if len(set(key)) == nv:
         order, pos, moved = _sorted_order(key, edges)
     else:
         order, pos, moved = _least_order(key, edges)
         if order == list(range(nv)):
-            return graph
+            return graph if legs == graph.legs else _carried(genera, edges, legs)
     return _carried(tuple(map(genera.__getitem__, order)), tuple(moved),
                     tuple(map(pos.__getitem__, legs)))
 
@@ -490,7 +498,11 @@ def _degenerations(shape: tuple, v: int) -> Iterator[tuple]:
     w, sends each edge from v to another vertex to v or to w, and keeps
     each loop at v, moves it to w, or turns it into another v-w edge.
     Its mirror (v and w swapped) is isomorphic, so only the shares with
-    (h1, n1) <= (h - h1, n - n1) are tried.
+    (h1, n1) <= (h - h1, n - n1) are tried.  When the two are equal, the
+    mirror is another split of the same share, and only one of each pair
+    is yielded: the one whose kept counts per neighbor precede its
+    mirror's, or, with the same counts, the one with no more loops at v
+    than at w.
 
     Only stable splits are visited.  Say ``stay`` of the K edges from v
     to other vertices stay at v, and of its L loops a stay at v and b
@@ -525,7 +537,8 @@ def _degenerations(shape: tuple, v: int) -> Iterator[tuple]:
         moved = list(rest)
         for (u, k), j in zip(away, kept):
             moved += [(min(u, v), max(u, v))] * j + [(u, w)] * (k - j)
-        by_stay[sum(kept)].append(tuple(moved))
+        back = tuple(k - j for (_, k), j in zip(away, kept))
+        by_stay[sum(kept)].append((tuple(moved), (kept > back) - (kept < back)))
     shares = [(a - b, ((v, v),) * a + ((w, w),) * b + ((v, w),) * (loops - a - b + 1))
               for a in range(loops + 1) for b in range(loops - a + 1)]
     for h1 in range(h // 2 + 1):
@@ -535,11 +548,15 @@ def _degenerations(shape: tuple, v: int) -> Iterator[tuple]:
             new_counts = counts[:v] + (n1,) + counts[v + 1:] + (n - n1,)
             ev = 2 * h1 - 1 + n1 + loops
             ew = 2 * h2 - 1 + n - n1 + loops + total
+            even = h1 == h2 and 2 * n1 == n
             for stay in range(max(0, 1 - loops - ev), min(total, ew + loops - 1) + 1):
-                tails = [tail for d, tail in shares if -ev - stay < d < ew - stay]
-                for moved in by_stay[stay]:
-                    for tail in tails:
-                        yield new_genera, new_counts, moved + tail
+                tails = [(d, tail) for d, tail in shares if -ev - stay < d < ew - stay]
+                for moved, side in by_stay[stay]:
+                    if even and side > 0:  # its mirror is yielded
+                        continue
+                    for d, tail in tails:
+                        if d <= 0 or side or not even:
+                            yield new_genera, new_counts, moved + tail
 
 
 def _shapes_by_edges(g: int, m: int, top: int) -> list[list[tuple]]:

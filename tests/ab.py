@@ -23,7 +23,9 @@ and the tree that goes first alternates by round.  Per tree it prints the
 sum over the jobs of each job's fastest latency, and the nearest-rank p50
 and p95 of those fastest latencies, as the benchmark reports ``wall_s``,
 ``job_p50_ms`` and ``job_p95_ms``; then the second tree's figures over the
-first's.
+first's; then, per tree, the job at the p50 rank and the job at the p95
+rank, each with its fastest latency and its own second/first ratio, so a
+percentile's change can be traced to the job that carries it.
 
 The cases are built from this checkout's ``perfbench`` and ``tests``, so
 both trees read the same documents.  This is a plain script, not a test
@@ -155,20 +157,26 @@ def compare_bytes(corpus: str, cases: list, srcs: list[Path]) -> int:
 
 
 def compare_time(corpus: str, jobs: list, srcs: list[Path], rounds: int) -> None:
-    """Print each tree's timings over ``rounds`` interleaved rounds of ``jobs``."""
+    """Print each tree's timings over ``rounds`` interleaved rounds of ``jobs``,
+    given as (name, argv) pairs, and the jobs at its p50 and p95 ranks."""
     done = subprocess.run(
         [sys.executable, "-c", TIME_RUNNER],
-        input=json.dumps([rounds, jobs, *map(str, srcs)]),
+        input=json.dumps([rounds, [argv for _, argv in jobs], *map(str, srcs)]),
         capture_output=True, text=True, check=True,
     )
+    bests = [[1000 * t for t in best] for best in json.loads(done.stdout)]
     figures = []
-    for src, best in zip(srcs, json.loads(done.stdout)):
-        ms = [1000 * t for t in best]
-        figures.append((sum(best), nearest_rank(ms, 50), nearest_rank(ms, 95)))
+    for src, ms in zip(srcs, bests):
+        figures.append((sum(ms) / 1000, nearest_rank(ms, 50), nearest_rank(ms, 95)))
         print(f"{corpus} time {src}: wall_s {figures[-1][0]:.4f}"
               f" job_p50_ms {figures[-1][1]:.4f} job_p95_ms {figures[-1][2]:.4f}")
     ratios = " ".join(f"{b / a:.3f}" for a, b in zip(*figures))
     print(f"{corpus} time second/first (wall_s p50 p95): {ratios}")
+    for src, ms, (_, *ranked) in zip(srcs, bests, figures):
+        for p, value in zip((50, 95), ranked):
+            k = ms.index(value)
+            print(f"{corpus} time {src}: p{p} job {jobs[k][0]}: {ms[k]:.4f} ms,"
+                  f" second/first {bests[1][k] / bests[0][k]:.3f}")
 
 
 def main() -> int:
@@ -182,9 +190,11 @@ def main() -> int:
 
     differ = compare_bytes("descent", descent_cases(), srcs)
     differ += compare_bytes("census", census_cases(), srcs)
-    descent_jobs = [list(job.argv) for job in descent_mix.documents(0)]
+    descent_jobs = [(f"descent-mix variant 0 job {k} {job.argv[0]}", list(job.argv))
+                    for k, job in enumerate(descent_mix.documents(0))]
     compare_time("descent", descent_jobs, srcs, args.rounds)
-    compare_time("census", [list(argv) for argv in FUSION_JOBS], srcs, args.rounds)
+    fusion_jobs = [(f"big-group-fusion {' '.join(argv)}", list(argv)) for argv in FUSION_JOBS]
+    compare_time("census", fusion_jobs, srcs, args.rounds)
     return 1 if differ else 0
 
 

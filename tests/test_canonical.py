@@ -21,7 +21,10 @@ read by every test that needs it.
 pass over its signatures; a test checks that it does so exactly when the
 reference leaves the graph unchanged.  Fused keys and stabilizers are
 checked against the least reference form over every relabeling and a
-reference scan of the group.
+reference scan of the group.  ``canonical_form(graph, gamma)`` must equal
+the form of ``relabel_legs(graph, gamma)`` on every reference input under
+seeded relabelings, and refuse a ``gamma`` of another degree as
+``relabel_legs`` does.
 
 ``canonical_form`` and ``relabel_legs`` build their results without
 running the constructor's checks; the last tests rebuild results through
@@ -281,6 +284,51 @@ def test_canonical_form_returns_its_input_exactly_when_it_is_canonical(reference
     for graph, expected in reference_forms:
         unchanged = expected == _triple(graph)
         assert (canonical_form(graph) is graph) == unchanged, graph
+
+
+def _label_permutations(graph, rng):
+    """The identity, a swap of two labels on one vertex if there is one, and
+    two seeded random permutations of the labels."""
+    m = graph.m
+    found = [tuple(range(1, m + 1))]
+    legs = graph.legs
+    shared = [(i, j) for i, j in itertools.combinations(range(m), 2) if legs[i] == legs[j]]
+    if shared:
+        i, j = rng.choice(shared)
+        swap = list(found[0])
+        swap[i], swap[j] = j + 1, i + 1
+        found.append(tuple(swap))
+    for _ in range(2):
+        found.append(tuple(rng.sample(found[0], m)))
+    return [Permutation(images) for images in found]
+
+
+def test_canonical_form_of_a_relabeling_is_that_of_the_relabeled_graph(reference_forms):
+    rng = random.Random(4507)
+    seen = set()
+    for graph, expected in reference_forms:
+        for gamma in _label_permutations(graph, rng) if graph.m else ():
+            moved = relabel_legs(graph, gamma)
+            found = canonical_form(graph, gamma)
+            assert found == canonical_form(moved), (graph, gamma)
+            _assert_as_constructed(found)
+            # The graph itself comes back exactly when gamma moves no leg and
+            # the graph is canonical.
+            still = _relabeled(graph, gamma.images)[2] == graph.legs
+            assert (found is graph) == (still and expected == _triple(graph)), (graph, gamma)
+            seen.add((still, gamma.is_identity(), found is graph))
+    assert seen >= {(True, True, True), (True, False, True), (False, False, False)}
+
+
+def test_canonical_form_refuses_a_relabeling_of_another_degree():
+    graph = StableGraph((0, 0), ((0, 1),), (0, 0, 1, 1))
+    for images in ((2, 1), (2, 3, 4, 5, 1)):
+        gamma = Permutation(images)
+        with pytest.raises(ValueError) as relabeled:
+            relabel_legs(graph, gamma)
+        with pytest.raises(ValueError) as canonical:
+            canonical_form(graph, gamma)
+        assert str(canonical.value) == str(relabeled.value)
 
 
 def _relabeled(graph, images):

@@ -14,6 +14,7 @@ from graphstrata.descent import (
     FiberMorphism,
     FiniteCover,
     FormatError,
+    MorphismReport,
     StarReport,
     class_function,
     dominates,
@@ -122,6 +123,23 @@ def test_star_report_holds_only_its_verdict_and_pairs(intro_small_group_marking)
     with pytest.raises(AttributeError):
         report.missing = ()
     assert report.missing == (("s1", "s2"), ("s2", "s1"))
+
+
+@pytest.mark.parametrize("kind,extra", [
+    (StarReport, {"unmarked": {}}),
+    (MorphismReport, {"classes_preserved": True, "class_violations": (), "verdicts_agree": False}),
+])
+def test_missing_needs_the_pair_view(kind, extra):
+    # A report built by hand around a plain mapping has no pairs to list:
+    # valid, it has none missing; invalid, ``missing`` is refused, and
+    # ``getattr`` with a default does not hide that.
+    images = {("a", "a"): (1,)}
+    assert kind(valid=True, witness_images=images, **extra).missing == ()
+    report = kind(valid=False, witness_images=images, **extra)
+    with pytest.raises(TypeError, match="missing needs the report's pair view, not a dict"):
+        report.missing
+    with pytest.raises(TypeError):
+        getattr(report, "missing", ())
 
 
 def test_intro_fails_with_smaller_group(intro_small_group_marking):

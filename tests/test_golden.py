@@ -16,6 +16,7 @@ from typing import NamedTuple
 import pytest
 
 from cycle_index import class_counts
+from graphstrata import cli, gamma, stablegraph
 from graphstrata.cli import main
 from graphstrata.stablegraph import GRAPH_FORMAT, graph_from_doc, graph_to_doc
 from record_golden import CASES, FIXTURES, GOLDEN_PATH, run
@@ -216,6 +217,12 @@ def test_legs_census_digests_match_the_benchmark():
     assert [f"{code}:{sha[:16]}" for code, sha in ours] == bench[:2]
 
 
+# Work ceilings over the nine big-group-fusion jobs: canonical forms, and
+# graphs built through ``stablegraph._carried``.  A change that does less
+# work lowers them; one that must raise them says what it bought.
+FUSION_CEILINGS = {"canonical_form": 3259, "_carried": 2340}
+
+
 def test_fusion_runs_match_the_benchmark(monkeypatch):
     # perfbench/golden.json pins the nine big-group-fusion jobs, most of them
     # no golden case here, and quotient-table 0 6 under S6, of order 720.
@@ -225,15 +232,33 @@ def test_fusion_runs_match_the_benchmark(monkeypatch):
 
     bench = workloads.load_golden()
     jobs = workloads.jobs_for("big-group-fusion", 1)
+    assert len(jobs) == 9
     jobs += workloads.jobs_for("large-group-fusion", 1)[:1]
     pinned = bench["big-group-fusion"] + bench["large-group-fusion"][:1]
     assert jobs[-1].argv == ("quotient-table", "0", "6", "--group", workloads.S6)
+    work = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            work[name] += 1
+            return function(*args)
+        return wrapper
+
     found = []
-    for job in jobs:
-        chunks = []
-        code, sha = run(main, list(job.argv), chunks.append).split()
-        found.append((job.argv, workloads.digest(int(code), sha), job.check("".join(chunks))))
+    with monkeypatch.context() as patch:  # counted over the nine jobs only
+        canon = counted("canonical_form", stablegraph.canonical_form)
+        for module in (stablegraph, gamma, cli):
+            patch.setattr(module, "canonical_form", canon)
+        patch.setattr(stablegraph, "_carried", counted("_carried", stablegraph._carried))
+        for job in jobs:
+            if len(found) == 9:
+                patch.undo()
+            chunks = []
+            code, sha = run(main, list(job.argv), chunks.append).split()
+            found.append((job.argv, workloads.digest(int(code), sha), job.check("".join(chunks))))
     assert found == [(job.argv, digest, None) for job, digest in zip(jobs, pinned)]
+    assert work.keys() == FUSION_CEILINGS.keys()
+    assert all(work[name] <= ceiling for name, ceiling in FUSION_CEILINGS.items()), work
 
 
 def test_descent_mix_runs_match_the_benchmark(monkeypatch):
