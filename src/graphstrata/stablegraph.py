@@ -232,49 +232,6 @@ def _signature(
     return list(zip(genera, deg, decoration))
 
 
-def _iter_vertex_maps(
-    sig_a: Sequence[tuple],
-    edges_a: Sequence[tuple[int, int]],
-    sig_b: Sequence[tuple],
-    edges_b: Sequence[tuple[int, int]],
-) -> Iterator[tuple[int, ...]]:
-    """All vertex bijections preserving signatures and edge counts, in
-    increasing order of the images of a's vertices in (signature, index) order."""
-    if sorted(sig_a) != sorted(sig_b):  # equal degree sums, so edge counts
-        return
-    nv = len(sig_a)
-    mult_a = [[0] * nv for _ in range(nv)]
-    mult_b = [[0] * nv for _ in range(nv)]
-    for mult, edges in ((mult_a, edges_a), (mult_b, edges_b)):
-        for u, v in edges:
-            mult[u][v] += 1
-            mult[v][u] += 1  # so a loop counts twice on both sides
-    order = sorted(range(nv), key=lambda v: (sig_a[v], v))
-    images = [[w for w in range(nv) if sig_b[w] == sig_a[v]] for v in order]
-    mapping = [0] * nv
-    used = [False] * nv
-
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
-        if k == nv:
-            yield tuple(mapping)
-            return
-        v, placed = order[k], order[:k + 1]  # v is the last placed: its loops
-        for w in images[k]:
-            if used[w]:
-                continue
-            mapping[v] = w
-            row_a, row_b = mult_a[v], mult_b[w]
-            for prev in placed:
-                if row_a[prev] != row_b[mapping[prev]]:
-                    break
-            else:
-                used[w] = True
-                yield from rec(k + 1)
-                used[w] = False
-
-    yield from rec(0)
-
-
 @record
 class GraphIsomorphism:
     """Where each vertex goes; parallel edges are interchangeable, so none is matched."""
@@ -295,10 +252,43 @@ def _leg_extras(graph: StableGraph, respect: bool) -> list[tuple]:
 def iter_graph_isomorphisms(
     a: StableGraph, b: StableGraph, respect_leg_labels: bool = True
 ) -> Iterator[GraphIsomorphism]:
+    """Every vertex bijection of a onto b preserving signatures and edge counts,
+    in increasing order of the images of a's vertices in (signature, index) order."""
     sig_a = _signature(a.genera, a.edges, _leg_extras(a, respect_leg_labels))
     sig_b = _signature(b.genera, b.edges, _leg_extras(b, respect_leg_labels))
-    for vmap in _iter_vertex_maps(sig_a, a.edges, sig_b, b.edges):
-        yield GraphIsomorphism(vmap)
+    if sorted(sig_a) != sorted(sig_b):  # equal degree sums, so edge counts
+        return
+    nv = len(sig_a)
+    mult_a = [[0] * nv for _ in range(nv)]
+    mult_b = [[0] * nv for _ in range(nv)]
+    for mult, edges in ((mult_a, a.edges), (mult_b, b.edges)):
+        for u, v in edges:
+            mult[u][v] += 1
+            mult[v][u] += 1  # so a loop counts twice on both sides
+    order = sorted(range(nv), key=lambda v: (sig_a[v], v))
+    images = [[w for w in range(nv) if sig_b[w] == sig_a[v]] for v in order]
+    mapping = [0] * nv
+    used = [False] * nv
+
+    def rec(k: int) -> Iterator[GraphIsomorphism]:
+        if k == nv:
+            yield GraphIsomorphism(tuple(mapping))
+            return
+        v, placed = order[k], order[:k + 1]  # v is the last placed: its loops
+        for w in images[k]:
+            if used[w]:
+                continue
+            mapping[v] = w
+            row_a, row_b = mult_a[v], mult_b[w]
+            for prev in placed:
+                if row_a[prev] != row_b[mapping[prev]]:
+                    break
+            else:
+                used[w] = True
+                yield from rec(k + 1)
+                used[w] = False
+
+    yield from rec(0)
 
 
 def graph_isomorphism(
@@ -654,11 +644,12 @@ def enumerate_stable_graphs(
             genera, edges = first.genera, first.edges
             bucket.append(canonical_form(first))
             sig = _signature(genera, edges, counts)
-            if len(set(sig)) == len(sig):  # only the identity keeps the signatures in place
+            if len(set(sig)) == len(sig) or max(counts) == m:  # one map, or one placement
                 bucket += [canonical_form(_carried(genera, edges, legs)) for legs in placements]
                 continue
             # The identity comes first among the maps and never moves a placement lower.
-            moves = [phi.__getitem__ for phi in _iter_vertex_maps(sig, edges, sig, edges)][1:]
+            autos = iter_graph_isomorphisms(first, first, False)
+            moves = [iso.vertex_map.__getitem__ for iso in autos][1:]
             for legs in placements:
                 if not any(tuple(map(move, legs)) < legs for move in moves):
                     bucket.append(canonical_form(_carried(genera, edges, legs)))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _counting(calls, function):
+    """``function``, counting its calls in ``calls`` under its name."""
+
+    def wrapper(*args):
+        calls[function.__name__] += 1
+        return function(*args)
+
+    return wrapper
 
 
 @pytest.mark.parametrize(
@@ -201,13 +212,19 @@ def test_check_stability_inline_document(capsys):
     assert out.endswith("STABLE\n")
 
 
-def test_check_stability_of_a_long_legged_path_is_linear(capsys):
+def test_check_stability_of_a_long_legged_path_is_linear(capsys, monkeypatch):
     # Its two ends have one edge and one leg each.  Reading each vertex's
     # valence with a scan of every edge and leg took 47 s on a 2-vCPU VM.
+    # Those per-vertex scans are ``StableGraph.degree`` and ``legs_at``:
+    # counting their calls bounds the work on any machine.
+    scans = Counter()
+    for scan in (StableGraph.degree, StableGraph.legs_at):
+        monkeypatch.setattr(StableGraph, scan.__name__, _counting(scans, scan))
     doc = legged_path(20_000)
     start = time.perf_counter()
     code, out, _ = run(capsys, "check-stability", doc)
     assert time.perf_counter() - start < 5
+    assert scans == {}
     assert code == 1
     assert out.splitlines()[1:] == ["violating vertices: v0 v19999", "UNSTABLE"]
 
@@ -500,10 +517,17 @@ def test_canon_cycles_past_the_old_ordering_cap(capsys, n):
     assert run(capsys, "canon", cycle(n)) == (0, out, "")
 
 
-def test_canon_refuses_the_petal_hub_past_the_search_budget(capsys):
+def test_canon_refuses_the_petal_hub_past_the_search_budget(capsys, monkeypatch):
+    # Each search node relabels every edge once, so the budget caps the
+    # relabelings at the budget over the edge count on any machine.
+    calls = Counter()
+    relabeled = _counting(calls, graphstrata.stablegraph._relabeled)
+    monkeypatch.setattr(graphstrata.stablegraph, "_relabeled", relabeled)
     start = time.perf_counter()
     code, out, err = run(capsys, "canon", petals(9))
     assert time.perf_counter() - start < 1
+    edges = len(json.loads(petals(9))["edges"])
+    assert 0 < calls["_relabeled"] <= _SEARCH_BUDGET // edges
     assert (code, out) == (2, "")
     assert err == (
         f"error: canonical form search exceeds its budget of {_SEARCH_BUDGET} edge relabelings\n"

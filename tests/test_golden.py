@@ -5,13 +5,17 @@ are taken chunk by chunk as the output is written, so no large output is
 held whole; only the cases the case-specific tests read are kept as text.
 The genus-0 census and quotient-table runs are also counted per node count
 as they stream, and the counts are checked against the cycle-index oracle.
+The cases ``WORK_CEILINGS`` names also count calls of library functions as
+they run, and each count is checked against its ceiling.
 """
 
+import contextlib
 import functools
 import json
 import re
 from collections import Counter
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 
@@ -44,6 +48,17 @@ _KEEP = {
 }
 
 
+# Work ceilings of golden cases: calls of ``stablegraph`` functions, counted
+# as the case replays.  In these runs only the census calls
+# ``iter_graph_isomorphisms``, to list a shape's automorphisms.  A change
+# that does less work lowers them; one that must raise them says what it
+# bought.
+WORK_CEILINGS = {
+    "enumerate 0 8": {"canonical_form": 39208, "iter_graph_isomorphisms": 23},
+    GENUS_5: {"_least_order": 32857, "_relabeled": 374188, "iter_graph_isomorphisms": 0},
+}
+
+
 # The genus-0 runs whose class counts the cycle-index oracle gives.
 GENUS_0 = sorted(
     name
@@ -59,6 +74,7 @@ class Replay(NamedTuple):
     unequal: list  # (document, its round trip) for each that differs
     kept: object  # what _KEEP takes of the output, for a case listed there
     node_counts: dict | None  # what _NodeCounts reads, for a case in GENUS_0
+    work: Counter | None  # calls of each function WORK_CEILINGS names for the case
 
 
 # A node count's key in a census document, or a quotient-table row, each
@@ -163,10 +179,22 @@ def _replay(name):
         if tally is not None:
             tally(chunk)
 
-    pinned = run(main, CASES[name], each)
+    work = Counter() if name in WORK_CEILINGS else None
+
+    def counted(function):
+        def wrapper(*args):
+            work[function.__name__] += 1
+            return function(*args)
+        return wrapper
+
+    with contextlib.ExitStack() as patches:
+        for function in WORK_CEILINGS.get(name, ()):
+            original = getattr(stablegraph, function)
+            patches.enter_context(mock.patch.object(stablegraph, function, counted(original)))
+        pinned = run(main, CASES[name], each)
     kept = _KEEP[name]("".join(kept)) if name in _KEEP else None
     counts = None if tally is None else tally.counts
-    return Replay(int(pinned.split()[0]), pinned, documents, unequal, kept, counts)
+    return Replay(int(pinned.split()[0]), pinned, documents, unequal, kept, counts, work)
 
 
 def test_golden_covers_every_case():
@@ -176,6 +204,26 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     assert _replay(name).digest == GOLDEN[name]
+
+
+def _over_ceilings(work, ceilings):
+    return sorted(name for name, ceiling in ceilings.items() if work[name] > ceiling)
+
+
+@pytest.mark.parametrize("name", sorted(WORK_CEILINGS))
+def test_golden_work_stays_under_its_ceilings(name):
+    assert _over_ceilings(_replay(name).work, WORK_CEILINGS[name]) == [], _replay(name).work
+
+
+def test_a_doubled_work_count_breaks_its_ceiling():
+    # Each ceiling is within twice the work it bounds, so a change that
+    # doubles the work fails; doubling none stays within every ceiling.
+    for name, ceilings in WORK_CEILINGS.items():
+        work = _replay(name).work
+        for function in ceilings:
+            doubled = Counter(work)
+            doubled[function] = max(2 * work[function], 1)
+            assert _over_ceilings(doubled, ceilings) == [function]
 
 
 def test_genus_5_census_class_count():

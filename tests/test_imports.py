@@ -11,6 +11,7 @@ No library module imports ``re`` at all: every grammar is read with
 ``str`` methods, which decide the same strings without compiling a pattern
 at import or on a call, so one mechanism reads all of them.
 The cycle-index oracle of the tests imports no library module.
+The package's modules hold at most ``SRC_LINES`` lines between them.
 The private names that modules import from each other, and the refusal
 messages raised from more than one place, are listed here, so a new one
 shows as an edit of this file.
@@ -27,6 +28,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graphstrata"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# The lines of the package's modules, as ``wc -l`` counts them.  A change
+# that must raise this edits it and says in CHANGES.md what the lines bought.
+SRC_LINES = 3051
 
 
 def _exported(tree):
@@ -52,6 +56,11 @@ def unused_imports(source):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exempt = used | _exported(tree)
     return sorted((line, name) for name, line in imported.items() if name not in exempt)
+
+
+def test_src_stays_within_its_line_ledger():
+    lines = sum(path.read_bytes().count(b"\n") for path in MODULES)
+    assert lines <= SRC_LINES, lines
 
 
 def test_every_module_is_checked():
