@@ -15,6 +15,13 @@ of the benchmark's big-group-fusion workload.  Per corpus it prints per
 tree one sha256 over every case's exit code, stdout and stderr, then each
 case whose three differ.
 
+Work: the bytes pass also counts, through ``tests/meter.py``, the calls of
+each function ``WORK_TARGETS`` names, per case and tree.  Per corpus it
+prints each target's total for each tree and the second/first ratio, then
+each case whose counts differ.  A target that a tree does not define is
+printed as absent for that tree, not counted as 0, and is left out of the
+per-case comparison.
+
 Time: one interpreter imports both trees, each under its own module names,
 and makes ``--rounds`` rounds over a corpus's timed jobs: the variant-0
 descent-mix jobs, and the big-group-fusion jobs, which leave out the
@@ -55,17 +62,36 @@ from record_refusals import cases as refusal_cases  # noqa: E402
 
 FUSION_JOBS = FIXED["big-group-fusion"]
 SCALE_CHARTS = 200
+WORK_TARGETS = (
+    "stablegraph.canonical_form",
+    "stablegraph._least_order",
+    "stablegraph._relabeled",
+    "descent._PairWitnesses.get",
+)
 
 BYTES_RUNNER = r"""
 import contextlib, hashlib, io, json, sys
-sys.path.insert(0, sys.argv[1])
+src, cases_path, tests, targets = sys.argv[1:]
+sys.path.insert(0, src)
+sys.path.append(tests)
 from graphstrata.cli import main
-for name, argv in json.load(open(sys.argv[2], encoding="utf-8")):
+from meter import counting, resolve
+
+def defined(target):
+    try:
+        return bool(resolve(target))
+    except LookupError:
+        return False
+
+targets = [target for target in json.loads(targets) if defined(target)]
+for name, argv in json.load(open(cases_path, encoding="utf-8")):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        with counting(*targets) as calls:
+            code = main(argv)
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-    print(json.dumps([name, code, digest, err.getvalue()]))
+    work = {target: calls[target] for target in targets}
+    print(json.dumps([name, code, digest, err.getvalue(), work]))
 """
 
 TIME_RUNNER = r"""
@@ -131,21 +157,24 @@ def census_cases() -> list[tuple[str, list[str]]]:
     return out
 
 
-def run_bytes(src: Path, cases_path: str) -> dict[str, list]:
+def run_bytes(src: Path, cases_path: str) -> tuple[dict[str, list], dict[str, dict]]:
+    """Per case, its exit code, stdout sha256 and stderr; and its work counts."""
     done = subprocess.run(
-        [sys.executable, "-c", BYTES_RUNNER, str(src), cases_path],
+        [sys.executable, "-c", BYTES_RUNNER, str(src), cases_path,
+         str(ROOT / "tests"), json.dumps(WORK_TARGETS)],
         capture_output=True, text=True, check=True,
     )
     rows = [json.loads(line) for line in done.stdout.splitlines()]
-    return {name: rest for name, *rest in rows}
+    return {name: rest for name, *rest, _ in rows}, {name: work for name, *_, work in rows}
 
 
 def compare_bytes(corpus: str, cases: list, srcs: list[Path]) -> int:
-    """Print each tree's digest over ``cases`` and each case that differs."""
+    """Print each tree's digest over ``cases`` and each case that differs,
+    then the work counts of both trees."""
     with tempfile.TemporaryDirectory() as tmp:
         cases_path = str(Path(tmp) / "cases.json")
         Path(cases_path).write_text(json.dumps(cases), encoding="utf-8")
-        results = [run_bytes(src, cases_path) for src in srcs]
+        results, works = zip(*(run_bytes(src, cases_path) for src in srcs))
     for src, result in zip(srcs, results):
         digest = hashlib.sha256(json.dumps(list(result.items())).encode())
         print(f"{corpus} bytes {src}: {len(result)} cases, sha256 {digest.hexdigest()}")
@@ -153,7 +182,30 @@ def compare_bytes(corpus: str, cases: list, srcs: list[Path]) -> int:
     for name in differ:
         print(f"differs: {name}: {results[0][name]} != {results[1][name]}")
     print(f"{corpus} bytes: {len(differ)} of {len(cases)} cases differ")
+    compare_work(corpus, [name for name, _ in cases], srcs, works)
     return len(differ)
+
+
+def compare_work(corpus: str, names: list[str], srcs: list[Path], works) -> None:
+    """Print each target's total calls per tree and their second/first
+    ratio, then each case whose counts of the targets both trees define differ."""
+    defined = [set(work[names[0]]) if names else set() for work in works]
+    for target in WORK_TARGETS:
+        totals = [sum(work[name][target] for name in names) if target in known else None
+                  for work, known in zip(works, defined)]
+        shown = ", ".join(f"{src} {'absent' if total is None else total}"
+                          for src, total in zip(srcs, totals))
+        first, second = totals
+        ratio = f"{second / first:.3f}" if first and second is not None else "-"
+        print(f"{corpus} work {target}: {shown}; second/first {ratio}")
+    both = [target for target in WORK_TARGETS if target in defined[0] & defined[1]]
+    differ = 0
+    for name in names:
+        counts = [{target: work[name][target] for target in both} for work in works]
+        if counts[0] != counts[1]:
+            differ += 1
+            print(f"work differs: {name}: {counts[0]} != {counts[1]}")
+    print(f"{corpus} work: {differ} of {len(names)} cases differ")
 
 
 def compare_time(corpus: str, jobs: list, srcs: list[Path], rounds: int) -> None:

@@ -3,15 +3,11 @@ import os
 import subprocess
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import graphstrata
-import graphstrata.descent
-import graphstrata.perm
-import graphstrata.stablegraph
 from graphstrata.cli import _COMMANDS, main
 from graphstrata.stablegraph import (
     _SEARCH_BUDGET,
@@ -20,6 +16,7 @@ from graphstrata.stablegraph import (
     graph_to_doc,
     split_component,
 )
+from meter import counting
 from record_golden import cycle, inline_graph, legged_path, loops, petals
 
 SPLIT_12_34 = StableGraph((0, 0), ((0, 1),), (0, 0, 1, 1))
@@ -36,16 +33,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def _counting(calls, function):
-    """``function``, counting its calls in ``calls`` under its name."""
-
-    def wrapper(*args):
-        calls[function.__name__] += 1
-        return function(*args)
-
-    return wrapper
 
 
 @pytest.mark.parametrize(
@@ -212,17 +199,15 @@ def test_check_stability_inline_document(capsys):
     assert out.endswith("STABLE\n")
 
 
-def test_check_stability_of_a_long_legged_path_is_linear(capsys, monkeypatch):
+def test_check_stability_of_a_long_legged_path_is_linear(capsys):
     # Its two ends have one edge and one leg each.  Reading each vertex's
     # valence with a scan of every edge and leg took 47 s on a 2-vCPU VM.
     # Those per-vertex scans are ``StableGraph.degree`` and ``legs_at``:
     # counting their calls bounds the work on any machine.
-    scans = Counter()
-    for scan in (StableGraph.degree, StableGraph.legs_at):
-        monkeypatch.setattr(StableGraph, scan.__name__, _counting(scans, scan))
     doc = legged_path(20_000)
     start = time.perf_counter()
-    code, out, _ = run(capsys, "check-stability", doc)
+    with counting("stablegraph.StableGraph.degree", "stablegraph.StableGraph.legs_at") as scans:
+        code, out, _ = run(capsys, "check-stability", doc)
     assert time.perf_counter() - start < 5
     assert scans == {}
     assert code == 1
@@ -273,20 +258,13 @@ _STABILITY_CASES = {
 
 
 @pytest.mark.parametrize("doc", _STABILITY_CASES, ids=range(len(_STABILITY_CASES)))
-def test_check_stability_walks_connectivity_once(capsys, monkeypatch, fixtures_dir, doc):
-    walks = []
-    connected = graphstrata.stablegraph._connected
-
-    def counted(*args):
-        walks.append(args)
-        return connected(*args)
-
-    monkeypatch.setattr(graphstrata.stablegraph, "_connected", counted)
+def test_check_stability_walks_connectivity_once(capsys, fixtures_dir, doc):
     arg = str(fixtures_dir / doc) if doc.endswith(".json") else doc
-    code, out, err = run(capsys, "check-stability", arg)
+    with counting("stablegraph._connected") as walks:
+        code, out, err = run(capsys, "check-stability", arg)
     assert (code, out) == _STABILITY_CASES[doc]
     assert err == ("error: genus is undefined for disconnected graphs\n" if code == 2 else "")
-    assert len(walks) == 1
+    assert walks == {"stablegraph._connected": 1}
 
 
 @pytest.mark.parametrize(
@@ -517,17 +495,15 @@ def test_canon_cycles_past_the_old_ordering_cap(capsys, n):
     assert run(capsys, "canon", cycle(n)) == (0, out, "")
 
 
-def test_canon_refuses_the_petal_hub_past_the_search_budget(capsys, monkeypatch):
+def test_canon_refuses_the_petal_hub_past_the_search_budget(capsys):
     # Each search node relabels every edge once, so the budget caps the
     # relabelings at the budget over the edge count on any machine.
-    calls = Counter()
-    relabeled = _counting(calls, graphstrata.stablegraph._relabeled)
-    monkeypatch.setattr(graphstrata.stablegraph, "_relabeled", relabeled)
     start = time.perf_counter()
-    code, out, err = run(capsys, "canon", petals(9))
+    with counting("stablegraph._relabeled") as calls:
+        code, out, err = run(capsys, "canon", petals(9))
     assert time.perf_counter() - start < 1
     edges = len(json.loads(petals(9))["edges"])
-    assert 0 < calls["_relabeled"] <= _SEARCH_BUDGET // edges
+    assert 0 < calls["stablegraph._relabeled"] <= _SEARCH_BUDGET // edges
     assert (code, out) == (2, "")
     assert err == (
         f"error: canonical form search exceeds its budget of {_SEARCH_BUDGET} edge relabelings\n"
@@ -541,15 +517,10 @@ def test_canon_long_cycle_keeps_the_exit_contract(capsys):
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
 
 
-def test_split_prints_generators_without_closing_the_group(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("split closed a group")
-
-    for module in (graphstrata.perm, graphstrata.stablegraph):
-        monkeypatch.setattr(module, "symmetric_group_on", refuse, raising=False)
-    monkeypatch.setattr(graphstrata.perm, "group_from_generators", refuse)
-    code, out, _ = run(capsys, "split", loops(5), "--vertex", "0")
-    assert code == 0
+def test_split_prints_generators_without_closing_the_group(capsys):
+    with counting("perm.symmetric_group_on", "perm.group_from_generators") as closures:
+        code, out, _ = run(capsys, "split", loops(5), "--vertex", "0")
+    assert (code, closures) == (0, {})
     doc = json.loads(out)
     assert doc["marks"] == 10 and doc["interchangeable"] == list(range(1, 11))
     assert doc["group"] == ",".join(f"({a} {a + 1})" for a in range(1, 10))
@@ -658,25 +629,17 @@ def test_equiv_descent_ignores_generator_order(capsys, fixtures_dir, tmp_path):
         assert out.endswith("EQUIVALENT\n")
 
 
-def test_equiv_descent_closes_a_shared_group_once(capsys, fixtures_dir, monkeypatch):
+def test_equiv_descent_closes_a_shared_group_once(capsys, fixtures_dir):
     # Both documents share one table of closed groups, keyed by m and the
     # group text, so a group written alike is closed once.
-    closures = []
-    close = graphstrata.descent.group_from_generators
-
-    def counting(m, generators, **kwargs):
-        closures.append(m)
-        return close(m, generators, **kwargs)
-
-    monkeypatch.setattr(graphstrata.descent, "group_from_generators", counting)
     intro = str(fixtures_dir / "intro-example.desc")
     for other, expected, code in [
         ("intro-example.desc", 1, 0),
         ("intro-small-group.desc", 2, 2),
     ]:
-        closures.clear()
-        assert run(capsys, "equiv-descent", intro, str(fixtures_dir / other))[0] == code
-        assert len(closures) == expected
+        with counting("perm.group_from_generators") as closures:
+            assert run(capsys, "equiv-descent", intro, str(fixtures_dir / other))[0] == code
+        assert closures == {"perm.group_from_generators": expected}
 
 
 def test_verify_morphism_fixture(capsys, fixtures_dir):

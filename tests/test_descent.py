@@ -38,6 +38,7 @@ from graphstrata.perm import (
 )
 
 from graphstrata.cli import main
+from meter import counting
 from star_audit import (
     audit_coherent,
     audit_unique,
@@ -45,6 +46,9 @@ from star_audit import (
     scan_morphism,
     scan_star,
 )
+
+
+MATCH = "descent._PairWitnesses.get"
 
 
 def make_group(gens, m):
@@ -577,25 +581,17 @@ def test_twist_endomorphism_valid(fixtures_dir):
     assert report.witnesses[("s1", "s2")].is_identity()
 
 
-def test_morphism_document_closes_a_repeated_group_once(fixtures_dir, monkeypatch):
+def test_morphism_document_closes_a_repeated_group_once(fixtures_dir):
     # The target group is reused when both sections write the same m and
     # group text; the same group in other words is closed again.
-    closures = []
-    close = descent.group_from_generators
-
-    def counting(m, generators, **kwargs):
-        closures.append(m)
-        return close(m, generators, **kwargs)
-
-    monkeypatch.setattr(descent, "group_from_generators", counting)
     verdicts = []
     for name, expected in [
         ("twist-endomorphism.desc", 1),
         ("reordered-group-morphism.desc", 2),
     ]:
-        closures.clear()
-        hm, src, tgt = parse_morphism_document((fixtures_dir / name).read_text(), name)
-        assert len(closures) == expected
+        with counting("perm.group_from_generators") as closures:
+            hm, src, tgt = parse_morphism_document((fixtures_dir / name).read_text(), name)
+        assert closures == {"perm.group_from_generators": expected}
         assert (src.group is tgt.group) == (expected == 1)
         assert src.group == tgt.group
         report = verify_morphism(hm, src, tgt)
@@ -664,37 +660,33 @@ def test_morphism_checks_each_marking_once(monkeypatch):
     # match per chart; the chart verdict then costs at most one match per
     # source chart, where a pair scan would cost one per pair.  Equivalence
     # keeps the same rule.
-    star_calls, matches = [], []
-    verify_star_unwrapped, get_unwrapped = descent.verify_star, descent._PairWitnesses.get
+    star_calls = []
+    verify_star_unwrapped = descent.verify_star
 
-    def counting_star(marking):
+    def recording_star(marking):
         star_calls.append(marking)
         return verify_star_unwrapped(marking)
 
-    def counting_get(self, key, default=None):
-        matches.append(key)
-        return get_unwrapped(self, key, default)
-
-    monkeypatch.setattr(descent, "verify_star", counting_star)
-    monkeypatch.setattr(descent._PairWitnesses, "get", counting_get)
+    monkeypatch.setattr(descent, "verify_star", recording_star)
     charts = ["a b c d", "b a c d", "a b d c", "b a d c", "a b c d", "b a c d"]
     source = _fiber_marking(4, "(1 2),(3 4)", ["a b c d"], [charts])
     target = parse_marking_document(format_marking(source))
     assert target == source and target is not source
-    report = verify_morphism(identity_morphism(source), source, target)
+    with counting(MATCH) as matches:
+        report = verify_morphism(identity_morphism(source), source, target)
     assert report.valid and report.missing == ()
     assert star_calls == [source, target]
     assert star_calls[0] is source and star_calls[1] is target
     k = len(charts)
-    assert len(matches) <= 3 * k < k * k
+    assert matches[MATCH] <= 3 * k < k * k
     assert len(dict(report.witness_images)) == k * k
     # Equivalence checks the first marking once, then reads one match per
     # chart of the second, before any witness is read.
     star_calls.clear()
-    matches.clear()
-    witness = equivalent(source, target)
+    with counting(MATCH) as matches:
+        witness = equivalent(source, target)
     assert witness is not None and star_calls == [source]
-    assert len(matches) <= 2 * k < k * k
+    assert matches[MATCH] <= 2 * k < k * k
     assert len(dict(witness.witness_images)) == k * k
 
 

@@ -27,6 +27,7 @@ from graphstrata.perm import (
 )
 
 from fiber_product import fiber_product_equivalent, render_fiber_product
+from meter import counting
 
 
 def _groups(m):
@@ -152,25 +153,16 @@ def test_reduced_equivalence_agrees_with_fiber_product_search():
     assert min(seen.values()) >= 100, seen
 
 
-def test_equivalent_checks_the_setting_once_and_never_searches_dominations(
-    intro_marking, monkeypatch
-):
+def test_equivalent_checks_the_setting_once_and_never_searches_dominations(intro_marking):
     # Nor does it build the fiber product's cover or marking.
-    calls = {"_require_same_setting": 0, "dominates": 0, "FiniteCover": 0, "ChartedMarking": 0}
-
-    def counted(name):
-        original = getattr(descent, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(descent, name, wrapper)
-
-    for name in calls:
-        counted(name)
-    witness = equivalent(intro_marking, intro_marking)
+    with counting(
+        "descent._require_same_setting",
+        "descent.dominates",
+        "descent.FiniteCover.__init__",
+        "descent.ChartedMarking.__init__",
+    ) as calls:
+        witness = equivalent(intro_marking, intro_marking)
     assert witness is not None
     assert witness.first is intro_marking and witness.second is intro_marking
     assert type(witness.witness_images) is descent._PairWitnesses
-    assert calls == dict.fromkeys(calls, 0) | {"_require_same_setting": 1}
+    assert calls == {"descent._require_same_setting": 1}

@@ -7,6 +7,7 @@ two symmetries of the problem, so they share no algorithm with fusion:
 
 - **presentation:** seeded random members of Γ, drawn until they close to
   Γ, give the same ``gamma-census/1`` bytes after the group line, the same
+  ``quotient-table`` bytes after the header line, the same
   ``gamma_canonical_form`` of every labeled class, and the same
   ``gamma_equivalent`` verdicts;
 - **conjugation:** under σΓσ⁻¹ each orbit is σ times an orbit of Γ, and
@@ -38,6 +39,7 @@ from graphstrata.perm import (
     symmetric_group,
 )
 from graphstrata.stablegraph import canonical_form, enumerate_stable_graphs
+from graphstrata.strata import build_quotient_table, render_quotient_table
 
 CASES = [
     (0, 4, "(1 2),(2 3),(3 4)"),
@@ -64,6 +66,18 @@ def _setup(g, m, gens):
 def _after_group_line(fused):
     text = "".join(gamma_census_chunks(fused))
     return text[text.index('\n  "total": '):]
+
+
+def _table_rows(g, m, group, census):
+    """The ``quotient-table`` text after its header line, which names the generators."""
+    text = render_quotient_table(build_quotient_table(g, m, group, census=census))
+    return text[text.index("\n"):]
+
+
+@functools.cache
+def _given_table_rows(g, m, gens):
+    census, group, _ = _setup(g, m, gens)
+    return _table_rows(g, m, group, census)
 
 
 def _random_presentation(group, rng):
@@ -93,6 +107,8 @@ def _presentation_faults(g, m, gens, seed, fuse=_fuse):
     faults = []
     if _after_group_line(fuse(g, m, other, census)) != _after_group_line(fused):
         faults.append("gamma-census bytes")
+    if _table_rows(g, m, other, census) != _given_table_rows(g, m, gens):
+        faults.append("quotient-table bytes")
     key = {x: cls.representative for cls in fused.all_classes() for x in cls.orbit}
     if any(gamma_canonical_form(x, other) != key[x] for x in census.all_graphs()):
         faults.append("gamma_canonical_form")
