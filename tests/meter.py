@@ -5,8 +5,9 @@
     calls["stablegraph.canonical_form"]
 
 A target names a ``graphstrata`` module and a function in it, or a method
-of a class defined there (``"stablegraph.StableGraph.degree"``).  The
-modules import each other's functions by name, so a function is wrapped
+that a class defined there defines itself
+(``"stablegraph.StableGraph.degree"``); an inherited method is no target.
+The modules import each other's functions by name, so a function is wrapped
 once and the wrapper rebound in every ``graphstrata`` namespace that binds
 it, as ``perfbench/spans.py`` does; a method is patched on its class.  A
 reference kept anywhere else, such as in a dict, still calls the original.
@@ -16,7 +17,6 @@ block raises.
 
 import contextlib
 import importlib
-import inspect
 import sys
 from collections import Counter
 
@@ -29,8 +29,8 @@ def resolve(target):
         owner = importlib.import_module(f"graphstrata.{module}")
         for cls in classes:
             owner = vars(owner)[cls]
-        original = inspect.getattr_static(owner, name)
-    except (ImportError, KeyError, AttributeError, TypeError, ValueError):
+        original = vars(owner)[name]
+    except (ImportError, KeyError, TypeError, ValueError):
         owner = original = None
     if callable(original) and not isinstance(original, (type, staticmethod)):
         if bool(classes) == isinstance(owner, type):
@@ -49,7 +49,7 @@ def _counted(calls, target, original):
 @contextlib.contextmanager
 def counting(*targets):
     """Count each target's calls while the block runs; yield the ``Counter``."""
-    calls, restore = Counter(), []  # restore: (namespace, name, original, held it itself)
+    calls, restore = Counter(), []  # restore: (namespace, name, original)
     resolved = {target: resolve(target) for target in targets}
     modules = [m for key, m in sys.modules.items() if key.partition(".")[0] == "graphstrata"]
     try:
@@ -62,12 +62,9 @@ def counting(*targets):
             ]
             wrapper = _counted(calls, target, original)
             for namespace, attr in bindings:
-                restore.append((namespace, attr, original, attr in vars(namespace)))
+                restore.append((namespace, attr, original))
                 setattr(namespace, attr, wrapper)
         yield calls
     finally:
-        for namespace, attr, original, own in reversed(restore):
-            if own:
-                setattr(namespace, attr, original)
-            else:  # a method the class inherits
-                delattr(namespace, attr)
+        for namespace, attr, original in reversed(restore):
+            setattr(namespace, attr, original)

@@ -7,9 +7,9 @@ two symmetries of the problem, so they share no algorithm with fusion:
 
 - **presentation:** seeded random members of Γ, drawn until they close to
   Γ, give the same ``gamma-census/1`` bytes after the group line, the same
-  ``quotient-table`` bytes after the header line, the same
   ``gamma_canonical_form`` of every labeled class, and the same
-  ``gamma_equivalent`` verdicts;
+  ``gamma_equivalent`` verdicts; the first seed's also gives the same
+  ``quotient-table`` bytes after the header line;
 - **conjugation:** under σΓσ⁻¹ each orbit is σ times an orbit of Γ, and
   each stabilizer is τ(σSσ⁻¹)τ⁻¹, τ the member carrying σ·rep to the new
   representative; so each stabilizer is checked as a subgroup, not only by
@@ -68,16 +68,15 @@ def _after_group_line(fused):
     return text[text.index('\n  "total": '):]
 
 
-def _table_rows(g, m, group, census):
-    """The ``quotient-table`` text after its header line, which names the generators."""
+@functools.cache
+def _table_rows(g, m, gens, seed=None):
+    """The ``quotient-table`` text after its header line, which names the
+    generators: under Γ as ``gens`` writes it, or as ``seed`` draws it."""
+    census, group, _ = _setup(g, m, gens)
+    if seed is not None:
+        group = _random_presentation(group, random.Random(seed))
     text = render_quotient_table(build_quotient_table(g, m, group, census=census))
     return text[text.index("\n"):]
-
-
-@functools.cache
-def _given_table_rows(g, m, gens):
-    census, group, _ = _setup(g, m, gens)
-    return _table_rows(g, m, group, census)
 
 
 def _random_presentation(group, rng):
@@ -107,7 +106,8 @@ def _presentation_faults(g, m, gens, seed, fuse=_fuse):
     faults = []
     if _after_group_line(fuse(g, m, other, census)) != _after_group_line(fused):
         faults.append("gamma-census bytes")
-    if _table_rows(g, m, other, census) != _given_table_rows(g, m, gens):
+    # A table fuses again, so one seed per case reads it.
+    if seed == SEEDS[0] and _table_rows(g, m, gens, seed) != _table_rows(g, m, gens):
         faults.append("quotient-table bytes")
     key = {x: cls.representative for cls in fused.all_classes() for x in cls.orbit}
     if any(gamma_canonical_form(x, other) != key[x] for x in census.all_graphs()):
