@@ -13,7 +13,10 @@ passed inline: the only documents here with many charts per fiber.
 The census corpus is every case of ``tests/golden_cli.json`` and the jobs
 of the benchmark's big-group-fusion workload.  Per corpus it prints per
 tree one sha256 over every case's exit code, stdout and stderr, then each
-case whose three differ.
+case whose three differ.  Each case runs through ``run`` of
+``tests/record_golden.py`` and is checked by its ``check_contract``; per
+corpus and tree it prints how many cases break the exit-code contract, and
+names each.
 
 Work: the bytes pass also counts, through ``tests/meter.py``, the calls of
 each function ``WORK_TARGETS`` names, per case and tree.  Per corpus it
@@ -70,12 +73,12 @@ WORK_TARGETS = (
 )
 
 BYTES_RUNNER = r"""
-import contextlib, hashlib, io, json, sys
+import json, sys
 src, cases_path, tests, targets = sys.argv[1:]
 sys.path.insert(0, src)
 sys.path.append(tests)
-from graphstrata.cli import main
 from meter import counting, resolve
+from record_golden import check_contract, run
 
 def defined(target):
     try:
@@ -83,15 +86,18 @@ def defined(target):
     except LookupError:
         return False
 
+def broken(result):
+    try:
+        check_contract(result)
+    except AssertionError as exc:
+        return str(exc)
+
 targets = [target for target in json.loads(targets) if defined(target)]
 for name, argv in json.load(open(cases_path, encoding="utf-8")):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with counting(*targets) as calls:
-            code = main(argv)
-    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    with counting(*targets) as calls:
+        result = run(argv)
     work = {target: calls[target] for target in targets}
-    print(json.dumps([name, code, digest, err.getvalue(), work]))
+    print(json.dumps([name, result.code, result.sha, result.stderr, broken(result), work]))
 """
 
 TIME_RUNNER = r"""
@@ -158,7 +164,8 @@ def census_cases() -> list[tuple[str, list[str]]]:
 
 
 def run_bytes(src: Path, cases_path: str) -> tuple[dict[str, list], dict[str, dict]]:
-    """Per case, its exit code, stdout sha256 and stderr; and its work counts."""
+    """Per case, its exit code, stdout sha256, stderr and how it breaks the
+    exit-code contract (None if it keeps it); and its work counts."""
     done = subprocess.run(
         [sys.executable, "-c", BYTES_RUNNER, str(src), cases_path,
          str(ROOT / "tests"), json.dumps(WORK_TARGETS)],
@@ -170,7 +177,8 @@ def run_bytes(src: Path, cases_path: str) -> tuple[dict[str, list], dict[str, di
 
 def compare_bytes(corpus: str, cases: list, srcs: list[Path]) -> int:
     """Print each tree's digest over ``cases`` and each case that differs,
-    then the work counts of both trees."""
+    each tree's cases that break the exit-code contract, then the work
+    counts of both trees.  Return the number of differing cases and breaks."""
     with tempfile.TemporaryDirectory() as tmp:
         cases_path = str(Path(tmp) / "cases.json")
         Path(cases_path).write_text(json.dumps(cases), encoding="utf-8")
@@ -182,8 +190,13 @@ def compare_bytes(corpus: str, cases: list, srcs: list[Path]) -> int:
     for name in differ:
         print(f"differs: {name}: {results[0][name]} != {results[1][name]}")
     print(f"{corpus} bytes: {len(differ)} of {len(cases)} cases differ")
+    breaks = [[(name, row[3]) for name, row in result.items() if row[3]] for result in results]
+    for src, broken in zip(srcs, breaks):
+        print(f"{corpus} contract {src}: {len(broken)} of {len(cases)} cases break it")
+        for name, why in broken:
+            print(f"breaks the contract: {name}: {why}")
     compare_work(corpus, [name for name, _ in cases], srcs, works)
-    return len(differ)
+    return len(differ) + sum(map(len, breaks))
 
 
 def compare_work(corpus: str, names: list[str], srcs: list[Path], works) -> None:
@@ -240,14 +253,14 @@ def main() -> int:
         parser.error("give --src exactly twice")
     srcs = [src.resolve() for src in args.src]
 
-    differ = compare_bytes("descent", descent_cases(), srcs)
-    differ += compare_bytes("census", census_cases(), srcs)
+    faults = compare_bytes("descent", descent_cases(), srcs)
+    faults += compare_bytes("census", census_cases(), srcs)
     descent_jobs = [(f"descent-mix variant 0 job {k} {job.argv[0]}", list(job.argv))
                     for k, job in enumerate(descent_mix.documents(0))]
     compare_time("descent", descent_jobs, srcs, args.rounds)
     fusion_jobs = [(f"big-group-fusion {' '.join(argv)}", list(argv)) for argv in FUSION_JOBS]
     compare_time("census", fusion_jobs, srcs, args.rounds)
-    return 1 if differ else 0
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":

@@ -51,6 +51,9 @@ def counting(*targets):
     """Count each target's calls while the block runs; yield the ``Counter``."""
     calls, restore = Counter(), []  # restore: (namespace, name, original)
     resolved = {target: resolve(target) for target in targets}
+    # The package imports every module but ``cli``.  Imported first inside
+    # the block, ``cli`` would bind the wrappers by name and keep them.
+    importlib.import_module("graphstrata.cli")
     modules = [m for key, m in sys.modules.items() if key.partition(".")[0] == "graphstrata"]
     try:
         for target, (owner, name, original) in resolved.items():

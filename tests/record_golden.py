@@ -9,6 +9,10 @@ recorded digest and re-recording after a change hides exactly what the
 test is there to catch.  Record new cases from a checkout whose outputs
 are trusted.  To re-record everything, delete the file first.  An
 argument of the form ``@name`` names a file under ``tests/fixtures``.
+
+``run`` is the tests' one in-process ``cli.main`` runner, ``check_contract``
+the exit-code contract every run keeps, and ``record`` the rule above,
+which ``record_refusals.py`` follows too.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
@@ -195,45 +200,92 @@ def resolve(args: list[str]) -> list[str]:
     return [str(FIXTURES / a[1:]) if a.startswith("@") else a for a in args]
 
 
+class Result(NamedTuple):
+    """One ``cli.main`` run: exit code, stdout sha256 and byte count, stderr text."""
+
+    code: int
+    sha: str
+    size: int
+    stderr: str
+
+
 class _Stdout(io.TextIOBase):
-    """A stdout that hashes each chunk written to it and hands it to ``each``."""
+    """A stdout that hashes and counts each chunk written to it and hands it to ``each``."""
 
     def __init__(self, each=None):
         super().__init__()
-        self.sha = hashlib.sha256()
-        self.each = each
+        self.sha, self.size, self.each = hashlib.sha256(), 0, each
 
     def write(self, text: str) -> int:
-        self.sha.update(text.encode("utf-8"))
+        data = text.encode("utf-8")
+        self.sha.update(data)
+        self.size += len(data)
         if self.each is not None:
             self.each(text)
         return len(text)
 
 
-def run(main, args: list[str], each=None) -> str:
-    """``"<exit> <stdout sha256>"``, the form in which a run is pinned, of one ``main`` call.
+def run(args, each=None) -> Result:
+    """Run ``graphstrata.cli.main(args)`` in this process.
 
-    stdout is hashed chunk by chunk as ``main`` writes it and never held
-    whole; ``each``, when given, is called with every chunk too.
+    stdout is hashed and counted chunk by chunk as ``main`` writes it and
+    never held whole; ``each``, when given, is called with every chunk too.
+    ``main`` is imported on the first call, so a script that only reads
+    ``CASES`` imports no ``graphstrata``.
     """
-    out = _Stdout(each)
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(resolve(args))
-    return f"{code} {out.sha.hexdigest()}"
+    from graphstrata.cli import main
+
+    out, err = _Stdout(each), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return Result(code, out.sha.hexdigest(), out.size, err.getvalue())
+
+
+def pin(result: Result) -> str:
+    """``"<exit> <stdout sha256>"``, the form in which ``golden_cli.json`` pins a run."""
+    return f"{result.code} {result.sha}"
+
+
+def check_contract(result: Result) -> None:
+    """Raise ``AssertionError`` unless ``result`` keeps the exit-code contract.
+
+    The exit code is 0, 1 or 2 and stderr holds no traceback; exit 2
+    prints exactly one ``error:`` line on stderr and nothing on stdout;
+    exits 0 and 1 print nothing on stderr.
+    """
+    code, lines = result.code, result.stderr.splitlines()
+    if code not in (0, 1, 2):
+        broken = f"exit {code!r}"
+    elif "Traceback" in result.stderr:
+        broken = "a traceback"
+    elif code == 2 and result.size:
+        broken = f"exit 2 with {result.size} bytes on stdout"
+    elif code == 2 and (len(lines) != 1 or not lines[0].startswith("error:")):
+        broken = "exit 2 without exactly one error: line"
+    elif code != 2 and result.stderr:
+        broken = f"exit {code} with stderr"
+    else:
+        return
+    raise AssertionError(f"{broken}: {result.stderr!r}")
+
+
+def record(path: Path, cases: dict[str, list[str]], form) -> None:
+    """Add to the JSON file at ``path`` the ``form`` of the ``run`` of each
+    case it does not hold yet; a case already there is never run or rewritten.
+
+    The file is written with one-space indents and non-ASCII text
+    unescaped; ``golden_cli.json`` holds ASCII only, so escaping would not
+    change it.
+    """
+    recorded = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    recorded.update({name: form(run(args)) for name, args in cases.items() if name not in recorded})
+    with path.open("w", encoding="utf-8") as fh:
+        json.dump(recorded, fh, indent=1, ensure_ascii=False)
+        fh.write("\n")
 
 
 def main() -> int:
-    from graphstrata.cli import main as cli_main
-
-    golden = {}
-    if GOLDEN_PATH.exists():
-        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    golden.update(
-        {name: run(cli_main, args) for name, args in CASES.items() if name not in golden}
-    )
-    with GOLDEN_PATH.open("w", encoding="utf-8") as fh:
-        json.dump(golden, fh, indent=1)
-        fh.write("\n")
+    record(GOLDEN_PATH, {name: resolve(args) for name, args in CASES.items()}, pin)
     return 0
 
 

@@ -10,20 +10,18 @@ line read before a line the file puts earlier.  ``tests/test_refusals.py``
 replays it against ``tests/refusals_golden.json``.
 
 Adds the cases the file does not hold yet, and never rewrites one already
-there, as ``tests/record_golden.py`` does: a rewrite of the reader must
-keep every recorded refusal, with its line and message.  Record new cases
-from a checkout whose outputs are trusted.
+there, through ``record`` of ``tests/record_golden.py``: a rewrite of the
+reader must keep every recorded refusal, with its line and message.
+Record new cases from a checkout whose outputs are trusted.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
-import json
 import random
 import sys
 from pathlib import Path
+
+from record_golden import Result, record
 
 HERE = Path(__file__).resolve().parent
 REFUSALS_PATH = HERE / "refusals_golden.json"
@@ -167,26 +165,13 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
-def run(main, args: list[str]) -> list:
-    """``[exit, stdout sha256, stderr]`` of one ``main(args)`` call."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(args)
-    return [code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), err.getvalue()]
+def pin(result: Result) -> list:
+    """``[exit, stdout sha256, stderr]``, the form in which ``refusals_golden.json`` pins a run."""
+    return [result.code, result.sha, result.stderr]
 
 
 def main() -> int:
-    from graphstrata.cli import main as cli_main
-
-    recorded = {}
-    if REFUSALS_PATH.exists():
-        recorded = json.loads(REFUSALS_PATH.read_text(encoding="utf-8"))
-    recorded.update(
-        {name: run(cli_main, args) for name, args in cases().items() if name not in recorded}
-    )
-    with REFUSALS_PATH.open("w", encoding="utf-8") as fh:
-        json.dump(recorded, fh, indent=1, ensure_ascii=False)
-        fh.write("\n")
+    record(REFUSALS_PATH, cases(), pin)
     return 0
 
 

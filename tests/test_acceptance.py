@@ -48,6 +48,7 @@ from graphstrata.stablegraph import (
 )
 from graphstrata.strata import build_quotient_table, component_census
 
+from meter import counting
 from oracle import brute_force_census, iso_key
 from star_audit import audit_unique, scan_morphism
 
@@ -78,24 +79,33 @@ def _shuffled(graph, rng):
 
 
 def test_criterion_1_census_counts_match_oracle():
-    expected = {(0, 3): 1, (0, 4): 4, (1, 1): 2, (0, 5): 26}
+    # Class count, then ceilings on the calls of canonical_form, of
+    # _least_order (canonical searches) and of _relabeled, counted through
+    # every binding; each was the count when it was set, and a ceiling
+    # above 0 must see a call.
+    expected = {(0, 3): (1, (1, 0, 0)), (0, 4): (4, (4, 1, 3)), (1, 1): (2, (2, 1, 1)),
+                (0, 5): (26, (26, 2, 11))}
+    targets = ("stablegraph.canonical_form", "stablegraph._least_order", "stablegraph._relabeled")
     ok = True
     details = []
-    for (g, m), count in expected.items():
-        start = time.perf_counter()
-        census = enumerate_stable_graphs(g, m)
-        elapsed = time.perf_counter() - start
+    for (g, m), (count, ceilings) in expected.items():
+        with counting(*targets) as work:
+            start = time.perf_counter()
+            census = enumerate_stable_graphs(g, m)
+            elapsed = time.perf_counter() - start
+        calls = tuple(work[target] for target in targets)
+        bounded = all(0 < n <= c or n == c == 0 for n, c in zip(calls, ceilings))
         oracle = brute_force_census(g, m)
         ours = {
             e: {iso_key(gr.genera, gr.edges, gr.legs) for gr in graphs}
             for e, graphs in census.classes_by_nodes.items()
         }
-        good = census.total == count and ours == oracle and elapsed < 10.0
+        good = census.total == count and ours == oracle and elapsed < 10.0 and bounded
         ok = ok and good
         details.append(
             f"({g},{m}): {census.total} classes (want {count}),"
             f" oracle {'agrees' if ours == oracle else 'DISAGREES'},"
-            f" {elapsed:.2f}s"
+            f" {elapsed:.2f}s, calls {calls} (ceilings {ceilings})"
         )
     _verdict(1, "census counts match the brute-force oracle", ok)
     assert ok, "; ".join(details)

@@ -1,20 +1,17 @@
 """Seeded fuzz of the descent commands on mutated fixture documents.
 
-Every run must keep the exit-code contract: 0, 1 or 2 and no traceback;
-exit 2 prints exactly one ``error:`` line on stderr and nothing on stdout;
-exits 0 and 1 print nothing on stderr.  Mutations include hostile
-``group =`` and ``m =`` lines.  Group texts stay short and degrees stay at
-most 11, so no mutation asks for a large closure.
+Every run must keep the exit-code contract of
+``record_golden.check_contract``.  Mutations include hostile ``group =``
+and ``m =`` lines.  Group texts stay short and degrees stay at most 11, so
+no mutation asks for a large closure.
 """
 
-import contextlib
-import io
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from graphstrata.cli import main
+from record_golden import check_contract, run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MARKINGS = ("intro-example.desc", "intro-small-group.desc")
@@ -87,25 +84,6 @@ def _mutated(draw, text):
     return "\n".join(lines) + "\n"
 
 
-def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def _check_contract(argv):
-    code, out, err = _run(argv)
-    assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err
-    if code == 2:
-        assert out == "", argv
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
-    else:
-        assert err == "", argv
-
-
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -133,10 +111,10 @@ def test_mutated_markings_keep_the_exit_contract(workdir, data, name):
     text = data.draw(_mutated(original))
     path = _write(workdir, "marking.desc", text)
     other = _write(workdir, "other.desc", data.draw(_mutated(original)))
-    _check_contract(["verify-descent", path])
-    _check_contract(["equiv-descent", path, str(FIXTURES / name)])
-    _check_contract(["equiv-descent", path, other])
-    _check_contract(["verify-morphism", path])
+    check_contract(run(["verify-descent", path]))
+    check_contract(run(["equiv-descent", path, str(FIXTURES / name)]))
+    check_contract(run(["equiv-descent", path, other]))
+    check_contract(run(["verify-morphism", path]))
 
 
 @_FUZZ
@@ -144,5 +122,5 @@ def test_mutated_markings_keep_the_exit_contract(workdir, data, name):
 def test_mutated_morphisms_keep_the_exit_contract(workdir, data):
     text = data.draw(_mutated((FIXTURES / MORPHISM).read_text()))
     path = _write(workdir, "morphism.desc", text)
-    _check_contract(["verify-morphism", path])
-    _check_contract(["verify-descent", path])
+    check_contract(run(["verify-morphism", path]))
+    check_contract(run(["verify-descent", path]))

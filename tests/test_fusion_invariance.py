@@ -10,6 +10,8 @@ two symmetries of the problem, so they share no algorithm with fusion:
   ``gamma_canonical_form`` of every labeled class, and the same
   ``gamma_equivalent`` verdicts; the first seed's also gives the same
   ``quotient-table`` bytes after the header line;
+- **canon:** the golden ``canon --group`` cases, run under seeded random
+  generating sets of the same Γ, print their golden bytes;
 - **conjugation:** under σΓσ⁻¹ each orbit is σ times an orbit of Γ, and
   each stabilizer is τ(σSσ⁻¹)τ⁻¹, τ the member carrying σ·rep to the new
   representative; so each stabilizer is checked as a subgroup, not only by
@@ -19,7 +21,9 @@ Each check is also run on one planted fault, which it must catch.
 """
 
 import functools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -34,12 +38,15 @@ from graphstrata.gamma import (
 from graphstrata.perm import (
     PermGroup,
     Permutation,
+    generator_text,
     group_from_generators,
     parse_generators,
     symmetric_group,
 )
 from graphstrata.stablegraph import canonical_form, enumerate_stable_graphs
 from graphstrata.strata import build_quotient_table, render_quotient_table
+from record_golden import C5, GOLDEN_PATH, pin, resolve, run
+from record_golden import CASES as GOLDEN_CASES
 
 CASES = [
     (0, 4, "(1 2),(2 3),(3 4)"),
@@ -184,6 +191,47 @@ def test_presentation_check_catches_a_fusion_closed_from_one_generator():
             caught.append(_presentation_faults(g, m, gens, SEEDS[0], _first_generator_fuse))
     assert len(caught) >= 6
     assert all("gamma-census bytes" in faults for faults in caught)
+
+
+GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+# The golden ``canon --group`` cases, each with proper subgroups of its Γ
+# whose golden bytes differ from Γ's.
+CANON_CASES = {
+    "canon loop-and-bridge (1 2)(3 4)": ("()",),
+    "canon three-vertex-chain S5": (C5, "()"),
+    "canon three-vertex-chain C5": ("()",),
+}
+
+
+def _canon_group(name):
+    """A golden ``canon --group`` case's argv, where its group text sits, and its Γ."""
+    argv = resolve(GOLDEN_CASES[name])
+    m = len(json.loads(Path(argv[1]).read_text(encoding="utf-8"))["legs"])
+    k = argv.index("--group") + 1
+    return argv, k, group_from_generators(m, parse_generators(argv[k], m))
+
+
+def _canon_pin(name, group, seed):
+    """The pinned run of case ``name`` with Γ replaced by ``group``, named by
+    the random generating set ``seed`` draws."""
+    argv, k, _ = _canon_group(name)
+    argv[k] = generator_text(_random_presentation(group, random.Random(seed)).generators)
+    return pin(run(argv))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", CANON_CASES)
+def test_canon_is_independent_of_the_presentation(name, seed):
+    assert _canon_pin(name, _canon_group(name)[2], seed) == GOLDEN[name]
+
+
+def test_canon_check_catches_a_proper_subgroup():
+    for name, subgroups in CANON_CASES.items():
+        group = _canon_group(name)[2]
+        for text in subgroups:
+            sub = group_from_generators(group.degree, parse_generators(text, group.degree))
+            assert sub.members < group.members
+            assert _canon_pin(name, sub, SEEDS[0]) != GOLDEN[name], (name, text)
 
 
 def _with_a_conjugate_stabilizer(image):

@@ -1,13 +1,14 @@
 """Replay the pinned CLI runs of ``record_golden.py`` against ``golden_cli.json``.
 
-Each case runs once.  Its digest and the round trip of its graph documents
-are taken as the output is written, whatever chunks it is written in, so
-no large output is held whole; only the cases the case-specific tests read
-are kept as text.  The genus-0 census and quotient-table runs are also
-counted per node count as they stream, and the counts are checked against
-the cycle-index oracle.  The cases ``WORK_CEILINGS`` names also count calls
-of library functions through ``meter.counting`` as they run, and each count
-is checked against its ceiling.
+Each case runs once, through ``record_golden.run``, and must keep the
+exit-code contract.  Its digest, the round trip of its graph documents
+and, for a census, its classes per node count are taken as the output is
+written, whatever chunks it is written in, so no census output is held
+whole; an output that is not JSON is short and kept whole.  The genus-0
+census and quotient-table counts are checked against the cycle-index
+oracle.  The cases ``WORK_CEILINGS`` names also count calls of library
+functions through ``meter.counting`` as they run, and each count is
+checked against its ceiling.
 """
 
 import functools
@@ -22,10 +23,9 @@ from unittest import mock
 import pytest
 
 from cycle_index import class_counts
-from graphstrata.cli import main
 from graphstrata.stablegraph import GRAPH_FORMAT, graph_from_doc, graph_to_doc
 from meter import counting
-from record_golden import CASES, FIXTURES, GOLDEN_PATH, run
+from record_golden import CASES, FIXTURES, GOLDEN_PATH, Result, check_contract, pin, resolve, run
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 BENCH_GOLDEN_PATH = GOLDEN_PATH.parent.parent / "perfbench" / "golden.json"
@@ -41,13 +41,8 @@ def _census_facts(text):
     }
 
 
-# What the tests below read of a case's output besides its digest; the short
-# verifier reports are kept whole.
-_KEEP = {
-    GENUS_5: _census_facts,
-    "verify-morphism cyclic-swap-morphism": str,
-    "verify-morphism class-violation-morphism": str,
-}
+# What the tests below read of a census output besides its digest.
+_KEEP = {GENUS_5: _census_facts}
 
 
 # The library functions whose calls the work ceilings bound, as the meter
@@ -160,54 +155,13 @@ GENUS_0 = sorted(
 
 
 class Replay(NamedTuple):
-    code: int
-    digest: str
+    result: Result
     documents: int  # graph documents in the output
     unequal: list  # (document, its round trip) for each that differs
+    nodes: dict  # classes per node count, for a census
+    text: str | None  # the whole output, where it is not JSON
     kept: object  # what _KEEP takes of the output, for a case listed there
-    node_counts: dict | None  # what _NodeCounts reads, for a case in GENUS_0
     work: Counter  # calls of each target WORK_CEILINGS names for the case
-
-
-# A node count's key in a census document, or a quotient-table row, each
-# after the newline that opens its line.
-_NODE = re.compile(r'\n(?:    "(\d+)": \[|i=(\d+): labeled=(\d+) gamma=(\d+) )')
-# A class opening: in both census formats a class opens on a line of its own
-# at a six-space indent.
-_CLASS = "\n      {\n"
-
-
-class _NodeCounts:
-    """Classes per node count of a census, or (labeled, gamma) per row of a
-    quotient table, read from the output a chunk at a time.
-
-    Each scan ends at the last newline read so far, which the next scan
-    starts from, so every line is read whole and once.
-    """
-
-    def __init__(self):
-        self.counts, self.node, self.rest = {}, None, "\n"
-
-    def _classes(self, text, start, end):
-        found = text.count(_CLASS, start, end)
-        if found:
-            self.counts[self.node] += found
-
-    def __call__(self, chunk):
-        text = self.rest + chunk
-        end = text.rfind("\n") + 1
-        self.rest = text[end - 1 :]
-        start = 0
-        for match in _NODE.finditer(text, 0, end):
-            self._classes(text, start, match.start() + 1)
-            key, row, labeled, gamma = match.groups()
-            if key is None:
-                self.counts[int(row)] = (int(labeled), int(gamma))
-            else:
-                self.node = int(key)
-                self.counts[self.node] = 0
-            start = match.end()
-        self._classes(text, start, end)
 
 
 def _round_trip(text):
@@ -235,9 +189,10 @@ def _round_trip(text):
     return count, unequal
 
 
-# A class object's first or last line in both census formats: a brace at a
-# six-space indent, after the newline that opens its line.
-_CLASS_EDGE = re.compile(r"\n      ([{}])")
+# In both census formats: the line that opens a node count's list of
+# classes, and a class object's first or last line, a brace at a six-space
+# indent; each after the newline that opens its line.
+_LINE = re.compile(r'\n(?:    "(\d+)": \[|      ([{}]))')
 # The commands whose JSON output is a census, read a class at a time.
 CENSUS_COMMANDS = ("enumerate", "gamma-enumerate")
 
@@ -247,12 +202,14 @@ class _Documents:
     text is whole, whatever chunks the output is written in.
 
     A census is read a class at a time, so its documents are never all held
-    at once; any other JSON output (``canon``, ``split``) is one document,
-    read whole when the output ends.
+    at once, and each class is counted under its node count as it is split
+    off; only whole lines are scanned, each once.  Any other JSON output
+    (``canon``, ``split``) is one document, read whole when the output ends.
     """
 
     def __init__(self, census):
         self.count, self.unequal, self.census = 0, [], census
+        self.nodes, self.node = {}, None  # classes per node count
         self.text, self.scanned, self.start = "", 0, None
 
     def _check(self, text):
@@ -268,17 +225,22 @@ class _Documents:
         if not self.census:
             self.text = text
             return
-        for edge in _CLASS_EDGE.finditer(text, self.scanned):
-            if edge[1] == "{":
-                self.start = edge.start() + 1
+        end = text.rfind("\n")  # the line after the last newline may go on
+        for match in _LINE.finditer(text, self.scanned, end):
+            key, edge = match.groups()
+            if key is not None:
+                self.node = int(key)
+                self.nodes[self.node] = 0
+            elif edge == "{":
+                self.start = match.start() + 1
             else:
-                self._check(text[self.start : edge.end()])
+                self._check(text[self.start : match.end()])
+                self.nodes[self.node] += 1
                 self.start = None
-            self.scanned = edge.end()
-        # Keep the open class, or else the tail where the next edge may begin.
-        resume = max(self.scanned, len(text) - 7)
-        keep = resume if self.start is None else self.start
-        self.text, self.scanned = text[keep:], resume - keep
+        self.scanned = max(self.scanned, end)
+        # Keep the open class, or else the line that may go on.
+        keep = self.scanned if self.start is None else self.start
+        self.text, self.scanned = text[keep:], self.scanned - keep
         if self.start is not None:
             self.start = 0
 
@@ -290,10 +252,9 @@ class _Documents:
 
 @functools.cache
 def _replay(name):
-    """Run one case and keep what the tests read of it, not its text."""
+    """Run one case and keep what the tests read of it, not a census's text."""
     documents = _Documents(CASES[name][0] in CENSUS_COMMANDS)
-    kept, is_json = [], None
-    tally = _NodeCounts() if name in GENUS_0 else None
+    chunks, is_json = [], None
 
     def each(chunk):
         nonlocal is_json
@@ -301,17 +262,17 @@ def _replay(name):
             is_json = chunk.startswith("{")
         if is_json:
             documents(chunk)
-        if name in _KEEP:
-            kept.append(chunk)
-        if tally is not None:
-            tally(chunk)
+        if not is_json or name in _KEEP:
+            chunks.append(chunk)
 
     with counting(*WORK_CEILINGS.get(name, ())) as work:
-        pinned = run(main, CASES[name], each)
+        result = run(resolve(CASES[name]), each)
     count, unequal = documents.close() if is_json else (0, [])
-    kept = _KEEP[name]("".join(kept)) if name in _KEEP else None
-    counts = None if tally is None else tally.counts
-    return Replay(int(pinned.split()[0]), pinned, count, unequal, kept, counts, work)
+    text = "".join(chunks)
+    del chunks[:]  # before the facts are read: the genus-5 census is large
+    kept = _KEEP[name](text) if name in _KEEP else None
+    text = None if is_json else text
+    return Replay(result, count, unequal, documents.nodes, text, kept, work)
 
 
 def test_golden_covers_every_case():
@@ -320,7 +281,21 @@ def test_golden_covers_every_case():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
-    assert _replay(name).digest == GOLDEN[name]
+    result = _replay(name).result
+    assert pin(result) == GOLDEN[name]
+    check_contract(result)
+
+
+@pytest.mark.parametrize("result, broken", [
+    (Result(2, "", 6, "error: x\n"), "exit 2 with 6 bytes on stdout"),
+    (Result(2, "", 0, "error: x\nerror: y\n"), "exit 2 without exactly one error: line"),
+    (Result(0, "", 3, "note\n"), "exit 0 with stderr"),
+    (Result(1, "", 0, 'Traceback (most recent call last):\n  File "cli.py"\nKeyError: 1\n'),
+     "a traceback"),
+])
+def test_the_contract_check_names_each_break(result, broken):
+    with pytest.raises(AssertionError, match=f"^{re.escape(broken)}: "):
+        check_contract(result)
 
 
 def _over_ceilings(work, ceilings):
@@ -370,7 +345,7 @@ def test_genus_5_census_class_count():
     # legs, pinned with the digest above; it is not checked against a
     # published table, which is not transcribed into this repository.
     replay = _replay(GENUS_5)
-    assert (replay.code, replay.kept["total"]) == (0, 4555)
+    assert (replay.result.code, replay.kept["total"]) == (0, 4555)
 
 
 def test_genus_5_census_is_written_as_json_writes_it():
@@ -386,15 +361,21 @@ def test_genus_0_cases_are_the_census_and_table_runs():
     }
 
 
+# A quotient-table row's node count and class counts.
+_ROW = re.compile(r"^i=(\d+): labeled=(\d+) gamma=(\d+) ", re.M)
+
+
 @pytest.mark.parametrize("name", GENUS_0)
 def test_genus_0_class_counts_match_the_cycle_index(name):
     command, _, m, *rest = CASES[name]
     group = rest[rest.index("--group") + 1] if "--group" in rest else ""
-    expected = class_counts(int(m), group)
+    expected, replay = class_counts(int(m), group), _replay(name)
+    found = replay.nodes
     if command == "quotient-table":
         labeled = class_counts(int(m))
         expected = {i: (labeled[i], n) for i, n in expected.items()}
-    assert _replay(name).node_counts == expected
+        found = {int(i): (int(a), int(n)) for i, a, n in _ROW.findall(replay.text)}
+    assert found == expected
 
 
 def test_legs_census_digests_match_the_benchmark():
@@ -424,8 +405,8 @@ def _fusion_runs():
         with counting(*WORK_CEILINGS[key]) as work[key]:
             for job in jobs:
                 chunks = []
-                code, sha = run(main, list(job.argv), chunks.append).split()
-                digest = workloads.digest(int(code), sha)
+                result = run(job.argv, chunks.append)
+                digest = workloads.digest(result.code, result.sha)
                 found.append((job.argv, digest, job.check("".join(chunks))))
     return found, work
 
@@ -455,8 +436,9 @@ def test_descent_mix_runs_match_the_benchmark():
     found = []
     for job in jobs:
         chunks = []
-        code, sha = run(main, list(job.argv), chunks.append).split()
-        found.append((workloads.digest(int(code), sha), int(code), job.check("".join(chunks))))
+        result = run(job.argv, chunks.append)
+        found.append((workloads.digest(result.code, result.sha), result.code,
+                      job.check("".join(chunks))))
     assert found == [(digest, job.expected_exit, None) for job, digest in zip(jobs, pinned)]
 
 
@@ -475,7 +457,7 @@ def test_documents_are_read_whatever_the_chunking(name):
     # Joining the written chunks into batches, or cutting the output
     # anywhere, reads the same documents.
     chunks = []
-    run(main, CASES[name], chunks.append)
+    run(resolve(CASES[name]), chunks.append)
     text = "".join(chunks)
     rechunked = [
         ["".join(chunks[k : k + size]) for k in range(0, len(chunks), size)]
@@ -488,7 +470,7 @@ def test_documents_are_read_whatever_the_chunking(name):
         documents = _Documents(census=True)
         for piece in pieces:
             documents(piece)
-        assert documents.close() == (replay.documents, [])
+        assert (documents.close(), documents.nodes) == ((replay.documents, []), replay.nodes)
 
 
 @pytest.mark.parametrize(
@@ -502,8 +484,8 @@ def test_documents_are_read_whatever_the_chunking(name):
 )
 def test_failing_morphisms_render_their_verdict_lines(name, lines):
     replay = _replay(name)
-    assert replay.code == 1 and replay.kept.endswith("INVALID\n")
-    assert set(lines) <= set(replay.kept.splitlines())
+    assert replay.result.code == 1 and replay.text.endswith("INVALID\n")
+    assert set(lines) <= set(replay.text.splitlines())
 
 
 def test_recorder_adds_missing_cases_and_keeps_recorded_ones(tmp_path, monkeypatch):
@@ -519,3 +501,42 @@ def test_recorder_adds_missing_cases_and_keeps_recorded_ones(tmp_path, monkeypat
         kept: "recorded earlier",
         added: GOLDEN[added],
     }
+
+
+def test_refusal_recorder_adds_missing_cases_and_keeps_recorded_ones(tmp_path, monkeypatch):
+    import record_refusals
+
+    recorded = json.loads(record_refusals.REFUSALS_PATH.read_text(encoding="utf-8"))
+    corpus = record_refusals.cases()
+    kept, added = sorted(corpus)[:2]
+    path = tmp_path / "refusals.json"
+    path.write_text(json.dumps({kept: "recorded earlier"}), encoding="utf-8")
+    monkeypatch.setattr(record_refusals, "REFUSALS_PATH", path)
+    monkeypatch.setattr(record_refusals, "cases", lambda: {name: corpus[name] for name in (kept, added)})
+    assert record_refusals.main() == 0
+    assert json.loads(path.read_text(encoding="utf-8")) == {
+        kept: "recorded earlier",
+        added: recorded[added],
+    }
+
+
+@pytest.mark.parametrize("script, attr", [
+    ("record_golden", "GOLDEN_PATH"),
+    ("record_refusals", "REFUSALS_PATH"),
+])
+def test_recording_a_complete_file_runs_nothing_and_keeps_its_bytes(
+    tmp_path, monkeypatch, script, attr
+):
+    import record_golden
+
+    def never(*args, **kwargs):
+        raise AssertionError("a recorded case ran again")
+
+    module = importlib.import_module(script)
+    committed = getattr(module, attr)
+    path = tmp_path / committed.name
+    path.write_bytes(committed.read_bytes())
+    monkeypatch.setattr(module, attr, path)
+    monkeypatch.setattr(record_golden, "run", never)
+    assert module.main() == 0
+    assert path.read_bytes() == committed.read_bytes()

@@ -1,26 +1,21 @@
 """Seeded fuzz of the graph commands on mutated graph documents.
 
 ``check-stability``, ``canon`` (with and without ``--group``) and ``split``
-must keep the exit-code contract on any document: 0, 1 or 2 and no
-traceback; exit 2 prints exactly one ``error:`` line on stderr and nothing
-on stdout; exits 0 and 1 print nothing on stderr.  Mutations replace any
-value of the JSON tree with a hostile one, delete or duplicate entries,
-move legs between vertices, change genera, and cut or splice the text.
-Documents stay a few vertices and legs large, so no mutation asks for a
-large group; one, a hub with four petals, is symmetric enough that
-``canon`` runs its pruned search.
+must keep the exit-code contract of ``record_golden.check_contract`` on
+any document.  Mutations replace any value of the JSON tree with a hostile
+one, delete or duplicate entries, move legs between vertices, change
+genera, and cut or splice the text.  Documents stay a few vertices and
+legs large, so no mutation asks for a large group; one, a hub with four
+petals, is symmetric enough that ``canon`` runs its pruned search.
 """
 
-import contextlib
 import copy
-import io
 import json
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from graphstrata.cli import main
-from record_golden import petals
+from record_golden import check_contract, petals, run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOCUMENTS = tuple(
@@ -91,21 +86,6 @@ def _mutated(draw):
     return text
 
 
-def _check_contract(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err
-    if code == 2:
-        assert out == "", argv
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
-    else:
-        assert err == "", argv
-
-
 @settings(
     max_examples=150,
     derandomize=True,
@@ -121,7 +101,7 @@ def _check_contract(argv):
 def test_mutated_graph_documents_keep_the_exit_contract(tmp_path_factory, text, group, vertex):
     path = tmp_path_factory.getbasetemp() / "graph.json"
     path.write_text(text, encoding="utf-8")
-    _check_contract(["check-stability", str(path)])
-    _check_contract(["canon", str(path)])
-    _check_contract(["canon", str(path), "--group", group])
-    _check_contract(["split", str(path), "--vertex", str(vertex)])
+    check_contract(run(["check-stability", str(path)]))
+    check_contract(run(["canon", str(path)]))
+    check_contract(run(["canon", str(path), "--group", group]))
+    check_contract(run(["split", str(path), "--vertex", str(vertex)]))

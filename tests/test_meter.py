@@ -1,13 +1,16 @@
 """The call meter counts through every binding and leaves none behind."""
 
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from graphstrata import descent, gamma, stablegraph
-from graphstrata.cli import main
 from meter import counting
 from record_golden import S5, run
+
+TESTS = Path(__file__).resolve().parent
 
 CANON = "stablegraph.canonical_form"
 
@@ -34,12 +37,12 @@ def test_a_count_through_one_namespace_misses_fusion():
     original = stablegraph.canonical_form
     argv = ["quotient-table", "0", "5", "--group", S5]
     with counting(CANON) as every:
-        run(main, argv)
+        run(argv)
     with counting(CANON) as home_only:
         for module in _modules():
             if module is not stablegraph and hasattr(module, "canonical_form"):
                 module.canonical_form = original  # the meter restores it again
-        run(main, argv)
+        run(argv)
     assert (every[CANON], home_only[CANON]) == (3506, 26)
 
 
@@ -78,3 +81,24 @@ def test_an_unknown_target_raises_and_patches_nothing(target):
     with pytest.raises(LookupError), counting(CANON, target):
         pass
     assert _bindings() == before
+
+
+def test_a_first_run_inside_the_block_leaves_no_wrapper_behind():
+    # ``record_golden.run`` imports ``cli`` on its first call, and ``canon``
+    # calls ``cli``'s binding of canonical_form; two blocks in a fresh
+    # process must each count its one call.
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(TESTS.parent / 'src')!r}, {str(TESTS)!r}]\n"
+        "from meter import counting\n"
+        "from record_golden import FIXTURES, run\n"
+        "argv = ['canon', str(FIXTURES / 'loop-and-bridge.json')]\n"
+        "for _ in range(2):\n"
+        f"    with counting({CANON!r}) as calls:\n"
+        "        assert run(argv).code == 0\n"
+        f"    print(calls[{CANON!r}])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (done.stdout.split(), done.stderr) == (["1", "1"], "")

@@ -25,8 +25,8 @@ from graphstrata.gamma import enumerate_gamma_strata, gamma_equivalent
 from graphstrata.perm import Permutation, group_from_generators, symmetric_group
 from graphstrata.stablegraph import StableGraph, enumerate_stable_graphs, graph_from_doc
 from graphstrata.strata import build_quotient_table
-from record_refusals import REFUSALS_PATH, cases
-from record_refusals import run as run_recorded
+from record_golden import check_contract, run
+from record_refusals import REFUSALS_PATH, cases, pin
 
 POINTS = ("p1", "p2", "p3", "p4")
 
@@ -250,8 +250,12 @@ def test_oversized_cycle_label_in_a_marking_document(capsys, tmp_path):
 
 
 def test_malformed_descent_documents_keep_their_refusals():
-    # Each document's refusal, line and message included, as recorded.
+    # Each document's refusal, line and message included, as recorded, and
+    # each keeps the exit-code contract.
     recorded = json.loads(REFUSALS_PATH.read_text(encoding="utf-8"))
     corpus = cases()
     assert len(corpus) == len(recorded) == 302
-    assert {name: run_recorded(main, args) for name, args in corpus.items()} == recorded
+    results = {name: run(args) for name, args in corpus.items()}
+    assert {name: pin(result) for name, result in results.items()} == recorded
+    for result in results.values():
+        check_contract(result)
