@@ -20,7 +20,8 @@ bound option's default is its ``bound`` there, and ``main`` refuses a bound
 below 1 before the handler reads any document or group text.  Help,
 usage errors and argparse's other forms (abbreviations, ``--flag=value``,
 ``--``, negative numbers) go to an argparse parser built from the same
-table when first needed, so they print as before.  ``json`` is loaded
+table when first needed.  Help prints as before; a usage error is the one
+``error:`` line of every refusal, naming the subcommand.  ``json`` is loaded
 only by the commands that read or write graph documents (``check-stability``,
 ``canon``, ``split``), on first use, so the other commands never pay for it.
 """
@@ -341,8 +342,11 @@ def _usage_parser():
     """argparse's reading of the table, for help, usage errors and the rest."""
     import argparse
 
-    # argparse reads sys.stdout, sys.stderr and the terminal width when it
-    # prints, not here, so one parser serves every call of main.
+    class Parser(argparse.ArgumentParser):  # its subparsers take this class too
+        def error(self, message):
+            raise ValueError(f"{self.prog}: {message}")
+
+    # argparse reads sys.stdout and the terminal width only at --help: one parser serves all calls.
     def integer(text: str) -> int:
         """An integer argument, in the grammar of descent documents."""
         try:
@@ -357,7 +361,7 @@ def _usage_parser():
                 parser.error(f"argument {name}: expected one argument")
             setattr(namespace, self.dest, values)
 
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="graphstrata",
         description=(
             "Censuses of stable dual graphs, group quotients of their leg"
@@ -378,16 +382,10 @@ def _usage_parser():
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     read = _build_parser().get(argv[0]) if argv else None
-    args = read(argv) if read else None
-    if args is None:
-        try:
-            args = _usage_parser().parse_args(argv, SimpleNamespace())
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
-    try:
+    try:  # the lines the reader declines, help and usage errors, go to argparse
+        args = (read and read(argv)) or _usage_parser().parse_args(argv, SimpleNamespace())
         for dest, flags, *_, bound in _COMMANDS[args.command][2]:  # before any input is read
             if bound and getattr(args, dest) < 1:
                 raise ValueError(f"{flags[0]} must be positive, got {getattr(args, dest)}")
@@ -397,8 +395,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 fh.writelines(chunks)
         else:
             sys.stdout.writelines(chunks)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except SystemExit:  # --help, printed on stdout
+        return 0
+    except (OSError, ValueError) as exc:  # one line, whatever line breaks the input holds
+        print(f"error: {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return 2
     return status
 

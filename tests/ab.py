@@ -1,4 +1,4 @@
-"""Compare two source trees on two corpora: the same bytes, then the time.
+"""Compare two source trees: the same bytes on three corpora, then the time on two.
 
     python tests/ab.py --src A --src B [--rounds 20]
 
@@ -11,12 +11,17 @@ malformed documents of ``tests/record_refusals.py`` and, on every
 the five rows of ``tests/descent_scale.py`` at 200 charts, its documents
 passed inline: the only documents here with many charts per fiber.
 The census corpus is every case of ``tests/golden_cli.json`` and the jobs
-of the benchmark's big-group-fusion workload.  Per corpus it prints per
-tree one sha256 over every case's exit code, stdout and stderr, then each
-case whose three differ.  Each case runs through ``run`` of
+of the benchmark's big-group-fusion workload.  The argv corpus is a seeded
+draw of ``ARGV_LINES`` command lines from ``random_argv`` of
+``tests/test_argv_reader.py``, over the values of its random-line contract
+test; each is named by whether this checkout's plain reader takes it or
+leaves it to argparse.  Per corpus it prints per tree one sha256 over every
+case's exit code, stdout and stderr, then each case whose three differ.
+Each tree runs each corpus in a fresh temporary working directory, so the
+files ``-o`` names land there.  Each case runs through ``run`` of
 ``tests/record_golden.py`` and is checked by its ``check_contract``; per
 corpus and tree it prints how many cases break the exit-code contract, and
-names each.
+names each; on the argv corpus, also how many of the argparse lines do.
 
 Work: the bytes pass also counts, through ``tests/meter.py``, the calls of
 each function ``WORK_TARGETS`` names, per case and tree.  Per corpus it
@@ -65,6 +70,7 @@ from record_refusals import cases as refusal_cases  # noqa: E402
 
 FUSION_JOBS = FIXED["big-group-fusion"]
 SCALE_CHARTS = 200
+ARGV_SEED, ARGV_LINES = 20261022, 2000
 WORK_TARGETS = (
     "stablegraph.canonical_form",
     "stablegraph._least_order",
@@ -163,14 +169,37 @@ def census_cases() -> list[tuple[str, list[str]]]:
     return out
 
 
+ARGV_DRAW = r"""
+import json, random, sys
+sys.path[:0] = sys.argv[1:3]
+from test_argv_reader import RUN_VALUES, fast, random_argv
+rng = random.Random(int(sys.argv[3]))
+argvs = [random_argv(rng, RUN_VALUES) for _ in range(int(sys.argv[4]))]
+routes = ["plain" if fast(argv) else "argparse" for argv in argvs]
+print(json.dumps([(f"argv {k} {r}", a) for k, (r, a) in enumerate(zip(routes, argvs))]))
+"""
+
+
+def argv_cases() -> list[tuple[str, list[str]]]:
+    """The seeded command lines, drawn in a child process from this checkout's
+    ``src``, so that this process imports no tree."""
+    done = subprocess.run(
+        [sys.executable, "-c", ARGV_DRAW, str(ROOT / "src"), str(ROOT / "tests"),
+         str(ARGV_SEED), str(ARGV_LINES)],
+        capture_output=True, text=True, check=True,
+    )
+    return [(name, argv) for name, argv in json.loads(done.stdout)]
+
+
 def run_bytes(src: Path, cases_path: str) -> tuple[dict[str, list], dict[str, dict]]:
     """Per case, its exit code, stdout sha256, stderr and how it breaks the
     exit-code contract (None if it keeps it); and its work counts."""
-    done = subprocess.run(
-        [sys.executable, "-c", BYTES_RUNNER, str(src), cases_path,
-         str(ROOT / "tests"), json.dumps(WORK_TARGETS)],
-        capture_output=True, text=True, check=True,
-    )
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run(
+            [sys.executable, "-c", BYTES_RUNNER, str(src), cases_path,
+             str(ROOT / "tests"), json.dumps(WORK_TARGETS)],
+            capture_output=True, text=True, check=True, cwd=cwd,
+        )
     rows = [json.loads(line) for line in done.stdout.splitlines()]
     return {name: rest for name, *rest, _ in rows}, {name: work for name, *_, work in rows}
 
@@ -191,8 +220,12 @@ def compare_bytes(corpus: str, cases: list, srcs: list[Path]) -> int:
         print(f"differs: {name}: {results[0][name]} != {results[1][name]}")
     print(f"{corpus} bytes: {len(differ)} of {len(cases)} cases differ")
     breaks = [[(name, row[3]) for name, row in result.items() if row[3]] for result in results]
+    routed = sum(name.endswith(" argparse") for name, _ in cases)
     for src, broken in zip(srcs, breaks):
         print(f"{corpus} contract {src}: {len(broken)} of {len(cases)} cases break it")
+        if routed:
+            argparse_broken = sum(name.endswith(" argparse") for name, _ in broken)
+            print(f"{corpus} contract {src}: {argparse_broken} of {routed} argparse lines break it")
         for name, why in broken:
             print(f"breaks the contract: {name}: {why}")
     compare_work(corpus, [name for name, _ in cases], srcs, works)
@@ -255,6 +288,7 @@ def main() -> int:
 
     faults = compare_bytes("descent", descent_cases(), srcs)
     faults += compare_bytes("census", census_cases(), srcs)
+    faults += compare_bytes("argv", argv_cases(), srcs)
     descent_jobs = [(f"descent-mix variant 0 job {k} {job.argv[0]}", list(job.argv))
                     for k, job in enumerate(descent_mix.documents(0))]
     compare_time("descent", descent_jobs, srcs, args.rounds)

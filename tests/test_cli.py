@@ -17,7 +17,8 @@ from graphstrata.stablegraph import (
     split_component,
 )
 from meter import counting
-from record_golden import cycle, inline_graph, legged_path, loops, petals
+from record_golden import check_contract, cycle, inline_graph, legged_path, loops, petals
+from record_golden import run as run_cli
 
 SPLIT_12_34 = StableGraph((0, 0), ((0, 1),), (0, 0, 1, 1))
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -417,7 +418,7 @@ def test_integer_arguments_are_ascii_digits(capsys, argv, name, value):
     # minus, and no more digits than int() converts.
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1].endswith(f"error: argument {name}: invalid int value: {value!r}")
+    assert err == f"error: graphstrata {argv[0]}: argument {name}: invalid int value: {value!r}\n"
 
 
 def test_integer_arguments_keep_signs_and_leading_zeros(capsys):
@@ -885,13 +886,43 @@ def test_flag_equals_double_dash_is_a_usage_error(
         del argv[argv.index(flag) : argv.index(flag) + 2]
     code, out, err = run(capsys, *argv, f"{flag}=--")
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1] == (
-        f"graphstrata {command}: error: argument {name}: expected one argument"
-    )
+    assert err == f"error: graphstrata {command}: argument {name}: expected one argument\n"
     assert list(tmp_path.iterdir()) == []
 
 
 def test_double_dash_as_a_positional_is_a_usage_error(capsys):
     code, out, err = run(capsys, "enumerate", "0", "--", "--")
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1] == "graphstrata enumerate: error: argument m: expected one argument"
+    assert err == "error: graphstrata enumerate: argument m: expected one argument\n"
+
+
+def test_refusals_are_one_line_whatever_argv_holds(monkeypatch, tmp_path):
+    # Line breaks in an argument argparse refuses, or in a document's path.
+    monkeypatch.chdir(tmp_path)
+    Path("a\nb.json").write_text("{", encoding="utf-8")
+    Path("c\r\nd.desc").write_text("[marking]\nm = x\n", encoding="utf-8")
+    for argv, err in [
+        (["enumerate", "0", "4", "a\nb"], "graphstrata: unrecognized arguments: a b"),
+        (
+            ["enumerate", "--max-=1\r\n2", "0", "4"],
+            "graphstrata enumerate: ambiguous option: --max-=1 2 could match --max-size, --max-m",
+        ),
+        (["check-stability", "{}", "x\u2028y"], "graphstrata: unrecognized arguments: x y"),
+        (
+            ["check-stability", "a\nb.json"],
+            "a b.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+        (["verify-descent", "c\r\nd.desc"], "c d.desc:2: m must be an integer, got 'x'"),
+    ]:
+        result = run_cli(argv)
+        assert (result.code, result.size, result.stderr) == (2, 0, f"error: {err}\n"), argv
+
+
+@pytest.mark.parametrize("command", ["", *_COMMANDS])
+def test_help_keeps_the_exit_code_contract(command):
+    # --help is the one exit argparse still makes: help on stdout, nothing on stderr.
+    chunks = []
+    result = run_cli([command, "--help"] if command else ["--help"], chunks.append)
+    check_contract(result)
+    assert result.code == 0
+    assert "".join(chunks).startswith(f"usage: graphstrata {command}".rstrip())

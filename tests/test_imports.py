@@ -12,6 +12,7 @@ No library module imports ``re`` at all: every grammar is read with
 at import or on a call, so one mechanism reads all of them.
 The cycle-index oracle of the tests imports no library module.
 The package's modules hold at most ``SRC_LINES`` lines between them.
+Only ``cli.main`` writes to stderr: it prints every refusal.
 The private names that modules import from each other, and the refusal
 messages raised from more than one place, are listed here, so a new one
 shows as an edit of this file.
@@ -449,6 +450,10 @@ REPEATED_REFUSALS = {
     # count of a group (perm.check_label_count), which the CLI and descent
     # documents check before they read group text.
     "m must be positive",
+    # Not one message but where one came from, before it: a graph
+    # document's name (cli._load_graph) or the command line's subcommand
+    # (the error method of cli._usage_parser's parsers).
+    "{}: {}",
 }
 
 
@@ -508,6 +513,34 @@ def test_check_finds_a_repeated_refusal():
         ),
     }
     assert repeated_refusals(sources) == {"m = {} is negative"}
+
+
+def stderr_readers(sources):
+    """(module, top-level function or None) of each read of an attribute ``stderr``."""
+    readers = []
+    for name, source in sources.items():
+        for top in ast.parse(source).body:
+            where = top.name if isinstance(top, ast.FunctionDef) else None
+            readers += [
+                (name, where)
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "stderr"
+            ]
+    return readers
+
+
+def test_only_main_writes_to_stderr():
+    # Every refusal is main's one error: line; argparse's parsers raise instead.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert stderr_readers(sources) == [("cli.py", "main")]
+
+
+def test_check_finds_a_stderr_write():
+    sources = {
+        "a.py": "import sys\nsys.stderr.write('x')\ndef main():\n    print(file=sys.stderr)\n",
+        "b.py": "def f(p):\n    p.print_usage(p.stderr)\n",
+    }
+    assert stderr_readers(sources) == [("a.py", None), ("a.py", "main"), ("b.py", "f")]
 
 
 def imported_packages(source):
