@@ -40,7 +40,6 @@ from graphstrata.perm import (
     symmetric_group,
 )
 from graphstrata.stablegraph import (
-    StableGraph,
     canonical_form,
     check_stability,
     enumerate_stable_graphs,
@@ -48,34 +47,23 @@ from graphstrata.stablegraph import (
 )
 from graphstrata.strata import build_quotient_table, component_census
 
+from inputs import (
+    SMALL_SIGNATURES,
+    census,
+    class_preserving_maps,
+    random_group,
+    random_marking,
+    shuffled,
+)
 from meter import counting
 from oracle import brute_force_census, iso_key
 from star_audit import audit_unique, scan_morphism
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-CENSUS_SIGNATURES = [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (2, 0)]
-
 
 def _verdict(number, name, ok):
     print(f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'}")
-
-
-def _group(gens, m):
-    return group_from_generators(m, parse_generators(gens, m))
-
-
-def _shuffled(graph, rng):
-    nv = graph.num_vertices
-    perm = list(range(nv))
-    rng.shuffle(perm)
-    genera = [0] * nv
-    for v in range(nv):
-        genera[perm[v]] = graph.genera[v]
-    edges = [(perm[a], perm[b]) for a, b in graph.edges]
-    rng.shuffle(edges)
-    legs = tuple(perm[v] for v in graph.legs)
-    return StableGraph(tuple(genera), tuple(edges), legs)
 
 
 def test_criterion_1_census_counts_match_oracle():
@@ -91,19 +79,19 @@ def test_criterion_1_census_counts_match_oracle():
     for (g, m), (count, ceilings) in expected.items():
         with counting(*targets) as work:
             start = time.perf_counter()
-            census = enumerate_stable_graphs(g, m)
+            built = enumerate_stable_graphs(g, m)
             elapsed = time.perf_counter() - start
         calls = tuple(work[target] for target in targets)
         bounded = all(0 < n <= c or n == c == 0 for n, c in zip(calls, ceilings))
         oracle = brute_force_census(g, m)
         ours = {
             e: {iso_key(gr.genera, gr.edges, gr.legs) for gr in graphs}
-            for e, graphs in census.classes_by_nodes.items()
+            for e, graphs in built.classes_by_nodes.items()
         }
-        good = census.total == count and ours == oracle and elapsed < 10.0 and bounded
+        good = built.total == count and ours == oracle and elapsed < 10.0 and bounded
         ok = ok and good
         details.append(
-            f"({g},{m}): {census.total} classes (want {count}),"
+            f"({g},{m}): {built.total} classes (want {count}),"
             f" oracle {'agrees' if ours == oracle else 'DISAGREES'},"
             f" {elapsed:.2f}s, calls {calls} (ceilings {ceilings})"
         )
@@ -112,20 +100,19 @@ def test_criterion_1_census_counts_match_oracle():
 
 
 def test_criterion_2_quotient_class_counts():
-    census04 = enumerate_stable_graphs(0, 4)
-    full = enumerate_gamma_strata(0, 4, symmetric_group(4), census=census04)
+    full = enumerate_gamma_strata(0, 4, symmetric_group(4), census=census(0, 4))
     double = enumerate_gamma_strata(
-        0, 4, _group("(1 2),(3 4)", 4), census=census04
+        0, 4, group_from_generators(4, parse_generators("(1 2),(3 4)", 4)), census=census(0, 4)
     )
     ok = full.total == 2 and double.total == 3
     details = [f"(0,4) full group: {full.total} (want 2)",
                f"(0,4) double swap: {double.total} (want 3)"]
-    for g, m in CENSUS_SIGNATURES:
+    for g, m in SMALL_SIGNATURES:
         if m == 0:
             continue  # label groups need at least one label
-        census = enumerate_stable_graphs(g, m)
-        fused = enumerate_gamma_strata(g, m, _group("", m), census=census)
-        good = fused.counts() == census.counts()
+        labeled = census(g, m)
+        fused = enumerate_gamma_strata(g, m, group_from_generators(m, ()), census=labeled)
+        good = fused.counts() == labeled.counts()
         ok = ok and good
         details.append(f"({g},{m}) trivial group: {'=' if good else '!='} labeled")
     _verdict(2, "quotient class counts", ok)
@@ -145,13 +132,12 @@ def test_criterion_3_orbit_stabilizer_products():
     ok = True
     bad = []
     for g, m, gens in fixtures:
-        group = _group(gens, m)
-        census = enumerate_stable_graphs(g, m)
-        for cls in quotient_fibers(g, m, group, census=census):
+        group = group_from_generators(m, parse_generators(gens, m))
+        for cls in quotient_fibers(g, m, group, census=census(g, m)):
             if cls.orbit_size * cls.stabilizer.order != group.order:
                 ok = False
                 bad.append(f"({g},{m},{gens or 'id'}) class at i={cls.nodes}")
-        table = build_quotient_table(g, m, group, census=census)
+        table = build_quotient_table(g, m, group, census=census(g, m))
         for row in table.rows:
             if sum(row.orbit_sizes) != row.labeled:
                 ok = False
@@ -191,62 +177,6 @@ def test_criterion_4_twisted_gluing_fixture():
     )
 
 
-def _random_group(rng, m):
-    gens = []
-    for _ in range(rng.randint(0, 2)):
-        images = list(range(1, m + 1))
-        rng.shuffle(images)
-        gens.append(Permutation(tuple(images)))
-    return group_from_generators(m, gens)
-
-
-def _random_marking(rng, m, group, base_ids, prefix):
-    base = tuple(base_ids)
-    cover = []
-    down = {}
-    for s in base:
-        for k in range(rng.randint(1, 3)):
-            name = f"{s}c{k}"
-            cover.append(name)
-            down[name] = s
-    fiber_points = {
-        s: tuple(f"{prefix}{i}_{j}" for j in range(m))
-        for i, s in enumerate(base)
-    }
-    sigma = {}
-    for s in base:
-        ordering = list(fiber_points[s])
-        rng.shuffle(ordering)
-        for name in (c for c in cover if down[c] == s):
-            gamma = group.elements[rng.randrange(group.order)]
-            sigma[name] = tuple(ordering[gamma(i) - 1] for i in range(1, m + 1))
-    return ChartedMarking(
-        cover=FiniteCover(base, tuple(cover), down),
-        m=m,
-        group=group,
-        fiber_points=fiber_points,
-        sigma=sigma,
-    )
-
-
-def _class_preserving_maps(rng, source, target, base_map):
-    classes1 = class_function(source)
-    classes2 = class_function(target)
-    fiber_maps = {}
-    for s in source.cover.base:
-        pools = {}
-        for q in target.fiber_points[base_map[s]]:
-            pools.setdefault(classes2[q], []).append(q)
-        fm = {}
-        for p in source.fiber_points[s]:
-            pool = pools.get(classes1[p])
-            if not pool:
-                return None
-            fm[p] = pool.pop(rng.randrange(len(pool)))
-        fiber_maps[s] = fm
-    return fiber_maps
-
-
 def _describe_morphism(source, target, hm, report):
     lines = [format_marking(source, "marking source")]
     lines.append(format_marking(target, "marking target"))
@@ -273,18 +203,18 @@ def test_criterion_5_morphism_verdicts_agree_on_random_fixtures():
     reproducer = None
     while total < 240:
         m = rng.randint(1, 5)
-        group = _random_group(rng, m)
-        source = _random_marking(
+        group = random_group(rng, m)
+        source = random_marking(
             rng, m, group, [f"x{i}" for i in range(rng.randint(1, 4))], "p"
         )
         target_base = [f"y{i}" for i in range(rng.randint(1, 4))]
-        target = _random_marking(rng, m, group, target_base, "q")
+        target = random_marking(rng, m, group, target_base, "q")
         base_map = {
             s: target_base[rng.randrange(len(target_base))]
             for s in source.cover.base
         }
         if rng.random() < 0.5:
-            fiber_maps = _class_preserving_maps(rng, source, target, base_map)
+            fiber_maps = class_preserving_maps(rng, source, target, base_map)
             if fiber_maps is None:
                 continue
         else:
@@ -321,10 +251,10 @@ def test_morphism_witnesses_match_a_scan_of_group_elements():
     verdicts = []
     while len(verdicts) < 200:
         m = rng.randint(1, 5)
-        group = _random_group(rng, m)
-        source = _random_marking(rng, m, group, [f"x{i}" for i in range(rng.randint(1, 4))], "p")
+        group = random_group(rng, m)
+        source = random_marking(rng, m, group, [f"x{i}" for i in range(rng.randint(1, 4))], "p")
         target_base = [f"y{i}" for i in range(rng.randint(1, 4))]
-        target = _random_marking(rng, m, group, target_base, "q")
+        target = random_marking(rng, m, group, target_base, "q")
         base_map = {s: rng.choice(target_base) for s in source.cover.base}
         fiber_maps = {}
         for s in source.cover.base:
@@ -369,11 +299,11 @@ def test_verdicts_agree_for_young_groups():
     while len(verdicts) < 200:
         m = rng.randint(1, 6)
         group = _young_group(rng, m)
-        source = _random_marking(rng, m, group, [f"x{i}" for i in range(rng.randint(1, 3))], "p")
+        source = random_marking(rng, m, group, [f"x{i}" for i in range(rng.randint(1, 3))], "p")
         target_base = [f"y{i}" for i in range(rng.randint(1, 3))]
-        target = _random_marking(rng, m, group, target_base, "q")
+        target = random_marking(rng, m, group, target_base, "q")
         base_map = {s: rng.choice(target_base) for s in source.cover.base}
-        fiber_maps = _class_preserving_maps(rng, source, target, base_map)
+        fiber_maps = class_preserving_maps(rng, source, target, base_map)
         if fiber_maps is None:
             continue
         if rng.random() < 0.5:
@@ -435,13 +365,13 @@ def test_criterion_6_equivalence_laws():
     bad = []
 
     graph_cases = [
-        (enumerate_stable_graphs(0, 4), ["", "(1 2)", "(1 2),(3 4)"]),
-        (enumerate_stable_graphs(1, 2), ["", "(1 2)"]),
+        (census(0, 4), ["", "(1 2)", "(1 2),(3 4)"]),
+        (census(1, 2), ["", "(1 2)"]),
     ]
-    for census, gens_list in graph_cases:
-        graphs = list(census.all_graphs())
+    for labeled, gens_list in graph_cases:
+        graphs = list(labeled.all_graphs())
         for gens in gens_list:
-            group = _group(gens, census.m)
+            group = group_from_generators(labeled.m, parse_generators(gens, labeled.m))
             for a in graphs:
                 w = gamma_equivalent(a, a, group)
                 if w is None or not w.gamma.is_identity():
@@ -466,7 +396,7 @@ def test_criterion_6_equivalence_laws():
         return ChartedMarking(
             cover=FiniteCover(("x",), (point,), {point: "x"}),
             m=4,
-            group=_group("(1 2),(3 4)", 4),
+            group=group_from_generators(4, parse_generators("(1 2),(3 4)", 4)),
             fiber_points={"x": ("p1", "p2", "p3", "p4")},
             sigma={point: sigma},
         )
@@ -529,9 +459,8 @@ def test_criterion_7_numerology_identities():
 def test_criterion_8_splitting_stability():
     ok = True
     bad = []
-    for g, m in CENSUS_SIGNATURES:
-        census = enumerate_stable_graphs(g, m)
-        for graph in census.all_graphs():
+    for g, m in SMALL_SIGNATURES:
+        for graph in census(g, m).all_graphs():
             for piece in component_census(graph):
                 if not piece.stable or not check_stability(piece.graph).valid:
                     ok = False
@@ -543,31 +472,26 @@ def test_criterion_8_splitting_stability():
 def test_criterion_9_canonical_form_soundness():
     rng = random.Random(90125)
     pool = []
-    for g, m in CENSUS_SIGNATURES:
-        pool.extend(enumerate_stable_graphs(g, m).all_graphs())
-    groups = {
-        1: _group("", 1),
-        2: _group("(1 2)", 2),
-        3: _group("(1 2)", 3),
-        4: _group("(1 2),(3 4)", 4),
-        5: _group("(1 2)", 5),
-    }
+    for g, m in SMALL_SIGNATURES:
+        pool.extend(census(g, m).all_graphs())
+    gens = {1: "", 2: "(1 2)", 3: "(1 2)", 4: "(1 2),(3 4)", 5: "(1 2)"}
+    groups = {m: group_from_generators(m, parse_generators(text, m)) for m, text in gens.items()}
     ok = True
     failures = 0
     for _ in range(1000):
         graph = pool[rng.randrange(len(pool))]
-        shuffled = _shuffled(graph, rng)
-        if canonical_form(shuffled) != canonical_form(graph):
+        moved = shuffled(graph, rng)
+        if canonical_form(moved) != canonical_form(graph):
             ok = False
             failures += 1
-        if canonical_form(canonical_form(shuffled)) != canonical_form(shuffled):
+        if canonical_form(canonical_form(moved)) != canonical_form(moved):
             ok = False
             failures += 1
         m = graph.m
         if m >= 1:
             group = groups[m]
             gamma = group.elements[rng.randrange(group.order)]
-            twisted = relabel_legs(shuffled, gamma)
+            twisted = relabel_legs(moved, gamma)
             expect = gamma_canonical_form(graph, group)
             got = gamma_canonical_form(twisted, group)
             if got != expect:

@@ -40,12 +40,9 @@ import pytest
 
 from graphstrata.gamma import enumerate_gamma_strata, gamma_canonical_form, relabel_legs
 from graphstrata.perm import Permutation, group_from_generators, parse_generators
-from graphstrata.stablegraph import (
-    StableGraph,
-    canonical_form,
-    enumerate_stable_graphs,
-    graph_isomorphism,
-)
+from graphstrata.stablegraph import StableGraph, canonical_form, graph_isomorphism
+
+from inputs import census, shuffled
 
 
 def _norm(u, v):
@@ -115,19 +112,6 @@ def networkx_isomorphic(a, b):
 
 def _triple(graph):
     return (graph.genera, graph.edges, graph.legs)
-
-
-def _shuffled(graph, rng):
-    """The same graph with vertices renamed and edges listed in random order."""
-    nv = graph.num_vertices
-    perm = list(range(nv))
-    rng.shuffle(perm)
-    genera = [0] * nv
-    for v in range(nv):
-        genera[perm[v]] = graph.genera[v]
-    edges = [(perm[u], perm[v]) for u, v in graph.edges]
-    rng.shuffle(edges)
-    return StableGraph(tuple(genera), tuple(edges), tuple(perm[v] for v in graph.legs))
 
 
 def _random_graph(rng):
@@ -216,7 +200,7 @@ def random_pairs():
     for _ in range(RANDOM_PAIRS):
         a = _random_graph(rng)
         b = a if rng.random() < 0.4 else _mutated(a, rng)
-        pairs.append((a, _shuffled(b, rng)))
+        pairs.append((a, shuffled(b, rng)))
     return pairs
 
 
@@ -224,7 +208,7 @@ def random_pairs():
 def symmetric_inputs():
     rng = random.Random(1014)
     return [
-        _shuffled(StableGraph(genera, edges, ()), rng)
+        shuffled(StableGraph(genera, edges, ()), rng)
         for genera, edges in SYMMETRIC.values()
         for _ in range(SYMMETRIC_RELABELINGS)
     ]
@@ -271,9 +255,9 @@ def test_canonical_form_matches_reference_on_random_graphs(reference_forms):
 @pytest.mark.parametrize("g,m", [(0, 6), (1, 4)])
 def test_canonical_form_matches_reference_on_census(g, m):
     rng = random.Random(100 * g + m)
-    for graph in enumerate_stable_graphs(g, m).all_graphs():
+    for graph in census(g, m).all_graphs():
         assert reference_canonical_form(*_triple(graph)) == _triple(graph)
-        other = _shuffled(graph, rng)
+        other = shuffled(graph, rng)
         assert _triple(canonical_form(other)) == _triple(graph)
         assert reference_canonical_form(*_triple(other)) == _triple(graph)
 
@@ -350,7 +334,7 @@ GROUP_CASES = [
 @pytest.mark.parametrize("g,m,gens", GROUP_CASES)
 def test_gamma_canonical_form_is_the_least_reference_form(g, m, gens):
     group = group_from_generators(m, parse_generators(gens, m))
-    for labeled in enumerate_stable_graphs(g, m).all_graphs():
+    for labeled in census(g, m).all_graphs():
         least = min(
             reference_canonical_form(*_relabeled(labeled, gamma.images)) for gamma in group
         )
@@ -360,7 +344,7 @@ def test_gamma_canonical_form_is_the_least_reference_form(g, m, gens):
 @pytest.mark.parametrize("g,m,gens", GROUP_CASES)
 def test_stabilizers_are_a_reference_scan_in_group_order(g, m, gens):
     group = group_from_generators(m, parse_generators(gens, m))
-    for cls in enumerate_gamma_strata(g, m, group).all_classes():
+    for cls in enumerate_gamma_strata(g, m, group, census=census(g, m)).all_classes():
         rep = _triple(cls.representative)
         scan = tuple(
             gamma
@@ -392,7 +376,7 @@ FUSION_CASES = [
 def test_canonical_form_matches_reference_on_fusion_images(g, m, gens, leg_free, searched):
     group = group_from_generators(m, parse_generators(gens, m))
     seen_leg_free = seen_search = False
-    for labeled in enumerate_stable_graphs(g, m).all_graphs():
+    for labeled in census(g, m).all_graphs():
         for gamma in group:
             image = relabel_legs(labeled, gamma)
             expected = reference_canonical_form(*_triple(image))
@@ -500,7 +484,7 @@ def test_derived_graphs_keep_constructor_invariants():
 
 @pytest.mark.parametrize("g,m", [(0, 6), (1, 4), (2, 2)])
 def test_census_graphs_are_their_own_canonical_form(g, m):
-    for graph in enumerate_stable_graphs(g, m).all_graphs():
+    for graph in census(g, m).all_graphs():
         assert canonical_form(graph) is graph, graph
         _assert_as_constructed(graph)
 

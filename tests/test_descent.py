@@ -51,16 +51,12 @@ from star_audit import (
 MATCH = "descent._PairWitnesses.get"
 
 
-def make_group(gens, m):
-    return group_from_generators(m, parse_generators(gens, m))
-
-
 def single_chart(sigma, gens="(1 2),(3 4)", m=4, cover_point="s"):
     """One base point, one cover point, four distinguished points."""
     return ChartedMarking(
         cover=FiniteCover(("x",), (cover_point,), {cover_point: "x"}),
         m=m,
-        group=make_group(gens, m),
+        group=group_from_generators(m, parse_generators(gens, m)),
         fiber_points={"x": ("p1", "p2", "p3", "p4")[:4]},
         sigma={cover_point: sigma},
     )
@@ -97,7 +93,7 @@ def test_marking_validation():
         ChartedMarking(
             cover=cover,
             m=1,
-            group=make_group("", 1),
+            group=group_from_generators(1, ()),
             fiber_points={"x": ("p",), "y": ("p",)},  # id reused across fibers
             sigma={"a": ("p",), "b": ("p",)},
         )
@@ -164,7 +160,7 @@ def test_unmarked_points_invalidate():
     marking = ChartedMarking(
         cover=cover,
         m=2,
-        group=make_group("", 2),
+        group=group_from_generators(2, ()),
         fiber_points={"x": ("p1", "p2", "p3")},
         sigma={"s": ("p1", "p2")},
     )
@@ -266,7 +262,7 @@ def _fiber_marking(m, gens, fibers, charts):
     return ChartedMarking(
         cover=FiniteCover(base, tuple(down), down),
         m=m,
-        group=make_group(gens, m),
+        group=group_from_generators(m, parse_generators(gens, m)),
         fiber_points={f"x{k}": tuple(f.split()) for k, f in enumerate(fibers)},
         sigma=sigma,
     )
@@ -381,7 +377,7 @@ def two_sheets(sigma_a, sigma_b, gens="(1 2),(3 4)"):
     return ChartedMarking(
         cover=cover,
         m=4,
-        group=make_group(gens, 4),
+        group=group_from_generators(4, parse_generators(gens, 4)),
         fiber_points={"x": ("p1", "p2", "p3", "p4")},
         sigma={"a": sigma_a, "b": sigma_b},
     )
@@ -618,7 +614,7 @@ def test_chart_and_class_verdicts_can_differ():
     marking = ChartedMarking(
         cover=FiniteCover(("x",), ("s",), {"s": "x"}),
         m=3,
-        group=make_group("(1 2 3)", 3),
+        group=group_from_generators(3, parse_generators("(1 2 3)", 3)),
         fiber_points={"x": ("p1", "p2", "p3")},
         sigma={"s": ("p1", "p2", "p3")},
     )

@@ -95,13 +95,7 @@ def _write(workdir, name, text):
     return str(path)
 
 
-_FUZZ = settings(
-    max_examples=150,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+_FUZZ = settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 
 
 @_FUZZ

@@ -7,9 +7,10 @@ carries the transition j to π⁻¹jπ, so under the group π⁻¹Γπ every
 ``verify_star`` verdict, every ``equivalent`` verdict and both verdicts of
 ``verify_morphism`` must stay as they were.  And ``equivalent`` reads Γ as
 a member set: a valid marking is equivalent to itself with Γ written by
-other generators.  The fixtures are those of ``test_acceptance`` under
-their own seed, some with one chart shuffled; one planted fault, the
-charts renumbered while Γ is kept, must change some verdict.
+other generators.  The fixtures come from the ``inputs`` builders that
+``test_acceptance`` uses, under their own seed, some with one chart
+shuffled; one planted fault, the charts renumbered while Γ is kept, must
+change some verdict.
 """
 
 import functools
@@ -22,19 +23,18 @@ from graphstrata.descent import (
     verify_morphism,
     verify_star,
 )
-from graphstrata.perm import Permutation, group_from_generators
+from graphstrata.perm import Permutation
 
-from test_acceptance import _class_preserving_maps, _random_group, _random_marking
-from test_fusion_invariance import _random_presentation
+from inputs import (
+    class_preserving_maps,
+    conjugated,
+    random_group,
+    random_marking,
+    random_presentation,
+)
 
 SEED = 20260
 FIXTURES = 200
-
-
-def _conjugated(group, pi):
-    """π⁻¹Γπ."""
-    inverse = pi.inverse()
-    return group_from_generators(group.degree, [inverse * s * pi for s in group.generators])
 
 
 def _renumbered(marking, pi, group):
@@ -70,20 +70,20 @@ def _fixtures(seed):
     out = []
     while len(out) < FIXTURES:
         m = rng.randint(1, 6)
-        group = _random_group(rng, m)
-        source = _random_marking(rng, m, group, [f"x{i}" for i in range(rng.randint(1, 3))], "p")
+        group = random_group(rng, m)
+        source = random_marking(rng, m, group, [f"x{i}" for i in range(rng.randint(1, 3))], "p")
         second = _twisted(rng, source)
         if rng.random() < 0.4:
             source = _with_a_shuffled_chart(rng, source)
         if rng.random() < 0.4:
             second = _with_a_shuffled_chart(rng, second)
         target_base = [f"y{i}" for i in range(rng.randint(1, 3))]
-        target = _random_marking(rng, m, group, target_base, "q")
+        target = random_marking(rng, m, group, target_base, "q")
         base_map = {s: rng.choice(target_base) for s in source.cover.base}
         morphism = None
         if verify_star(source).valid:
             if rng.random() < 0.5:
-                fiber_maps = _class_preserving_maps(rng, source, target, base_map)
+                fiber_maps = class_preserving_maps(rng, source, target, base_map)
             else:
                 fiber_maps = {
                     s: dict(zip(points, rng.sample(target.fiber_points[base_map[s]], m)))
@@ -119,7 +119,7 @@ def _renumbering_changes(seed, keep_group=False):
     for (source, second, target, morphism, pi), before in zip(
         _fixtures(seed), _fixture_verdicts(seed)
     ):
-        group = source.group if keep_group else _conjugated(source.group, pi)
+        group = source.group if keep_group else conjugated(source.group, pi.inverse())
         moved = [_renumbered(marking, pi, group) for marking in (source, second, target)]
         if _verdicts(*moved, morphism) != before:
             changed.append((source, pi, before))
@@ -146,7 +146,7 @@ def test_a_marking_is_equivalent_to_itself_under_other_generators():
     for source, *_ in _fixtures(SEED):
         if not verify_star(source).valid:
             continue
-        other = _random_presentation(source.group, rng)
+        other = random_presentation(source.group, rng)
         rewritten = ChartedMarking(
             source.cover, source.m, other, source.fiber_points, source.sigma
         )

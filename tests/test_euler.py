@@ -8,7 +8,8 @@ vertex maps, found here by brute force over vertex permutations, times k! for
 each bundle of k parallel edges and a further 2^k when they are loops.  The
 arithmetic is exact, and nothing here shares code with the census's canonical
 forms or isomorphism search, so a class missing, doubled or wrongly fused
-breaks an identity.
+breaks an identity.  Γ's members come from ``cycle_index.closure``, which
+reads the generators without the library's parser.
 """
 
 import functools
@@ -21,7 +22,9 @@ import pytest
 
 from graphstrata.gamma import enumerate_gamma_strata
 from graphstrata.perm import group_from_generators, parse_generators
-from graphstrata.stablegraph import enumerate_stable_graphs
+
+from cycle_index import closure
+from inputs import census
 
 
 @functools.cache
@@ -42,22 +45,6 @@ def chi_open(g, n):
     if n == 0:  # g >= 2: χ(M_{g,1}) = (2 - 2g)·χ(M_{g,0})
         return chi_open(g, 1) / (2 - 2 * g)
     return (3 - 2 * g - n) * chi_open(g, n - 1)
-
-
-@functools.cache
-def census(g, m):
-    return enumerate_stable_graphs(g, m, max_dim=3 * g - 3 + m)
-
-
-def closure(m, text):
-    """Image tuples of the group the cycle-notation generators generate."""
-    gens = [g.images for g in parse_generators(text, m)]
-    seen = {tuple(range(1, m + 1))}
-    frontier = list(seen)
-    while frontier:
-        frontier = [tuple(s[x - 1] for x in a) for a in frontier for s in gens]
-        frontier = [c for c in frontier if c not in seen and not seen.add(c)]
-    return seen
 
 
 def _norm(u, v):

@@ -43,8 +43,10 @@ from graphstrata.perm import (
     parse_generators,
     symmetric_group,
 )
-from graphstrata.stablegraph import canonical_form, enumerate_stable_graphs
+from graphstrata.stablegraph import canonical_form
 from graphstrata.strata import build_quotient_table, render_quotient_table
+
+from inputs import census, conjugated, random_presentation
 from record_golden import C5, GOLDEN_PATH, pin, resolve, run
 from record_golden import CASES as GOLDEN_CASES
 
@@ -65,9 +67,8 @@ DRAWS = 3  # classes drawn per case and seed, each paired in its orbit and at ra
 
 @functools.cache
 def _setup(g, m, gens):
-    census = enumerate_stable_graphs(g, m)
     group = group_from_generators(m, parse_generators(gens, m))
-    return census, group, enumerate_gamma_strata(g, m, group, census=census)
+    return census(g, m), group, enumerate_gamma_strata(g, m, group, census=census(g, m))
 
 
 def _after_group_line(fused):
@@ -79,21 +80,11 @@ def _after_group_line(fused):
 def _table_rows(g, m, gens, seed=None):
     """The ``quotient-table`` text after its header line, which names the
     generators: under Γ as ``gens`` writes it, or as ``seed`` draws it."""
-    census, group, _ = _setup(g, m, gens)
+    labeled, group, _ = _setup(g, m, gens)
     if seed is not None:
-        group = _random_presentation(group, random.Random(seed))
-    text = render_quotient_table(build_quotient_table(g, m, group, census=census))
+        group = random_presentation(group, random.Random(seed))
+    text = render_quotient_table(build_quotient_table(g, m, group, census=labeled))
     return text[text.index("\n"):]
-
-
-def _random_presentation(group, rng):
-    """Random members of ``group``, drawn until they generate it."""
-    gens = []
-    while True:
-        gens.append(rng.choice(group.elements))
-        regenerated = group_from_generators(group.degree, gens)
-        if regenerated.members == group.members:
-            return regenerated
 
 
 def _fuse(g, m, group, census):
@@ -107,32 +98,27 @@ def _first_generator_fuse(g, m, group, census):
 
 def _presentation_faults(g, m, gens, seed, fuse=_fuse):
     """What changes when Γ is given by a random generating set, by ``fuse``."""
-    census, group, fused = _setup(g, m, gens)
+    labeled, group, fused = _setup(g, m, gens)
     rng = random.Random(seed)
-    other = _random_presentation(group, rng)
+    other = random_presentation(group, rng)
     faults = []
-    if _after_group_line(fuse(g, m, other, census)) != _after_group_line(fused):
+    if _after_group_line(fuse(g, m, other, labeled)) != _after_group_line(fused):
         faults.append("gamma-census bytes")
     # A table fuses again, so one seed per case reads it.
     if seed == SEEDS[0] and _table_rows(g, m, gens, seed) != _table_rows(g, m, gens):
         faults.append("quotient-table bytes")
     key = {x: cls.representative for cls in fused.all_classes() for x in cls.orbit}
-    if any(gamma_canonical_form(x, other) != key[x] for x in census.all_graphs()):
+    if any(gamma_canonical_form(x, other) != key[x] for x in labeled.all_graphs()):
         faults.append("gamma_canonical_form")
     classes = list(fused.all_classes())
     for _ in range(DRAWS):
         cls = rng.choice(classes)
         a = rng.choice(cls.orbit)
-        for b in (rng.choice(cls.orbit), rng.choice(census.classes_by_nodes[cls.nodes])):
+        for b in (rng.choice(cls.orbit), rng.choice(labeled.classes_by_nodes[cls.nodes])):
             verdicts = {gamma_equivalent(a, b, h) is None for h in (group, other)}
             if verdicts != {key[a] != key[b]}:
                 faults.append(f"gamma_equivalent {a} {b}")
     return faults
-
-
-def _conjugated(group, sigma):
-    inverse = sigma.inverse()
-    return group_from_generators(group.degree, [sigma * s * inverse for s in group.generators])
 
 
 def _conjugation_faults(fused, sigma, image):
@@ -163,9 +149,9 @@ def _sigma(m, seed):
 
 
 def _conjugation_image(g, m, gens, seed):
-    census, group, fused = _setup(g, m, gens)
+    labeled, group, fused = _setup(g, m, gens)
     sigma = _sigma(m, seed)
-    return fused, sigma, _fuse(g, m, _conjugated(group, sigma), census)
+    return fused, sigma, _fuse(g, m, conjugated(group, sigma), labeled)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -186,7 +172,7 @@ def test_presentation_check_catches_a_fusion_closed_from_one_generator():
     caught = []
     for g, m, gens in CASES:
         group = _setup(g, m, gens)[1]
-        first = _random_presentation(group, random.Random(SEEDS[0])).generators[:1]
+        first = random_presentation(group, random.Random(SEEDS[0])).generators[:1]
         if group_from_generators(m, first).order < group.order:
             caught.append(_presentation_faults(g, m, gens, SEEDS[0], _first_generator_fuse))
     assert len(caught) >= 6
@@ -215,7 +201,7 @@ def _canon_pin(name, group, seed):
     """The pinned run of case ``name`` with Γ replaced by ``group``, named by
     the random generating set ``seed`` draws."""
     argv, k, _ = _canon_group(name)
-    argv[k] = generator_text(_random_presentation(group, random.Random(seed)).generators)
+    argv[k] = generator_text(random_presentation(group, random.Random(seed)).generators)
     return pin(run(argv))
 
 

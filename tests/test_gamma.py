@@ -18,20 +18,18 @@ from graphstrata.perm import (
     parse_permutation,
     symmetric_group,
 )
-from graphstrata.stablegraph import StableGraph, canonical_form, enumerate_stable_graphs
+from graphstrata.stablegraph import StableGraph, canonical_form
+
+from inputs import census, small_censuses
 
 SPLIT_12_34 = StableGraph((0, 0), ((0, 1),), (0, 0, 1, 1))
 SPLIT_13_24 = StableGraph((0, 0), ((0, 1),), (0, 1, 0, 1))
 SPLIT_14_23 = StableGraph((0, 0), ((0, 1),), (0, 1, 1, 0))
 
 
-def group(gens, m=4):
-    return group_from_generators(m, parse_generators(gens, m))
-
-
-TRIVIAL = group("")
-SWAP12 = group("(1 2)")
-V4 = group("(1 2),(3 4)")
+TRIVIAL = group_from_generators(4, ())
+SWAP12 = group_from_generators(4, parse_generators("(1 2)", 4))
+V4 = group_from_generators(4, parse_generators("(1 2),(3 4)", 4))
 S4 = symmetric_group(4)
 
 
@@ -94,12 +92,13 @@ def test_gamma_equivalent_examples():
 
 
 def test_gamma_equivalent_rejects_degree_mismatch():
+    swap = group_from_generators(3, parse_generators("(1 2)", 3))
     with pytest.raises(ValueError):
-        gamma_equivalent(SPLIT_12_34, SPLIT_13_24, group("(1 2)", 3))
+        gamma_equivalent(SPLIT_12_34, SPLIT_13_24, swap)
 
 
-def test_gamma_canonical_form_trivial_group_is_plain(census04):
-    for graph in census04.all_graphs():
+def test_gamma_canonical_form_trivial_group_is_plain():
+    for graph in census(0, 4).all_graphs():
         assert gamma_canonical_form(graph, TRIVIAL) == canonical_form(graph)
 
 
@@ -126,9 +125,9 @@ def test_gamma_canonical_form_idempotent():
 
 
 @pytest.mark.parametrize("gens", ["", "(1 2)", "(1 2),(3 4)"])
-def test_equivalence_laws_on_04_census(census04, gens):
-    grp = group(gens)
-    graphs = list(census04.all_graphs())
+def test_equivalence_laws_on_04_census(gens):
+    grp = group_from_generators(4, parse_generators(gens, 4))
+    graphs = list(census(0, 4).all_graphs())
     for a in graphs:
         w = gamma_equivalent(a, a, grp)
         assert w is not None and w.gamma.is_identity()
@@ -147,9 +146,9 @@ def test_equivalence_laws_on_04_census(census04, gens):
 
 
 @pytest.mark.parametrize("gens,m", [("", 2), ("(1 2)", 2)])
-def test_equivalence_matches_canonical_form_12(census12, gens, m):
-    grp = group(gens, m)
-    graphs = list(census12.all_graphs())
+def test_equivalence_matches_canonical_form_12(gens, m):
+    grp = group_from_generators(m, parse_generators(gens, m))
+    graphs = list(census(1, 2).all_graphs())
     for a in graphs:
         for b in graphs:
             same = gamma_canonical_form(a, grp) == gamma_canonical_form(b, grp)
@@ -166,7 +165,7 @@ def test_gamma_automorphisms_smooth():
 
 
 def test_gamma_automorphisms_vertex_swap():
-    crossgroup = group("(1 3)(2 4)")
+    crossgroup = group_from_generators(4, parse_generators("(1 3)(2 4)", 4))
     pairs = gamma_automorphisms(SPLIT_12_34, crossgroup)
     gammas = {g.cycle_string() for g, _ in pairs}
     assert "(1 3)(2 4)" in gammas
@@ -194,27 +193,27 @@ def test_gamma_automorphisms_form_a_group():
                 assert a * b in gammas
 
 
-def test_enumerate_gamma_strata_counts(census04):
-    fused = enumerate_gamma_strata(0, 4, S4, census=census04)
+def test_enumerate_gamma_strata_counts():
+    fused = enumerate_gamma_strata(0, 4, S4, census=census(0, 4))
     assert fused.total == 2
     assert fused.counts() == {0: 1, 1: 1}
-    fused = enumerate_gamma_strata(0, 4, V4, census=census04)
+    fused = enumerate_gamma_strata(0, 4, V4, census=census(0, 4))
     assert fused.total == 3
     assert fused.counts() == {0: 1, 1: 2}
 
 
-def test_enumerate_gamma_strata_trivial_matches_labeled(all_censuses):
-    for census in all_censuses:
-        if census.m == 0:
+def test_enumerate_gamma_strata_trivial_matches_labeled():
+    for labeled in small_censuses():
+        if labeled.m == 0:
             continue
-        trivial = group_from_generators(census.m, ())
+        trivial = group_from_generators(labeled.m, ())
         fused = enumerate_gamma_strata(
-            census.g, census.m, trivial, census=census
+            labeled.g, labeled.m, trivial, census=labeled
         )
-        assert fused.counts() == census.counts()
+        assert fused.counts() == labeled.counts()
         for i, classes in fused.classes_by_nodes.items():
             reps = [cls.representative for cls in classes]
-            assert reps == list(census.classes_by_nodes[i])
+            assert reps == list(labeled.classes_by_nodes[i])
 
 
 @pytest.mark.parametrize(
@@ -230,10 +229,9 @@ def test_enumerate_gamma_strata_trivial_matches_labeled(all_censuses):
 def test_fusion_keys_each_orbit_by_its_least_member_in_census_order(g, m, gens):
     # Fusion takes the first member it meets as the orbit's key, which is
     # the least only because each census level is sorted by encoding.
-    census = enumerate_stable_graphs(g, m)
-    grp = group(gens, m)
-    fused = enumerate_gamma_strata(g, m, grp, census=census)
-    for i, level in census.classes_by_nodes.items():
+    grp = group_from_generators(m, parse_generators(gens, m))
+    fused = enumerate_gamma_strata(g, m, grp, census=census(g, m))
+    for i, level in census(g, m).classes_by_nodes.items():
         keys = [graph.encoding() for graph in level]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         position = {graph: n for n, graph in enumerate(level)}
@@ -248,22 +246,22 @@ def test_fusion_keys_each_orbit_by_its_least_member_in_census_order(g, m, gens):
         assert firsts == sorted(firsts)
 
 
-def test_orbit_stabilizer_products(census04):
+def test_orbit_stabilizer_products():
     for grp in (TRIVIAL, SWAP12, V4, S4):
-        for cls in quotient_fibers(0, 4, grp, census=census04):
+        for cls in quotient_fibers(0, 4, grp, census=census(0, 4)):
             assert cls.orbit_size * cls.stabilizer.order == grp.order
 
 
-def test_orbit_partition(census04):
-    fused = enumerate_gamma_strata(0, 4, V4, census=census04)
-    for i, labeled in census04.classes_by_nodes.items():
+def test_orbit_partition():
+    fused = enumerate_gamma_strata(0, 4, V4, census=census(0, 4))
+    for i, labeled in census(0, 4).classes_by_nodes.items():
         orbits = [cls.orbit for cls in fused.classes_by_nodes[i]]
         flattened = sorted(g.encoding() for orbit in orbits for g in orbit)
         assert flattened == sorted(g.encoding() for g in labeled)
 
 
-def test_degree_of_s4_on_smooth_04(census04):
-    fused = enumerate_gamma_strata(0, 4, S4, census=census04)
+def test_degree_of_s4_on_smooth_04():
+    fused = enumerate_gamma_strata(0, 4, S4, census=census(0, 4))
     smooth = fused.classes_by_nodes[0][0]
     assert smooth.orbit_size == 1
     assert smooth.stabilizer.order == 24
@@ -288,13 +286,14 @@ def test_marked_graph_wrapper():
 
 
 def test_class_labels_rejects_group_of_other_degree():
-    marked = GammaMarkedGraph(SPLIT_13_24, group("(1 2)", m=5), SPLIT_13_24)
+    swap = group_from_generators(5, parse_generators("(1 2)", 5))
+    marked = GammaMarkedGraph(SPLIT_13_24, swap, SPLIT_13_24)
     with pytest.raises(ValueError):
         marked.class_labels()
 
 
-def test_gamma_census_doc(census04):
-    fused = enumerate_gamma_strata(0, 4, V4, census=census04)
+def test_gamma_census_doc():
+    fused = enumerate_gamma_strata(0, 4, V4, census=census(0, 4))
     doc = gamma_census_to_doc(fused)
     assert doc["format"] == "gamma-census/1"
     assert doc["group"] == ["(1 2)", "(3 4)"]

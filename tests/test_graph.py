@@ -28,6 +28,7 @@ from graphstrata.stablegraph import (
     stratum_dim,
 )
 
+from inputs import census, shuffled, small_censuses
 from oracle import brute_force_census, iso_key
 
 SMOOTH_G2 = StableGraph((2,), (), ())
@@ -36,20 +37,6 @@ LOOP = StableGraph((0,), ((0, 0),), ())
 SPLIT_12_34 = StableGraph((0, 0), ((0, 1),), (0, 0, 1, 1))
 SPLIT_13_24 = StableGraph((0, 0), ((0, 1),), (0, 1, 0, 1))
 SPLIT_14_23 = StableGraph((0, 0), ((0, 1),), (0, 1, 1, 0))
-
-
-def shuffled_presentation(graph, rng):
-    """The same graph with vertices renamed by a random permutation."""
-    nv = graph.num_vertices
-    perm = list(range(nv))
-    rng.shuffle(perm)
-    genera = [0] * nv
-    for v in range(nv):
-        genera[perm[v]] = graph.genera[v]
-    edges = [(perm[a], perm[b]) for a, b in graph.edges]
-    rng.shuffle(edges)
-    legs = tuple(perm[v] for v in graph.legs)
-    return StableGraph(tuple(genera), tuple(edges), legs)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +248,7 @@ def test_isomorphism_witnesses_match_brute_force(respect_leg_labels):
     for _ in range(300):
         nv = rng.randint(1, 6)
         a = _random_multigraph(rng, nv)
-        b = shuffled_presentation(a, rng)
+        b = shuffled(a, rng)
         labels = list(range(a.m))
         rng.shuffle(labels)
         b_relabeled = StableGraph(b.genera, b.edges, tuple(b.legs[k] for k in labels))
@@ -294,11 +281,11 @@ def test_canonical_form_constant_on_presentations():
     base = StableGraph((0, 1, 0), ((0, 1), (1, 2), (2, 2)), (0, 0, 2))
     expect = canonical_form(base)
     for _ in range(25):
-        assert canonical_form(shuffled_presentation(base, rng)) == expect
+        assert canonical_form(shuffled(base, rng)) == expect
 
 
-def test_canonical_form_separates_classes(census04):
-    graphs = list(census04.all_graphs())
+def test_canonical_form_separates_classes():
+    graphs = list(census(0, 4).all_graphs())
     for a in graphs:
         for b in graphs:
             same = canonical_form(a) == canonical_form(b)
@@ -309,23 +296,23 @@ def test_canonical_form_separates_classes(census04):
 # census
 
 
-def test_census_small_counts(census03, census04, census11, census05):
-    assert census03.total == 1
-    assert census04.total == 4
-    assert census04.counts() == {0: 1, 1: 3}
-    assert census11.total == 2
-    assert census11.counts() == {0: 1, 1: 1}
-    assert census05.total == 26
-    assert census05.counts() == {0: 1, 1: 10, 2: 15}
+def test_census_small_counts():
+    assert census(0, 3).total == 1
+    assert census(0, 4).total == 4
+    assert census(0, 4).counts() == {0: 1, 1: 3}
+    assert census(1, 1).total == 2
+    assert census(1, 1).counts() == {0: 1, 1: 1}
+    assert census(0, 5).total == 26
+    assert census(0, 5).counts() == {0: 1, 1: 10, 2: 15}
 
 
-def test_census_deeper_counts(census12, census20):
-    assert census12.counts() == {0: 1, 1: 2, 2: 2}
-    assert census20.counts() == {0: 1, 1: 2, 2: 2, 3: 2}
+def test_census_deeper_counts():
+    assert census(1, 2).counts() == {0: 1, 1: 2, 2: 2}
+    assert census(2, 0).counts() == {0: 1, 1: 2, 2: 2, 3: 2}
 
 
-def test_census_04_boundary_is_the_three_leg_splits(census04):
-    boundary = census04.classes_by_nodes[1]
+def test_census_04_boundary_is_the_three_leg_splits():
+    boundary = census(0, 4).classes_by_nodes[1]
     keys = {iso_key(g.genera, g.edges, g.legs) for g in boundary}
     expect = {
         iso_key(s.genera, s.edges, s.legs)
@@ -338,20 +325,20 @@ def test_census_04_boundary_is_the_three_leg_splits(census04):
     "g,m", [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (2, 0), (1, 3), (2, 1)]
 )
 def test_census_matches_brute_force(g, m):
-    census = enumerate_stable_graphs(g, m)
+    labeled = census(g, m)
     oracle = brute_force_census(g, m)
     # Each stable vertex adds 2g_v - 2 + n_v >= 1 to 2g - 2 + m, so no
     # class has more vertices; the trivalent genus-0 graphs reach the bound.
     bound = 2 * g - 2 + m
     assert max(len(key[0]) for keys in oracle.values() for key in keys) == bound
-    assert max(gr.num_vertices for gr in census.all_graphs()) == bound
+    assert max(gr.num_vertices for gr in labeled.all_graphs()) == bound
     ours = {
         e: {iso_key(gr.genera, gr.edges, gr.legs) for gr in graphs}
-        for e, graphs in census.classes_by_nodes.items()
+        for e, graphs in labeled.classes_by_nodes.items()
     }
     assert ours == oracle
     # per-bucket sizes agree, so dedup lost nothing
-    for e, graphs in census.classes_by_nodes.items():
+    for e, graphs in labeled.classes_by_nodes.items():
         assert len(graphs) == len(oracle[e])
 
 
@@ -450,22 +437,22 @@ def test_degenerations_match_the_reference_on_random_shapes():
         assert_same_degenerations((genera, counts, tuple(sorted(edges))))
 
 
-def test_census_entries_are_stable_and_in_range(all_censuses):
-    for census in all_censuses:
-        for e, graphs in census.classes_by_nodes.items():
+def test_census_entries_are_stable_and_in_range():
+    for labeled in small_censuses():
+        for e, graphs in labeled.classes_by_nodes.items():
             for graph in graphs:
                 assert check_stability(graph).valid
-                assert genus(graph) == census.g
-                assert graph.m == census.m
+                assert genus(graph) == labeled.g
+                assert graph.m == labeled.m
                 assert graph.num_edges == e
                 assert stratum_dim(graph) >= 0
                 if stratum_dim(graph) == 0:
-                    assert e == 3 * census.g - 3 + census.m
+                    assert e == 3 * labeled.g - 3 + labeled.m
 
 
-def test_census_entries_canonical(all_censuses):
-    for census in all_censuses:
-        for graph in census.all_graphs():
+def test_census_entries_canonical():
+    for labeled in small_censuses():
+        for graph in labeled.all_graphs():
             assert canonical_form(graph) == graph
 
 
@@ -561,8 +548,8 @@ def test_hilbert_rejects_bad_inputs():
 # documents
 
 
-def test_graph_doc_round_trip(census12):
-    for graph in census12.all_graphs():
+def test_graph_doc_round_trip():
+    for graph in census(1, 2).all_graphs():
         assert graph_from_doc(graph_to_doc(graph)) == graph
 
 
@@ -591,8 +578,8 @@ def test_graph_doc_rejects_malformed():
             graph_from_doc(doc)
 
 
-def test_census_doc_shape(census04):
-    doc = census_to_doc(census04)
+def test_census_doc_shape():
+    doc = census_to_doc(census(0, 4))
     assert doc["format"] == "stable-graph-census/1"
     assert doc["total"] == 4
     assert set(doc["classes_by_nodes"]) == {"0", "1"}
@@ -600,6 +587,6 @@ def test_census_doc_shape(census04):
 
 
 def test_dumps_stable():
-    doc = census_to_doc(enumerate_stable_graphs(0, 4))
+    doc = census_to_doc(census(0, 4))
     assert dumps(doc) == dumps(json.loads(dumps(doc)))
     assert dumps(doc).endswith("\n")

@@ -86,13 +86,7 @@ def _mutated(draw):
     return text
 
 
-@settings(
-    max_examples=150,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(
     text=_mutated(),
     group=st.sampled_from(GROUPS),

@@ -2,8 +2,6 @@
 
 import random
 
-from sympy.combinatorics import Permutation as SymPermutation, PermutationGroup
-
 from graphstrata.perm import (
     Permutation,
     group_from_generators,
@@ -12,6 +10,8 @@ from graphstrata.perm import (
     symmetric_group,
     symmetric_group_on,
 )
+
+from inputs import sympy_group
 
 
 def test_equal_groups_ignore_generators():
@@ -38,6 +38,14 @@ def test_elements_are_built_on_first_read_only():
 
 
 def test_label_orbits_agree_with_sympy():
+    # Three fixed groups, then 200 seeded random ones, each with the
+    # generators the oracle reads.
+    fixed = (
+        group_from_generators(4, parse_generators("(1 2),(3 4)", 4)),
+        symmetric_group_on([2, 3], 4),
+        symmetric_group(5),
+    )
+    cases = [(group, group.generators) for group in fixed]
     rng = random.Random(61)
     for _ in range(200):
         m = rng.randint(1, 7)
@@ -45,13 +53,11 @@ def test_label_orbits_agree_with_sympy():
             Permutation(tuple(rng.sample(range(1, m + 1), m)))
             for _ in range(rng.randint(0, 3))
         ]
-        group = group_from_generators(m, gens)
-        oracle = PermutationGroup(
-            [SymPermutation([j - 1 for j in g.images]) for g in gens]
-            or [SymPermutation(list(range(m)))]
-        )
+        cases.append((group_from_generators(m, gens), gens))
+    for group, gens in cases:
+        m = group.degree
         expected = {}
-        for orbit in oracle.orbits():
+        for orbit in sympy_group(m, gens).orbits():
             for i in orbit:
                 expected[i + 1] = frozenset(j + 1 for j in orbit)
         assert label_orbits(group) == tuple(expected[i] for i in range(1, m + 1))

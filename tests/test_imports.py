@@ -10,7 +10,9 @@ compiled once and its own methods are called.
 No library module imports ``re`` at all: every grammar is read with
 ``str`` methods, which decide the same strings without compiling a pattern
 at import or on a call, so one mechanism reads all of them.
-The cycle-index oracle of the tests imports no library module.
+The cycle-index oracle of the tests imports no library module, and no
+test module imports another: what several of them build lives in
+``tests/inputs.py``.
 The package's modules hold at most ``SRC_LINES`` lines between them.
 Only ``cli.main`` writes to stderr: it prints every refusal.
 The private names that modules import from each other, and the refusal
@@ -570,3 +572,28 @@ def test_check_finds_a_library_import():
         "    from . import oracle\n"
     )
     assert imported_packages(source) == {"os", "fractions", "graphstrata", "."}
+
+
+def imports_between_tests(sources):
+    """(module, test module it imports) for every import of a ``test_*`` module."""
+    return sorted(
+        (name, package)
+        for name, source in sources.items()
+        for package in imported_packages(source)
+        if package.startswith("test_")
+    )
+
+
+def test_no_test_module_imports_another():
+    tests = Path(__file__).resolve().parent
+    sources = {p.name: p.read_text(encoding="utf-8") for p in tests.glob("test_*.py")}
+    assert imports_between_tests(sources) == []
+
+
+def test_check_finds_an_import_between_tests():
+    sources = {
+        "test_a.py": "from test_b import helper\nimport inputs\n",
+        "test_b.py": "def f():\n    import test_c.sub\n    from graphstrata import perm\n",
+        "test_c.py": "from inputs import census\nfrom . import test_a\n",
+    }
+    assert imports_between_tests(sources) == [("test_a.py", "test_b"), ("test_b.py", "test_c")]

@@ -49,11 +49,12 @@ from graphstrata.stablegraph import (
     GraphIsomorphism,
     StableGraph,
     check_stability,
-    enumerate_stable_graphs,
     hilbert_numerology,
     split_component,
 )
 from graphstrata.strata import build_quotient_table
+
+from inputs import census
 from record_golden import inline_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -98,8 +99,7 @@ def _twin(cls):
 
 def _samples():
     """Per record class, two unequal instances taken from real results."""
-    census04 = enumerate_stable_graphs(0, 4)
-    one, two = census04.classes_by_nodes[1][:2]
+    one, two = census(0, 4).classes_by_nodes[1][:2]
     s4 = symmetric_group(4)
     swap = group_from_generators(4, parse_generators("(1 2)", 4))
     swapped = gamma.relabel_legs(one, parse_permutation("(1 3)", 4))
@@ -126,10 +126,10 @@ def _samples():
         StableGraph: (one, two),
         stablegraph.StabilityReport: (
             check_stability(one),
-            check_stability(enumerate_stable_graphs(1, 1).classes_by_nodes[1][0]),
+            check_stability(census(1, 1).classes_by_nodes[1][0]),
         ),
         GraphIsomorphism: (GraphIsomorphism((0, 1)), GraphIsomorphism((1, 0))),
-        stablegraph.StratumCensus: (enumerate_stable_graphs(0, 3), census04),
+        stablegraph.StratumCensus: (census(0, 3), census(0, 4)),
         stablegraph.SplitComponent: (split_component(one, 0), split_component(one, 1)),
         stablegraph.HilbertNumerology: (hilbert_numerology(0, 3, 4), hilbert_numerology(1, 3, 1)),
         gamma.GammaWitness: (gamma_equivalent(one, one, s4), gamma_equivalent(one, swapped, s4)),

@@ -23,8 +23,10 @@ from graphstrata.descent import (
 )
 from graphstrata.gamma import enumerate_gamma_strata, gamma_equivalent
 from graphstrata.perm import Permutation, group_from_generators, symmetric_group
-from graphstrata.stablegraph import StableGraph, enumerate_stable_graphs, graph_from_doc
+from graphstrata.stablegraph import StableGraph, graph_from_doc
 from graphstrata.strata import build_quotient_table
+
+from inputs import census
 from record_golden import check_contract, run
 from record_refusals import REFUSALS_PATH, cases, pin
 
@@ -207,11 +209,11 @@ GAMMA_CASES = {
         "degree 3 does not match m = 4",
     ),
     "census of another genus": (
-        lambda: enumerate_gamma_strata(1, 4, symmetric_group(4), census=enumerate_stable_graphs(0, 4)),
+        lambda: enumerate_gamma_strata(1, 4, symmetric_group(4), census=census(0, 4)),
         "census is for (g, m) = (0, 4), not (1, 4)",
     ),
     "quotient table of another census": (
-        lambda: build_quotient_table(0, 5, symmetric_group(5), census=enumerate_stable_graphs(0, 4)),
+        lambda: build_quotient_table(0, 5, symmetric_group(5), census=census(0, 4)),
         "census is for (g, m) = (0, 4), not (0, 5)",
     ),
 }
